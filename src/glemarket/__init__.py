@@ -63,7 +63,6 @@ from .volterra import (
     boltzmann_acf,
     differential_acf,
     integrate_gle,
-    integrate_gle_direct,
     memory_kernel,
     propagate_acf,
     propagate_self_consistent,
@@ -108,7 +107,6 @@ __all__ = [
     "generate_wiener_increments",
     "identity_residual",
     "integrate_gle",
-    "integrate_gle_direct",
     "invert",
     "invert_at",
     "lambda0",

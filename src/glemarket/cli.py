@@ -52,7 +52,8 @@ from .models import (
 from .noise import generate_wiener_increments
 from .series import PathEnsemble
 from .specfun import lambda0, lambda1
-from .volterra import boltzmann_acf, differential_acf, memory_kernel, propagate_acf, simulate_stationary_ensemble
+from .volterra import (_generated_steps, boltzmann_acf, differential_acf, memory_kernel,
+                       propagate_acf, simulate_stationary_ensemble)
 
 _PRESET_KEYS = (
     "model.tau_r",
@@ -363,12 +364,35 @@ def _write_paths_csv(path, times, paths, prices=False):
     _write_csv(path, header, zip(times, *paths))
 
 
+def _simulate_size(args):
+    """Peak bytes of a simulate run, checked before anything is allocated:
+    eight float64 arrays per path and two shared, over the generated grid."""
+    samples = args.n_steps
+    if args.model in ("selfsim", "stock"):
+        samples = _generated_steps(_build_model(args), args.h, args.n_steps, args.burn_in)
+    need = 64 * (args.n_paths + 2) * samples
+    size = f"{args.n_paths} paths x {samples} steps need about {need:.3g} bytes"
+    if hasattr(os, "sysconf"):
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise InputError(f"request too large: {size}; this machine has {have:.3g} bytes")
+    return size
+
+
 def cmd_simulate(args):
     seed = _resolved_seed(args)
     if not (np.isfinite(args.h) and args.h > 0):
         raise InputError("--h must be positive")
     if args.n_steps < 2 or args.n_paths < 1:
         raise InputError("--n-steps must be >= 2 and --n-paths >= 1")
+    size = _simulate_size(args)
+    try:
+        return _run_simulate(args, seed)
+    except MemoryError:
+        raise InputError(f"out of memory: {size}") from None
+
+
+def _run_simulate(args, seed):
     base = args.out
 
     if args.model == "gbm":

@@ -271,8 +271,6 @@ def _differential_v(tau_R, arr):
 
 # -- functional-equation solvers (scaling / fractional) -------------------
 
-SOLVER_BUDGET = 200
-SOLVER_TOL = 1e-12
 RESIDUAL_LIMIT = 1e-10
 _CHAIN_FLOOR = 1e-13   # tau_r * p below which y = 1 closes a chain
 _CHAIN_CEILING = 1e13  # tau_r * p above which y = 1/(tau_r p) closes it

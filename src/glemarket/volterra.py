@@ -15,6 +15,17 @@ A-stable, has no parasitic mode over long horizons, converges at O(h^2),
 and reduces exactly to the cumulative trapezoid of the forcing when the
 kernel vanishes.
 
+The update is a convolution quadrature (Lubich 1988): with generating
+functions X(z) = sum_j x_j z^j of the samples it reads D R = r_0 A + U, where
+
+    D(z) = (1 - z) + (h^2/2) (1 + z) (K(z) - k_0/2),
+    A(z) = 1 + (h^2/4) (1 + z) K(z),   U(z) = (h/2) ((1 + z) F(z) - f_0).
+
+The series 1/D comes from Newton doubling, g <- g (2 - D g) (Brent & Kung
+1978), with FFT products: O(n log n) for n steps, not the O(n^2) of
+marching the update.  A/D is the ACF route; a forced ensemble adds one FFT
+convolution of U with 1/D per path.
+
 The two Lambert-type models have no complex-plane image, but their images
 obey first-order ODEs in p, which translate into causal convolution
 identities in time (written in units of tau_R; the weighted Boltzmann
@@ -93,27 +104,51 @@ def _check_grid(h, n_points):
         raise InputError("n_points must be an integer >= 2")
 
 
+def _fft_product(a, b, n):
+    """First n coefficients of the series product a b (a may be one per row)."""
+    size = 1 << int(np.ceil(np.log2(a.shape[-1] + b.shape[-1] - 1)))
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[..., :n]
+
+
+def _series_inverse(d, n):
+    """First n coefficients of the power series 1/d(z), for d[0] != 0.
+
+    Newton doubling: if d g = 1 + O(z^m), then g - g (d g - 1) is exact to
+    O(z^2m), and only the new coefficients need the correction product.
+    """
+    g = np.array([1.0 / d[0]])
+    while g.size < n:
+        m = g.size
+        m2 = min(2 * m, n)
+        e = _fft_product(d[:m2], g, m2)[m:]
+        g = np.concatenate([g, -_fft_product(g, e, m2 - m)])
+    return g
+
+
+def _transfer(k, h, n):
+    """(1/D, A/D) over n >= 2 steps: the response to a unit right-hand side
+    at step 0, and the unforced relaxation from r_0 = 1 (the ACF route)."""
+    q = 0.25 * h * h
+    kz = k[:n].copy()
+    kz[1:] += k[: n - 1]  # (1 + z) K(z)
+    d = 2.0 * q * kz
+    d[:2] += (1.0 - q * k[0], -1.0 - q * k[0])
+    a = q * kz
+    a[0] += 1.0
+    g = _series_inverse(d, n)
+    hom = _fft_product(a, g, n)
+    hom[0] = 1.0  # A(0) = D(0) exactly
+    return g, hom
+
+
 def propagate_acf(kernel, n_steps, variance=1.0):
-    """March dc/dt = -(k*c), c(0) = 1, for n_steps points; returns AcfSeries."""
+    """Relax dc/dt = -(k*c), c(0) = 1, over n_steps points in O(n log n);
+    returns AcfSeries."""
     _check_grid(kernel.h, n_steps)
-    k = kernel.values
-    if k.size < n_steps:
+    if kernel.values.size < n_steps:
         raise InputError("kernel must cover the full propagation horizon")
-    h = kernel.h
-    kr = k[::-1]
-    L = k.size
-    c = np.empty(n_steps)
-    c[0] = 1.0
-    denom = 1.0 + 0.25 * h * h * k[0]
-    current_i = 0.0  # the memory integral I_j
-    for j in range(n_steps - 1):
-        tail = 0.5 * k[j + 1]  # (1/h) half-weight k_{j+1} c_0 term
-        if j >= 1:
-            tail += np.dot(kr[L - 1 - j : L - 1], c[1 : j + 1])
-        partial = h * tail
-        c[j + 1] = (c[j] - 0.5 * h * (current_i + partial)) / denom
-        current_i = partial + 0.5 * h * k[0] * c[j + 1]
-    return AcfSeries(h=h, values=c, variance=variance)
+    _, c = _transfer(kernel.values, kernel.h, n_steps)
+    return AcfSeries(h=kernel.h, values=c, variance=variance)
 
 
 def propagate_self_consistent(corr_time, h, n_steps, variance=1.0):
@@ -137,39 +172,16 @@ def propagate_self_consistent(corr_time, h, n_steps, variance=1.0):
     return AcfSeries(h=h, values=c, variance=variance)
 
 
-def _gle_reference_runs(k, h, n_steps):
-    """Unit responses of the discrete update: impulse at step 0, impulse at
-    step 1, and unit initial value; everything else follows by linearity."""
-    kr = k[::-1]
-    L = k.size
-    denom = 1.0 + 0.25 * h * h * k[0]
-    out = np.zeros((3, n_steps))
-    for row, (r0, f0, f1) in enumerate([(0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]):
-        r = out[row]
-        r[0] = r0
-        current_i = 0.0
-        for j in range(n_steps - 1):
-            fj = f0 if j == 0 else (f1 if j == 1 else 0.0)
-            fj1 = f0 if j + 1 == 0 else (f1 if j + 1 == 1 else 0.0)
-            tail = 0.5 * k[j + 1] * r[0]
-            if j >= 1:
-                tail += np.dot(kr[L - 1 - j : L - 1], r[1 : j + 1])
-            partial = h * tail
-            r[j + 1] = (
-                r[j] + 0.5 * h * (fj + fj1) - 0.5 * h * (current_i + partial)
-            ) / denom
-            current_i = partial + 0.5 * h * k[0] * r[j + 1]
-    return out
-
-
 def integrate_gle(kernel, forcing, r0=0.0):
     """Drive dR/dt = F - (k*R) for every path of a forcing ensemble.
 
-    The one-step update is linear and time-invariant, so the whole ensemble
-    is the superposition of three unit responses (computed once by the
-    direct recurrence) convolved with the forcing via the FFT.  ``r0`` may
-    be a scalar or a per-path array of initial values.  Returns a
-    PathEnsemble of kind "return-rate" on the forcing's grid.
+    Each path is r0 times the unforced response A/D plus the trapezoid
+    averages of its forcing convolved with 1/D (see the module docstring).
+    Both series come from one O(n log n) transfer-function inverse shared by
+    the whole ensemble; the forcing enters through one FFT convolution per
+    path.  A zero kernel takes the exact cumulative trapezoid instead.
+    ``r0`` may be a scalar or a per-path array of initial values.  Returns
+    a PathEnsemble of kind "return-rate" on the forcing's grid.
     """
     if not isinstance(forcing, PathEnsemble):
         raise InputError("forcing must be a PathEnsemble")
@@ -180,30 +192,17 @@ def integrate_gle(kernel, forcing, r0=0.0):
     if kernel.values.size < n_steps:
         raise InputError("kernel must cover the full integration horizon")
     h = kernel.h
-    r0 = np.broadcast_to(np.asarray(r0, dtype=float), (n_paths,)).copy()
+    r0 = np.broadcast_to(np.asarray(r0, dtype=float), (n_paths,))
     k = kernel.values
 
-    if not np.any(k):
-        # memoryless limit: exact cumulative trapezoid of the forcing
-        r = np.empty_like(f)
-        r[:, 0] = r0
-        np.cumsum(0.5 * h * (f[:, 1:] + f[:, :-1]), axis=1, out=r[:, 1:])
-        r[:, 1:] += r0[:, None]
-        return _wrap_paths(forcing, r)
-
-    g0, g1, ghom = _gle_reference_runs(k[:n_steps], h, n_steps)
-    # response to a unit impulse at step m >= 1 is g1 shifted by m - 1
-    size = 1 << int(np.ceil(np.log2(2 * n_steps)))
-    spec = np.fft.rfft(f[:, 1:], size) * np.fft.rfft(g1[1:], size)
-    conv = np.fft.irfft(spec, size)[:, : n_steps - 1]
-    r = np.zeros_like(f)
-    r += f[:, :1] * g0[None, :]
-    r += r0[:, None] * ghom[None, :]
-    r[:, 1:] += conv
-    return _wrap_paths(forcing, r)
-
-
-def _wrap_paths(forcing, r):
+    u = 0.5 * h * (f[:, 1:] + f[:, :-1])  # U(z) from z^1 on
+    if np.any(k):
+        g, hom = _transfer(k, h, n_steps)
+        r = r0[:, None] * hom
+        r[:, 1:] += _fft_product(u, g[:-1], n_steps - 1)
+    else:  # memoryless limit: the exact cumulative trapezoid of the forcing
+        r = np.repeat(r0[:, None], n_steps, axis=1)
+        r[:, 1:] += np.cumsum(u, axis=1)
     return PathEnsemble(
         h=forcing.h,
         paths=r,
@@ -213,38 +212,14 @@ def _wrap_paths(forcing, r):
     )
 
 
-def integrate_gle_direct(kernel, forcing, r0=0.0):
-    """Reference path-by-path recurrence for the same update (O(n^2) each).
-
-    Kept for validation; integrate_gle is the production route.
-    """
-    if not isinstance(forcing, PathEnsemble):
-        raise InputError("forcing must be a PathEnsemble")
-    f = forcing.paths
-    n_paths, n_steps = f.shape
-    h = kernel.h
-    k = kernel.values
-    if k.size < n_steps:
-        raise InputError("kernel must cover the full integration horizon")
-    kr = k[::-1]
-    L = k.size
-    denom = 1.0 + 0.25 * h * h * k[0]
-    r0 = np.broadcast_to(np.asarray(r0, dtype=float), (n_paths,))
-    out = np.empty_like(f)
-    for p in range(n_paths):
-        r = out[p]
-        r[0] = r0[p]
-        current_i = 0.0
-        for j in range(n_steps - 1):
-            tail = 0.5 * k[j + 1] * r[0]
-            if j >= 1:
-                tail += np.dot(kr[L - 1 - j : L - 1], r[1 : j + 1])
-            partial = h * tail
-            r[j + 1] = (
-                r[j] + 0.5 * h * (f[p, j] + f[p, j + 1]) - 0.5 * h * (current_i + partial)
-            ) / denom
-            current_i = partial + 0.5 * h * k[0] * r[j + 1]
-    return _wrap_paths(forcing, out)
+def _generated_steps(model, h, n_steps, burn_in):
+    """Grid length simulate_stationary_ensemble generates: the published
+    window plus burn-in, rounded up to a power of two."""
+    if burn_in is None:
+        burn_in = int(np.ceil(8.0 * model.tau_R / h))
+    elif not (isinstance(burn_in, (int, np.integer)) and burn_in >= 0):
+        raise InputError("burn_in must be a nonnegative integer")
+    return 1 << max(1, int(np.ceil(np.log2(n_steps + burn_in))))
 
 
 def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed, burn_in=None):
@@ -279,12 +254,7 @@ def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed, burn_in=None)
         raise CapabilityError(
             "memoryless force: use simulate_white_returns for exact sampling"
         )
-    if burn_in is None:
-        burn_in = int(np.ceil(8.0 * model.tau_R / h))
-    elif not (isinstance(burn_in, (int, np.integer)) and burn_in >= 0):
-        raise InputError("burn_in must be a nonnegative integer")
-    n_gen = 1 << max(1, int(np.ceil(np.log2(n_steps + burn_in))))
-
+    n_gen = _generated_steps(model, h, n_steps, burn_in)
     kernel = memory_kernel(model, h, n_gen)
     omega = np.linspace(0.0, 2.0 / model.tau_R, 2001)
     sd = spectral_density(force_evaluator(model), omega)

@@ -2,12 +2,15 @@
 
 Everything here is deliberately brute force and shares no code with the
 package under test: truncated power series summed in mpmath arithmetic,
-bisection for zeros and for Lambert branches.  Oracle outputs are computed
-first and frozen as literals in the test modules; the functions stay here
-so the frozen numbers can be regenerated.
+bisection for zeros and for Lambert branches, and the step-by-step O(n^2)
+march of the discrete evolution equation.  The special-function outputs
+are computed first and frozen as literals in the test modules; the
+functions stay here so the frozen numbers can be regenerated.  The march
+is cheap enough to run live against the O(n log n) production route.
 """
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 60
 
@@ -115,6 +118,37 @@ def fd_derivative(f, x, h):
     """Central finite difference, the oracle for derivative relations."""
     x, h = mp.mpf(x), mp.mpf(h)
     return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def integrate_gle_direct(k, h, f, r0=0.0):
+    """The Crank-Nicolson/trapezoid update of dR/dt = F - (k*R), marched
+    step by step for every row of the forcing f (O(n^2) per path).
+
+    k holds the kernel samples, r0 a scalar or per-path initial value;
+    returns the paths.  With f = 0 and r0 = 1 it is the ACF recurrence of
+    dc/dt = -(k*c).
+    """
+    f = np.atleast_2d(np.asarray(f, dtype=float))
+    n_paths, n_steps = f.shape
+    kr = k[::-1]
+    L = k.size
+    denom = 1.0 + 0.25 * h * h * k[0]
+    r0 = np.broadcast_to(np.asarray(r0, dtype=float), (n_paths,))
+    out = np.empty_like(f)
+    for p in range(n_paths):
+        r = out[p]
+        r[0] = r0[p]
+        current_i = 0.0
+        for j in range(n_steps - 1):
+            tail = 0.5 * k[j + 1] * r[0]
+            if j >= 1:
+                tail += np.dot(kr[L - 1 - j : L - 1], r[1 : j + 1])
+            partial = h * tail
+            r[j + 1] = (
+                r[j] + 0.5 * h * (f[p, j] + f[p, j + 1]) - 0.5 * h * (current_i + partial)
+            ) / denom
+            current_i = partial + 0.5 * h * k[0] * r[j + 1]
+    return out
 
 
 if __name__ == "__main__":

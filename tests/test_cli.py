@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import glemarket.cli as cli
 from glemarket.cli import RunConfig, main, parse_config, serialize_config
 from glemarket.errors import InputError, ParseError
 
@@ -228,6 +229,43 @@ class TestSimulate:
             "--n-paths", "1", "--n-steps", "64", "--h", "0.1",
         )
         assert code == 0 and "master_seed = 42" in out
+
+    @pytest.mark.parametrize(
+        "model,sizes",
+        [
+            ("stock", ["--n-paths", "1", "--n-steps", str(10**13)]),
+            ("selfsim", ["--n-paths", str(10**12), "--n-steps", "64"]),
+            ("white", ["--n-paths", "1000", "--n-steps", str(10**12)]),
+            ("gbm", ["--n-paths", str(10**9), "--n-steps", "10000"]),
+        ],
+    )
+    def test_oversized_request_refused_before_allocating(self, tmp_path, monkeypatch, model, sizes):
+        def untouchable(*args, **kwargs):
+            raise AssertionError("the size guard must fire before any sampler runs")
+
+        for name in ("simulate_stationary_ensemble", "simulate_white_returns",
+                     "generate_wiener_increments"):
+            monkeypatch.setattr(cli, name, untouchable)
+        code, _, err = run_cli(
+            "simulate", "--out-dir", str(tmp_path), "--model", model,
+            "--h", "0.125", "--seed", "1", *sizes,
+        )
+        assert code == 2
+        assert "request too large" in err and "bytes" in err
+        assert not (tmp_path / "simulate_paths.csv").exists()
+
+    def test_memory_error_maps_to_exit_2_with_estimate(self, tmp_path, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "simulate_stationary_ensemble", exhausted)
+        code, _, err = run_cli(
+            "simulate", "--out-dir", str(tmp_path), "--model", "stock",
+            "--n-paths", "3", "--n-steps", "1000", "--h", "0.125", "--seed", "1",
+        )
+        # 1000 steps + 64 burn-in round up to a 2048-step grid
+        assert code == 2
+        assert "out of memory: 3 paths x 2048 steps need about 6.55e+05 bytes" in err
 
 
 # -- estimate ----------------------------------------------------------------------

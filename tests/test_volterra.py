@@ -11,14 +11,15 @@ from glemarket.specfun import bessel_j0, lambda1
 from glemarket.volterra import (
     boltzmann_acf,
     differential_acf,
+    _series_inverse,
     integrate_gle,
-    integrate_gle_direct,
     memory_kernel,
     propagate_acf,
     propagate_self_consistent,
     simulate_stationary_ensemble,
     zero_kernel,
 )
+from oracles import integrate_gle_direct
 
 # High-precision inversion references for the Lambert-type ACFs
 # (real-axis Gaver-Stehfest at 120+ digits, degree 28-40 cross-checked;
@@ -174,9 +175,51 @@ def test_fft_combine_matches_direct_recurrence():
     k = memory_kernel(m, 0.05, 64)
     r0 = np.array([0.3, -1.0, 2.0])
     ra = integrate_gle(k, pe, r0=r0)
-    rb = integrate_gle_direct(k, pe, r0=r0)
-    assert np.max(np.abs(ra.paths - rb.paths)) < 1e-12
+    rb = integrate_gle_direct(k.values, 0.05, f, r0=r0)
+    assert np.max(np.abs(ra.paths - rb)) < 1e-12
     assert ra.kind == "return-rate"
+
+
+ORACLE_MODELS = [
+    ModelSpec.stock_theta(tau_r=1.0, theta=0.5),
+    ModelSpec.stock_theta(tau_r=1.0, theta=1.0),
+    ModelSpec.stock_theta(tau_r=1.0, theta=3.0),  # ultra-light: undamped line
+    ModelSpec.linear_self_similar(tau_R=2.0),
+]
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=["stock0.5", "stock1", "stock3", "selfsim"])
+def test_transfer_route_matches_quadratic_march(model):
+    h, n = 0.125, 2048
+    k = memory_kernel(model, h, n)
+    rng = np.random.default_rng(17)
+    f = rng.normal(size=(2, n))
+    r0 = np.array([0.0, 0.7])
+    fast = integrate_gle(k, PathEnsemble(h=h, paths=f, kind="force"), r0=r0)
+    assert np.max(np.abs(fast.paths - integrate_gle_direct(k.values, h, f, r0=r0))) < 1e-12
+    acf = propagate_acf(k, n)
+    march = integrate_gle_direct(k.values, h, np.zeros(n), r0=1.0)[0]
+    assert np.max(np.abs(acf.values - march)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1000, 4097])
+@pytest.mark.parametrize("model", ORACLE_MODELS[2:], ids=["stock3", "selfsim"])
+def test_series_inverse_at_uneven_lengths(model, n):
+    # D(z) of the update, built from its definition; lengths that are not
+    # powers of two end the Newton doubling on a partial step
+    h = 0.125
+    k = memory_kernel(model, h, n).values
+    d = np.zeros(n)
+    d[0], d[1] = 1.0, -1.0
+    half = k.copy()
+    half[0] *= 0.5
+    d += 0.5 * h * h * half
+    d[1:] += 0.5 * h * h * half[:-1]
+    g = _series_inverse(d, n)
+    assert g.size == n
+    unit = np.zeros(n)
+    unit[0] = 1.0
+    assert np.max(np.abs(np.convolve(d, g)[:n] - unit)) < 1e-13
 
 
 def test_unforced_relaxation_reproduces_acf_route():
