@@ -41,13 +41,15 @@ from .estimate import ensemble_acf, fit_theta, sample_acf
 from .laplace import invert
 from .market import MarketParams, price_from_returns, returns_from_prices, simulate_gbm, simulate_white_returns
 from .models import (
-    ModelSpec,
+    CATALOG,
+    ROUTES,
     Variant,
     closed_form_acf,
     force_shape,
     identity_residual,
     observable_evaluator,
     observable_shape,
+    render_catalog,
 )
 from .noise import generate_wiener_increments
 from .series import PathEnsemble
@@ -65,45 +67,10 @@ _PRESET_KEYS = (
     "model.M0",
 )
 
-ACF_MATRIX = """\
-ACF route capability matrix (model x route):
-
-  model         closed            laplace   volterra
-  white         yes               yes       no (memoryless kernel)
-  selfsim       yes               yes       yes
-  stock         theta in {0,1,2}  yes       theta > 0
-  scaling       no                no        no (shape-level model)
-  fractional    no                no        no (shape-level model)
-  boltzmann     no                no (real-axis image)  yes
-  differential  no                no (real-axis image)  yes
-"""
-
-SIMULATE_MATRIX = """\
-Simulation generators (model -> sampler and seed lanes):
-
-  gbm           geometric Brownian prices; Wiener increments on lane 1
-  white         exact one-step stationary update; lane 2
-  stock (th=0)  exact one-step stationary update (memoryless); lane 2
-  selfsim       band-limited colored force + memory-kernel evolution; lane 0
-  stock (th>0)  same, plus an explicit undamped spectral line when
-                theta > 2; lanes 0 and 3
-"""
-
-AUDIT_MATRIX = """\
-Audit checks (model -> identity rows emitted):
-
-  white / selfsim / stock   closure residual |y (tau p + g) - 1| on a real
-                            log grid and, with --n-complex, random points
-                            in the right half-plane
-  scaling / fractional      closure residual on the real grid only
-                            (functional solves; non-convergence is flagged
-                            per row, not fatal)
-  boltzmann                 closure residual on the real grid only
-  differential              closure residual plus a finite-difference check
-                            of the defining derivative identity
-                            dg/du = y(u); those rows pass at the
-                            second-order step tolerance, not --tolerance
-"""
+CAPABILITY_MATRIX = (
+    "Model capability matrix (a note starting with 'no' is an unsupported route):\n\n"
+    + render_catalog()
+)
 
 
 @dataclass(frozen=True)
@@ -242,35 +209,19 @@ def _param(args, name, default):
 
 
 def _build_model(args):
-    name = args.model
+    row = CATALOG[Variant(args.model)]
     variance = _param(args, "variance", 1.0)
-    if name in ("white", "selfsim", "boltzmann", "differential"):
-        if getattr(args, "tau_r", None) is not None or getattr(args, "theta", None) is not None:
-            raise InputError(f"model {name!r} takes --tau-R only")
-        tau_R = _param(args, "tau_R", 1.0)
-        maker = {
-            "white": ModelSpec.white_noise,
-            "selfsim": ModelSpec.linear_self_similar,
-            "boltzmann": ModelSpec.boltzmann,
-            "differential": ModelSpec.differential,
-        }[name]
-        return maker(tau_R, variance=variance)
-    if name in ("stock", "scaling", "fractional"):
-        tau_r = _param(args, "tau_r", 1.0)
-        theta = getattr(args, "theta", None)
-        tau_R = getattr(args, "tau_R", None)
+    if row.family == "market":
+        if args.tau_r is not None or args.theta is not None:
+            raise InputError(f"model {args.model!r} takes --tau-R only")
+        return row.make(_param(args, "tau_R", 1.0), variance=variance)
+    theta, tau_R = args.theta, args.tau_R
+    if theta is None and tau_R is None:
+        theta = args.config.preset("theta")
+        tau_R = args.config.preset("tau_R") if theta is None else None
         if theta is None and tau_R is None:
-            theta = args.config.preset("theta")
-            tau_R = args.config.preset("tau_R") if theta is None else None
-            if theta is None and tau_R is None:
-                theta = 1.0
-        maker = {
-            "stock": ModelSpec.stock_theta,
-            "scaling": ModelSpec.scaling,
-            "fractional": ModelSpec.fractional,
-        }[name]
-        return maker(tau_r, theta=theta, tau_R=tau_R, variance=variance)
-    raise InputError(f"unknown model {name!r}")
+            theta = 1.0
+    return row.make(_param(args, "tau_r", 1.0), theta=theta, tau_R=tau_R, variance=variance)
 
 
 def _add_model_arguments(parser, models):
@@ -340,16 +291,11 @@ def cmd_acf(args):
 _LANE_LEGEND = "seed lanes: colored-force=0, wiener=1, white-return=2, spectral-line=3"
 
 
-def _simulate_ensemble(args, model_name, seed):
+def _simulate_ensemble(args, model, seed):
     h, n_steps, n_paths = args.h, args.n_steps, args.n_paths
-    if model_name == "white":
-        tau_R = _param(args, "tau_R", 1.0)
-        variance = _param(args, "variance", 1.0)
-        return simulate_white_returns(tau_R, variance, n_steps, h, n_paths, seed)
-    model = _build_model(args)
-    if model.variant is Variant.STOCK_THETA and model.theta == 0.0:
-        # memoryless boundary: the exact one-step sampler, not the kernel route
-        return simulate_white_returns(model.tau_r, model.variance, n_steps, h, n_paths, seed)
+    if model.memoryless:
+        # the exact one-step sampler, not the kernel route
+        return simulate_white_returns(model.corr_time, model.variance, n_steps, h, n_paths, seed)
     return simulate_stationary_ensemble(
         model, h, n_steps, n_paths, seed, burn_in=args.burn_in
     )
@@ -364,12 +310,12 @@ def _write_paths_csv(path, times, paths, prices=False):
     _write_csv(path, header, zip(times, *paths))
 
 
-def _simulate_size(args):
+def _simulate_size(args, model):
     """Peak bytes of a simulate run, checked before anything is allocated:
     eight float64 arrays per path and two shared, over the generated grid."""
     samples = args.n_steps
-    if args.model in ("selfsim", "stock"):
-        samples = _generated_steps(_build_model(args), args.h, args.n_steps, args.burn_in)
+    if model is not None and not model.memoryless:
+        samples = _generated_steps(model, args.h, args.n_steps, args.burn_in)
     need = 64 * (args.n_paths + 2) * samples
     size = f"{args.n_paths} paths x {samples} steps need about {need:.3g} bytes"
     if hasattr(os, "sysconf"):
@@ -385,17 +331,18 @@ def cmd_simulate(args):
         raise InputError("--h must be positive")
     if args.n_steps < 2 or args.n_paths < 1:
         raise InputError("--n-steps must be >= 2 and --n-paths >= 1")
-    size = _simulate_size(args)
+    model = None if args.model == "gbm" else _build_model(args)
+    size = _simulate_size(args, model)
     try:
-        return _run_simulate(args, seed)
+        return _run_simulate(args, model, seed)
     except MemoryError:
         raise InputError(f"out of memory: {size}") from None
 
 
-def _run_simulate(args, seed):
+def _run_simulate(args, model, seed):
     base = args.out
 
-    if args.model == "gbm":
+    if model is None:  # gbm
         params = MarketParams(
             mu=_param(args, "mu", 0.0),
             sigma=_param(args, "sigma", 0.2),
@@ -421,7 +368,7 @@ def _run_simulate(args, seed):
         print(_LANE_LEGEND)
         return code
 
-    ensemble = _simulate_ensemble(args, args.model, seed)
+    ensemble = _simulate_ensemble(args, model, seed)
     paths_file = _out_path(args, f"{base}_paths.csv")
     _write_paths_csv(paths_file, ensemble.times, ensemble.paths)
     print(f"wrote {paths_file} (return rates, {ensemble.n_paths} paths x {ensemble.n_steps} samples)")
@@ -576,11 +523,6 @@ def _audit_rows(model, args, tolerance):
     for p in p_real:
         rows.append(closure_row(p))
     if args.n_complex > 0:
-        if not model.complex_capable:
-            raise CapabilityError(
-                f"model {model.variant.value!r} is defined on the real axis only; "
-                "drop --n-complex\n\n" + AUDIT_MATRIX
-            )
         rng = np.random.default_rng(_resolved_seed(args))
         magnitude = scale * 10.0 ** rng.uniform(-2.0, 2.0, size=(args.n_complex, 2))
         signs = rng.choice([-1.0, 1.0], size=args.n_complex)
@@ -639,9 +581,10 @@ def _build_parser():
         prog="glemarket",
         description="Numerical laboratory for memory-kernel market and stock return models.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=ACF_MATRIX,
+        epilog=CAPABILITY_MATRIX,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    models = [v.value for v in Variant]
 
     def common(p):
         p.add_argument("--config", default=None, help="flat key=value config file")
@@ -664,14 +607,12 @@ def _build_parser():
     p = sub.add_parser(
         "acf",
         help="evaluate a model ACF by the closed, laplace, or volterra route",
-        description="Emits CSV columns (lag, acf).\n\n" + ACF_MATRIX,
+        description="Emits CSV columns (lag, acf).\n\n" + CAPABILITY_MATRIX,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     common(p)
-    _add_model_arguments(
-        p, ["white", "selfsim", "stock", "scaling", "fractional", "boltzmann", "differential"]
-    )
-    p.add_argument("--route", required=True, choices=["closed", "laplace", "volterra"])
+    _add_model_arguments(p, models)
+    p.add_argument("--route", required=True, choices=ROUTES[:3])  # the ACF routes
     p.add_argument("--h", type=float, required=True, help="lag step")
     p.add_argument("--n-points", type=int, default=256)
     p.add_argument("--out", default="acf.csv")
@@ -680,11 +621,15 @@ def _build_parser():
     p = sub.add_parser(
         "simulate",
         help="synthesize a seeded path ensemble plus an ACF/variance summary",
-        description=SIMULATE_MATRIX,
+        description="gbm draws geometric Brownian prices from --mu, --sigma and --M0; the\n"
+        "catalog models draw stationary return rates (simulate column below).\n"
+        + _LANE_LEGEND + "\n\n" + CAPABILITY_MATRIX,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     common(p)
-    _add_model_arguments(p, ["gbm", "white", "selfsim", "stock"])
+    _add_model_arguments(
+        p, ["gbm"] + [v.value for v, row in CATALOG.items() if row.supports("simulate")]
+    )
     p.add_argument("--mu", type=float, default=None, help="drift rate (gbm / --emit-prices)")
     p.add_argument("--sigma", type=float, default=None, help="gbm volatility")
     p.add_argument("--M0", type=float, default=None, dest="M0", help="initial price")
@@ -719,18 +664,19 @@ def _build_parser():
     p = sub.add_parser(
         "audit",
         help="evaluate closure-identity residuals on a p grid and flag failures",
-        description=AUDIT_MATRIX,
+        description="Rows: closure residual |y (tau p + g) - 1| on a real log grid, plus "
+        "--n-complex random\nright-half-plane points; for differential, central-difference "
+        "rows of dg/du = y.\n\n" + CAPABILITY_MATRIX,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     common(p)
-    _add_model_arguments(
-        p, ["white", "selfsim", "stock", "scaling", "fractional", "boltzmann", "differential"]
-    )
+    _add_model_arguments(p, models)
     p.add_argument("--n-real", type=int, default=100, help="log-spaced real-axis points")
     p.add_argument("--n-complex", type=int, default=0,
                    help="random right-half-plane points (requires --seed)")
     p.add_argument("--fd-step", type=float, default=1e-4,
-                   help="relative step for derivative-identity rows")
+                   help="relative step for derivative-identity rows, which pass at "
+                   "max(tolerance, 10 step^2)")
     p.add_argument("--out", default=None, help="optional CSV copy of the table")
     p.set_defaults(func=cmd_audit)
 
@@ -747,10 +693,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if args.command in ("acf", "simulate"):
-            print("\n" + ACF_MATRIX if args.command == "acf" else "\n" + SIMULATE_MATRIX,
-                  file=sys.stderr)
+        print(f"error: {exc}\n\n{CAPABILITY_MATRIX}", file=sys.stderr)
         return 3
     except (AccuracyError, SpectralPositivityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

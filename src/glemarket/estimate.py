@@ -64,10 +64,8 @@ def _biased_autocovariance(x, max_lag):
     return acov / n
 
 
-def sample_acf(series, max_lag, h=1.0, estimator="biased"):
+def sample_acf(series, max_lag, h=1.0):
     """Normalized biased-estimator ACF of one zero-centered series."""
-    if estimator != "biased":
-        raise InputError(f"unsupported estimator {estimator!r}")
     x = _as_clean_series(series)
     max_lag = int(max_lag)
     if max_lag < 1:

@@ -12,19 +12,10 @@ They are tied together by the memory-equation closure
 
     y(p) * [tau_corr * p + g(p)] = 1,
 
-whose numerical violation ``identity_residual`` reports.  Shape kinds:
-
-========== ================= =========== =====================================
-variant     family            complex p   g(p) definition
-========== ================= =========== =====================================
-white       market            yes         1 (flat force spectrum)
-selfsim     market            yes         g = y (force mirrors observable)
-stock       stock             yes         market selfsim shape at tau_R
-scaling     stock             no          g(p) = y(theta p)
-fractional  stock             no          g(p) = y(p)^theta
-boltzmann   market            no          g = 1 + ln y
-differential market           no          d(force image)/dp = C_obs(p)/tau_R
-========== ================= =========== =====================================
+whose numerical violation ``identity_residual`` reports.  ``CATALOG`` holds
+one row per variant: its constructor, family, whether its shapes extend to
+complex p, its force image and the evaluation routes it supports;
+``render_catalog`` prints it as the table the CLI help and README show.
 
 theta = tau_R / tau_r is the stock-family shape parameter; the class bands
 are heavy [0, 2/3), neutral [2/3, 4/3), light [4/3, 2), ultra-light [2, inf).
@@ -47,10 +38,6 @@ class Variant(enum.Enum):
     FRACTIONAL = "fractional"
     BOLTZMANN = "boltzmann"
     DIFFERENTIAL = "differential"
-
-
-_STOCK_FAMILY = {Variant.STOCK_THETA, Variant.SCALING, Variant.FRACTIONAL}
-_COMPLEX_CAPABLE = {Variant.WHITE_NOISE, Variant.LINEAR_SELF_SIMILAR, Variant.STOCK_THETA}
 
 
 class StockClass(enum.Enum):
@@ -97,7 +84,7 @@ class ModelSpec:
             raise InputError("variant must be a Variant")
         if not (np.isfinite(self.variance) and self.variance > 0):
             raise InputError("variance must be positive and finite")
-        if self.variant in _STOCK_FAMILY:
+        if self.is_stock_family:
             if self.tau_r is None or not (np.isfinite(self.tau_r) and self.tau_r > 0):
                 raise InputError("stock-family models require tau_r > 0")
             if not (np.isfinite(self.tau_R) and self.tau_R >= 0):
@@ -140,7 +127,7 @@ class ModelSpec:
     # -- derived attributes ----------------------------------------------
     @property
     def is_stock_family(self):
-        return self.variant in _STOCK_FAMILY
+        return CATALOG[self.variant].family == "stock"
 
     @property
     def theta(self):
@@ -155,13 +142,82 @@ class ModelSpec:
 
     @property
     def complex_capable(self):
-        return self.variant in _COMPLEX_CAPABLE
+        return CATALOG[self.variant].complex_p
+
+    @property
+    def memoryless(self):
+        """White noise or a theta = 0 stock: the force is white, so the
+        kernel is a delta spike and one-step sampling is exact."""
+        return self.variant is Variant.WHITE_NOISE or (
+            self.variant is Variant.STOCK_THETA and self.tau_R == 0
+        )
 
     @property
     def stock_class(self):
         if not self.is_stock_family:
             return None
         return classify_theta(self.theta)
+
+
+@dataclass(frozen=True)
+class CatalogRow:
+    """One catalog model: its ModelSpec constructor, its family ("market"
+    takes tau_R, "stock" takes tau_r plus theta or tau_R), whether its
+    shapes extend to complex p, its force image, and one note per route in
+    ROUTES.  A note starting with "no" marks an unsupported route."""
+
+    make: object
+    family: str
+    complex_p: bool
+    kernel: str
+    closed: str
+    laplace: str
+    volterra: str
+    simulate: str
+    audit: str
+
+    def supports(self, route):
+        return not getattr(self, route).startswith("no")
+
+
+ROUTES = ("closed", "laplace", "volterra", "simulate", "audit")
+
+CATALOG = {
+    Variant.WHITE_NOISE: CatalogRow(
+        ModelSpec.white_noise, "market", True, "1 (delta kernel)",
+        "yes", "yes", "no (memoryless)", "exact one-step", "complex p"),
+    Variant.LINEAR_SELF_SIMILAR: CatalogRow(
+        ModelSpec.linear_self_similar, "market", True, "y (self-similar)",
+        "yes", "yes", "yes", "kernel march", "complex p"),
+    Variant.STOCK_THETA: CatalogRow(
+        ModelSpec.stock_theta, "stock", True, "selfsim y at tau_R",
+        "theta 0, 1, 2", "yes", "theta > 0", "kernel; theta=0 exact", "complex p"),
+    Variant.SCALING: CatalogRow(
+        ModelSpec.scaling, "stock", False, "y(theta p)",
+        "no", "no (real axis)", "no (shape-level)", "no", "real axis"),
+    Variant.FRACTIONAL: CatalogRow(
+        ModelSpec.fractional, "stock", False, "y(p)^theta",
+        "no", "no (real axis)", "no (shape-level)", "no", "real axis"),
+    Variant.BOLTZMANN: CatalogRow(
+        ModelSpec.boltzmann, "market", False, "1 + ln y",
+        "no", "no (real axis)", "yes", "no", "real axis"),
+    Variant.DIFFERENTIAL: CatalogRow(
+        ModelSpec.differential, "market", False, "dg/du = y",
+        "no", "no (real axis)", "yes", "no", "real + dg/du"),
+}
+
+
+def render_catalog():
+    """CATALOG as a fixed-width pipe table, one row per variant."""
+    table = [("model", "family", "force image g") + ROUTES] + [
+        (v.value, row.family, row.kernel) + tuple(getattr(row, r) for r in ROUTES)
+        for v, row in CATALOG.items()
+    ]
+    widths = [max(len(cells[i]) for cells in table) for i in range(len(table[0]))]
+    table.insert(1, tuple("-" * w for w in widths))
+    return "".join(
+        "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |\n" for cells in table
+    )
 
 
 def _resolve_tau_R(tau_r, theta, tau_R):

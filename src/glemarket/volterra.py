@@ -79,14 +79,14 @@ def memory_kernel(model, h, n_points):
     _check_grid(h, n_points)
     t = h * np.arange(n_points)
     v = model.variant
-    if v is Variant.LINEAR_SELF_SIMILAR:
-        vals = lambda1(2.0 * t / model.tau_R) / model.tau_R**2
-    elif v is Variant.STOCK_THETA and model.tau_R > 0:
-        vals = lambda1(2.0 * t / model.tau_R) / (model.tau_r * model.tau_R)
-    elif v in (Variant.WHITE_NOISE, Variant.STOCK_THETA):
+    if model.memoryless:
         raise CapabilityError(
             "memoryless force: the kernel is a delta spike, not a sampleable series"
         )
+    if v is Variant.LINEAR_SELF_SIMILAR:
+        vals = lambda1(2.0 * t / model.tau_R) / model.tau_R**2
+    elif v is Variant.STOCK_THETA:
+        vals = lambda1(2.0 * t / model.tau_R) / (model.tau_r * model.tau_R)
     else:
         raise CapabilityError(f"no closed-form kernel for {v.value}")
     return KernelSeries(h=h, values=vals, label=f"{v.value} kernel")
@@ -248,9 +248,7 @@ def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed, burn_in=None)
     _check_grid(h, n_steps)
     _check_counts(n_steps, n_paths)
     _check_seed(seed)
-    if model.variant in (Variant.WHITE_NOISE, Variant.STOCK_THETA) and not (
-        model.variant is Variant.STOCK_THETA and model.tau_R > 0
-    ):
+    if model.memoryless:
         raise CapabilityError(
             "memoryless force: use simulate_white_returns for exact sampling"
         )

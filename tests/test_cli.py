@@ -13,6 +13,7 @@ import pytest
 import glemarket.cli as cli
 from glemarket.cli import RunConfig, main, parse_config, serialize_config
 from glemarket.errors import InputError, ParseError
+from glemarket.models import CATALOG, ROUTES, Variant
 
 
 def run_cli(*argv):
@@ -159,9 +160,38 @@ class TestAcf:
         assert code == 3
 
     def test_help_lists_capability_matrix(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("acf", "--help")
-        assert exc.value.code == 0
+        for command in ("acf", "simulate", "audit"):
+            out = io.StringIO()
+            with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            help_text = out.getvalue()
+            assert "capability matrix" in help_text
+            for name in [v.value for v in Variant] + list(ROUTES):
+                assert name in help_text, (command, name)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_catalog_notes_match_behaviour(self, tmp_path, variant):
+        # every route note the catalog marks "no" exits 3, every other one
+        # succeeds (stock-family models at the default theta = 1)
+        row = CATALOG[variant]
+        for route in ("closed", "laplace", "volterra"):
+            code, _, _ = run_cli(
+                "acf", "--out-dir", str(tmp_path), "--model", variant.value,
+                "--route", route, "--h", "0.1", "--n-points", "16",
+            )
+            assert code == (0 if row.supports(route) else 3), route
+        code, _, _ = run_cli("audit", "--model", variant.value, "--n-real", "4",
+                             "--n-complex", "2", "--seed", "1")
+        assert code == (0 if row.complex_p else 3)
+        argv = ["simulate", "--out-dir", str(tmp_path), "--model", variant.value,
+                "--n-paths", "1", "--n-steps", "64", "--h", "0.125", "--seed", "1"]
+        if row.supports("simulate"):
+            assert run_cli(*argv)[0] == 0
+        else:  # not among the simulate choices
+            with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 # -- simulate ----------------------------------------------------------------------
@@ -213,6 +243,20 @@ class TestSimulate:
         header, data = read_csv(tmp_path / "simulate_prices.csv")
         assert header == ["t", "price"]
         assert data.shape == (65, 2) and data[0, 1] == 1.0
+
+    def test_market_models_refuse_stock_flags_in_every_subcommand(self, tmp_path):
+        tails = {
+            "acf": ["--route", "closed", "--h", "0.1"],
+            "audit": ["--n-real", "4"],
+            "simulate": ["--n-paths", "1", "--n-steps", "64", "--h", "0.1", "--seed", "1"],
+        }
+        for command, tail in tails.items():
+            code, _, err = run_cli(
+                command, "--out-dir", str(tmp_path), "--model", "white",
+                "--theta", "2", "--tau-r", "5", *tail,
+            )
+            assert code == 2 and "takes --tau-R only" in err, command
+        assert not (tmp_path / "simulate_paths.csv").exists()
 
     def test_seed_required(self, tmp_path):
         code, _, err = run_cli(

@@ -68,7 +68,6 @@ class TestSampleAcf:
             dict(max_lag=0),
             dict(max_lag=10, h=0.0),
             dict(max_lag=10, h=-1.0),
-            dict(max_lag=10, estimator="unbiased"),
         ],
     )
     def test_invalid_arguments(self, kwargs):

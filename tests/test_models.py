@@ -5,6 +5,8 @@ tests/oracles.py (bisection and defining-series implementations, mpmath,
 60+ significant digits).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from glemarket.errors import CapabilityError, DomainError, InputError
 from glemarket.models import (
+    CATALOG,
     ModelSpec,
     ShapeEvaluator,
     StockClass,
@@ -23,6 +26,7 @@ from glemarket.models import (
     identity_residual,
     observable_evaluator,
     observable_shape,
+    render_catalog,
     solve_functional_shape,
     spectral_atom,
 )
@@ -251,6 +255,34 @@ def test_constructor_validation():
     a = ModelSpec.stock_theta(tau_r=2.0, theta=1.5)
     b = ModelSpec.stock_theta(tau_r=2.0, tau_R=3.0)
     assert a == b
+
+
+def test_catalog_rows_build_their_own_variant():
+    assert list(CATALOG) == list(Variant)
+    for variant, row in CATALOG.items():
+        kwargs = {"theta": 1.5} if row.family == "stock" else {}
+        assert row.make(1.0, **kwargs).variant is variant
+
+
+def test_memoryless_is_white_or_theta_zero_stock():
+    assert ModelSpec.white_noise(1.0).memoryless
+    assert ModelSpec.stock_theta(tau_r=1.0, theta=0.0).memoryless
+    assert not any(m.memoryless for m in (
+        ModelSpec.stock_theta(tau_r=1.0, theta=0.5),
+        ModelSpec.scaling(tau_r=1.0, theta=0.0),
+        ModelSpec.linear_self_similar(1.0),
+    ))
+
+
+def test_readme_catalog_table_is_the_rendered_catalog():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Model catalog\n", 1)[1].lstrip("\n").splitlines(keepends=True)
+    table = []
+    for line in section:
+        if not line.startswith("|"):
+            break
+        table.append(line)
+    assert "".join(table) == render_catalog()
 
 
 def test_domain_and_capability_errors():
