@@ -34,7 +34,6 @@ from .errors import (
     GleMarketError,
     InputError,
     ParseError,
-    SolverError,
     SpectralPositivityError,
 )
 from .estimate import ensemble_acf, fit_theta, sample_acf
@@ -331,6 +330,8 @@ def cmd_simulate(args):
         raise InputError("--h must be positive")
     if args.n_steps < 2 or args.n_paths < 1:
         raise InputError("--n-steps must be >= 2 and --n-paths >= 1")
+    if args.model == "gbm" and (args.theta, args.tau_r, args.tau_R) != (None,) * 3:
+        raise InputError("model 'gbm' takes --mu, --sigma, --variance and --M0 only")
     model = None if args.model == "gbm" else _build_model(args)
     size = _simulate_size(args, model)
     try:
@@ -501,33 +502,41 @@ def cmd_estimate(args):
     return 0
 
 
+def _grid_residuals(model, grid):
+    """Closure residuals of a whole p grid from one identity_residual call;
+    only if that raises is the grid redone point by point, with None for
+    exactly the points that fail to converge."""
+    try:
+        return list(identity_residual(model, grid))
+    except AccuracyError:  # SolverError included
+        residuals = []
+    for p in grid:
+        try:
+            residuals.append(identity_residual(model, p))
+        except AccuracyError:
+            residuals.append(None)
+    return residuals
+
+
 def _audit_rows(model, args, tolerance):
+    """Audit table rows and their failure count.  Each p grid is one array
+    call: identity_residual on the real and on the seeded complex grid, and
+    for differential force_shape at u + du and u - du and observable_shape."""
     scale = 1.0 / model.corr_time
     p_real = scale * np.logspace(-2.0, 2.0, args.n_real)
-    rows = []
-    failures = 0
-
-    def closure_row(p):
-        nonlocal failures
-        try:
-            residual = float(identity_residual(model, p))
-        except (SolverError, AccuracyError):
-            failures += 1
-            return ["closure", repr(float(np.real(p))), repr(float(np.imag(p))),
-                    "nan", "no-converge"]
-        ok = residual <= tolerance
-        failures += 0 if ok else 1
-        return ["closure", repr(float(np.real(p))), repr(float(np.imag(p))),
-                repr(residual), "ok" if ok else "FAIL"]
-
-    for p in p_real:
-        rows.append(closure_row(p))
+    grids = [p_real]
     if args.n_complex > 0:
         rng = np.random.default_rng(_resolved_seed(args))
         magnitude = scale * 10.0 ** rng.uniform(-2.0, 2.0, size=(args.n_complex, 2))
         signs = rng.choice([-1.0, 1.0], size=args.n_complex)
-        for (re, im), sign in zip(magnitude, signs):
-            rows.append(closure_row(complex(re, sign * im)))
+        grids.append(magnitude[:, 0] + 1j * (signs * magnitude[:, 1]))
+    rows = []
+    for points in grids:
+        for p, residual in zip(points, _grid_residuals(model, points)):
+            status = ("no-converge" if residual is None
+                      else "ok" if residual <= tolerance else "FAIL")
+            cell = "nan" if residual is None else repr(float(residual))
+            rows.append(["closure", repr(float(p.real)), repr(float(p.imag)), cell, status])
 
     if model.variant is Variant.DIFFERENTIAL:
         # defining derivative identity dg/du = y(u) in normalized units,
@@ -535,20 +544,21 @@ def _audit_rows(model, args, tolerance):
         # so these rows pass at max(tolerance, 10 * step^2)
         step = args.fd_step
         fd_tol = max(tolerance, 10.0 * step * step)
-        for p in p_real:
-            u = model.tau_R * p
-            du = step * max(u, 1.0)
-            gp = force_shape(model, (u + du) / model.tau_R)
-            gm = force_shape(model, (u - du) / model.tau_R)
-            residual = abs((gp - gm) / (2.0 * du) - observable_shape(model, p))
-            ok = residual <= fd_tol
-            failures += 0 if ok else 1
+        u = model.tau_R * p_real
+        du = step * np.maximum(u, 1.0)
+        gp = force_shape(model, (u + du) / model.tau_R)
+        gm = force_shape(model, (u - du) / model.tau_R)
+        residuals = np.abs((gp - gm) / (2.0 * du) - observable_shape(model, p_real))
+        for p, residual in zip(p_real, residuals):
             rows.append(["derivative", repr(float(p)), "0.0", repr(float(residual)),
-                         "ok" if ok else "FAIL"])
+                         "ok" if residual <= fd_tol else "FAIL"])
+    failures = sum(row[4] != "ok" for row in rows)
     return rows, failures
 
 
 def cmd_audit(args):
+    """Print (and optionally write) the audit table; exit 4 on any failed row.
+    The real grid and the complex grid each cost one identity_residual call."""
     model = _build_model(args)
     if args.n_real < 2:
         raise InputError("--n-real must be >= 2")

@@ -411,15 +411,16 @@ def _solve_scaling(tau_r, theta, arr):
             f"substitution chain for theta = {theta} exceeds {_CHAIN_MAX_DEPTH} levels",
             residual=np.inf,
         )
-    nodes = q[:, None] * theta ** np.arange(depth + 1)[None, :]
+    # nodes q theta^k are formed level by level: O(points + depth) memory
+    powers = theta ** np.arange(depth + 1)
     if theta > 1.0:
-        y = 1.0 / (tau_r * nodes[:, -1])
+        y = 1.0 / (tau_r * (q * powers[-1]))
     else:
         y = np.ones(q.size)
     # one ordered sweep from the closed end solves the chain exactly; extra
     # sweeps (budget 200) would only repeat it, so convergence is immediate
     for k in range(depth - 1, -1, -1):
-        y = 1.0 / (tau_r * nodes[:, k] + y)
+        y = 1.0 / (tau_r * (q * powers[k]) + y)
     out[pos] = y
     return out
 

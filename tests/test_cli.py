@@ -12,8 +12,9 @@ import pytest
 
 import glemarket.cli as cli
 from glemarket.cli import RunConfig, main, parse_config, serialize_config
-from glemarket.errors import InputError, ParseError
-from glemarket.models import CATALOG, ROUTES, Variant
+from glemarket.errors import AccuracyError, InputError, ParseError, SolverError
+from glemarket.models import (CATALOG, ROUTES, Variant, force_shape, identity_residual,
+                              observable_shape)
 
 
 def run_cli(*argv):
@@ -258,6 +259,16 @@ class TestSimulate:
             assert code == 2 and "takes --tau-R only" in err, command
         assert not (tmp_path / "simulate_paths.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--theta", "--tau-r", "--tau-R"])
+    def test_gbm_refuses_model_flags(self, tmp_path, flag):
+        code, _, err = run_cli(
+            "simulate", "--out-dir", str(tmp_path), "--model", "gbm", flag, "2",
+            "--n-paths", "1", "--n-steps", "64", "--h", "0.1", "--seed", "1",
+        )
+        assert code == 2
+        assert all(name in err for name in ("--mu", "--sigma", "--variance", "--M0"))
+        assert not (tmp_path / "simulate_paths.csv").exists()
+
     def test_seed_required(self, tmp_path):
         code, _, err = run_cli(
             "simulate", "--out-dir", str(tmp_path), "--model", "white",
@@ -433,6 +444,51 @@ class TestEstimate:
 # -- audit -------------------------------------------------------------------------
 
 
+AUDIT_MODELS = [
+    (model, ["--theta", theta])
+    for model in ("stock", "scaling", "fractional")
+    for theta in ("0.5", "1.5", "3")
+] + [(model, []) for model in ("white", "selfsim", "boltzmann", "differential")]
+
+
+def audit_args(*argv):
+    args = cli._build_parser().parse_args(["audit", *argv])
+    args.config = RunConfig()
+    return args
+
+
+def per_point_audit_rows(model, args, tolerance):
+    """Reference audit table: one identity_residual call per p, residuals
+    kept as floats (nan where the point raised a solver or accuracy error)."""
+    scale = 1.0 / model.corr_time
+    p_real = list(scale * np.logspace(-2.0, 2.0, args.n_real))
+    points = list(p_real)
+    if args.n_complex > 0:
+        rng = np.random.default_rng(args.seed)
+        magnitude = scale * 10.0 ** rng.uniform(-2.0, 2.0, size=(args.n_complex, 2))
+        signs = rng.choice([-1.0, 1.0], size=args.n_complex)
+        points += [complex(re, sign * im) for (re, im), sign in zip(magnitude, signs)]
+    rows = []
+    for p in points:
+        try:
+            residual = float(identity_residual(model, p))
+            status = "ok" if residual <= tolerance else "FAIL"
+        except AccuracyError:
+            residual, status = float("nan"), "no-converge"
+        rows.append(["closure", repr(float(np.real(p))), repr(float(np.imag(p))), residual, status])
+    if model.variant is Variant.DIFFERENTIAL:
+        fd_tol = max(tolerance, 10.0 * args.fd_step**2)
+        for p in p_real:
+            u = model.tau_R * p
+            du = args.fd_step * max(u, 1.0)
+            slope = (force_shape(model, (u + du) / model.tau_R)
+                     - force_shape(model, (u - du) / model.tau_R)) / (2.0 * du)
+            residual = abs(slope - observable_shape(model, p))
+            rows.append(["derivative", repr(float(p)), "0.0", residual,
+                         "ok" if residual <= fd_tol else "FAIL"])
+    return rows
+
+
 class TestAudit:
     def test_self_similar_passes_everywhere(self, tmp_path):
         code, out, _ = run_cli(
@@ -475,6 +531,67 @@ class TestAudit:
         code, _, err = run_cli("audit", "--model", "selfsim", "--n-real", "5",
                                "--tolerance", "1e-18")
         assert code == 4 and "exceed" in err
+
+    @pytest.mark.parametrize("model,flags", AUDIT_MODELS)
+    def test_batched_rows_match_per_point_reference(self, model, flags):
+        argv = ["--model", model, *flags, "--n-real", "40"]
+        if CATALOG[Variant(model)].complex_p:
+            argv += ["--n-complex", "25", "--seed", "9"]
+        args = audit_args(*argv)
+        built = cli._build_model(args)
+        rows, failures = cli._audit_rows(built, args, 1e-10)
+        reference = per_point_audit_rows(built, args, 1e-10)
+        assert len(rows) == len(reference)
+        assert failures == sum(r[4] != "ok" for r in reference) == 0
+        for row, expected in zip(rows, reference):
+            assert row[:3] + row[4:] == expected[:3] + expected[4:]
+            # derivative rows are central-difference cancellations near 6e-11
+            bound = 1e-11 if row[0] == "derivative" else 1e-15
+            assert abs(float(row[3]) - expected[3]) <= bound, row
+
+    def test_solver_failure_marks_only_its_rows(self, monkeypatch):
+        argv = ["audit", "--model", "stock", "--theta", "1.5", "--n-real", "12",
+                "--n-complex", "6", "--seed", "3"]
+        code, clean, _ = run_cli(*argv)
+        assert code == 0
+        rows = [line.split(",") for line in clean.splitlines() if line.startswith("closure,")]
+        marked = {complex(float(rows[i][1]), float(rows[i][2])) for i in (2, 7, 15)}
+        original = cli.identity_residual
+
+        def flaky(model, p):
+            if any(complex(q) in marked for q in np.atleast_1d(p)):
+                raise SolverError("marked point", residual=np.inf)
+            return original(model, p)
+
+        monkeypatch.setattr(cli, "identity_residual", flaky)
+        code, out, err = run_cli(*argv)
+        assert code == 4 and "3 audit rows exceed tolerance" in err
+        assert "failures = 3" in out
+        broken = [line.split(",") for line in out.splitlines() if line.startswith("closure,")]
+        assert len(broken) == len(rows)
+        for i, (row, clean_row) in enumerate(zip(broken, rows)):
+            if i in (2, 7, 15):
+                assert row[:3] == clean_row[:3] and row[3:] == ["nan", "no-converge"]
+            else:  # redone one point at a time: same cells, residual to roundoff
+                assert row[:3] + row[4:] == clean_row[:3] + clean_row[4:]
+                assert abs(float(row[3]) - float(clean_row[3])) <= 1e-15
+
+    @pytest.mark.parametrize("argv,calls", [
+        (["--model", "stock", "--theta", "1.5", "--n-complex", "30", "--seed", "2"], 2),
+        (["--model", "scaling", "--theta", "1.5"], 1),
+        (["--model", "differential"], 1),
+    ])
+    def test_each_grid_is_one_identity_residual_call(self, monkeypatch, argv, calls):
+        seen = []
+        original = cli.identity_residual
+
+        def counted(model, p):
+            seen.append(np.size(p))
+            return original(model, p)
+
+        monkeypatch.setattr(cli, "identity_residual", counted)
+        code, _, _ = run_cli("audit", *argv, "--n-real", "50")
+        assert code == 0 and len(seen) == calls
 
 
 def read_csv_status(path):

@@ -5,6 +5,7 @@ tests/oracles.py (bisection and defining-series implementations, mpmath,
 60+ significant digits).
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,22 @@ def test_scaling_solves_its_own_equation(theta):
         # theta > 1 solutions ride a bounded log-periodic modulation
         # (discrete scale invariance), so only boundedness is asserted
         assert np.all(y < 1.1)
+
+
+def test_scaling_chain_memory_does_not_grow_with_points_times_depth():
+    # the audit grid of `audit --model scaling --theta 1.001 --n-real 300`:
+    # its substitution chain is ~34 600 levels deep, so a points x depth node
+    # matrix would take ~83 MB; the sweep needs O(points + depth)
+    m = ModelSpec.scaling(tau_r=1.0, theta=1.001)
+    p = np.logspace(-2.0, 2.0, 300)
+    tracemalloc.start()
+    try:
+        resid = identity_residual(m, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(resid) < 1e-10
+    assert peak <= 20e6
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.9, 1.4, 2.5, 4.0])
