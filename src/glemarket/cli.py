@@ -502,6 +502,10 @@ def cmd_estimate(args):
     return 0
 
 
+# decades of corr_time * p that the real audit grid spans
+_AUDIT_DECADES = (-2.0, 2.0)
+
+
 def _grid_residuals(model, grid):
     """Closure residuals of a whole p grid from one identity_residual call;
     only if that raises is the grid redone point by point, with None for
@@ -523,7 +527,7 @@ def _audit_rows(model, args, tolerance):
     call: identity_residual on the real and on the seeded complex grid, and
     for differential force_shape at u + du and u - du and observable_shape."""
     scale = 1.0 / model.corr_time
-    p_real = scale * np.logspace(-2.0, 2.0, args.n_real)
+    p_real = scale * np.logspace(*_AUDIT_DECADES, args.n_real)
     grids = [p_real]
     if args.n_complex > 0:
         rng = np.random.default_rng(_resolved_seed(args))
@@ -547,7 +551,8 @@ def _audit_rows(model, args, tolerance):
         u = model.tau_R * p_real
         du = step * np.maximum(u, 1.0)
         gp = force_shape(model, (u + du) / model.tau_R)
-        gm = force_shape(model, (u - du) / model.tau_R)
+        # at the largest allowed step u - du is 0 up to roundoff
+        gm = force_shape(model, np.maximum(u - du, 0.0) / model.tau_R)
         residuals = np.abs((gp - gm) / (2.0 * du) - observable_shape(model, p_real))
         for p, residual in zip(p_real, residuals):
             rows.append(["derivative", repr(float(p)), "0.0", repr(float(residual)),
@@ -564,8 +569,13 @@ def cmd_audit(args):
         raise InputError("--n-real must be >= 2")
     if args.n_complex < 0:
         raise InputError("--n-complex must be >= 0")
-    if not (np.isfinite(args.fd_step) and 0 < args.fd_step < 0.1):
-        raise InputError("--fd-step must be in (0, 0.1)")
+    u_min = 10.0 ** _AUDIT_DECADES[0]
+    if not (np.isfinite(args.fd_step) and 0 < args.fd_step <= u_min):
+        raise InputError(
+            f"--fd-step must be in (0, {u_min!r}]: derivative rows evaluate g at "
+            f"u - du = u - fd_step * max(u, 1), which must stay >= 0 down to the "
+            f"smallest grid point u = tau_R p = {u_min!r}"
+        )
     tolerance = _resolved_tolerance(args)
     rows, failures = _audit_rows(model, args, tolerance)
     print("check,p_real,p_imag,residual,status")
@@ -685,7 +695,8 @@ def _build_parser():
     p.add_argument("--n-complex", type=int, default=0,
                    help="random right-half-plane points (requires --seed)")
     p.add_argument("--fd-step", type=float, default=1e-4,
-                   help="relative step for derivative-identity rows, which pass at "
+                   help="derivative-identity step, du = step * max(u, 1) at u = tau_R p, "
+                   "in (0, 0.01] so u - du >= 0 on the grid; rows pass at "
                    "max(tolerance, 10 step^2)")
     p.add_argument("--out", default=None, help="optional CSV copy of the table")
     p.set_defaults(func=cmd_audit)
@@ -710,6 +721,9 @@ def main(argv=None):
         return 4
     except GleMarketError as exc:  # any stray package error: treat as input
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the request is too large for this machine", file=sys.stderr)
         return 2
 
 

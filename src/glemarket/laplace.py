@@ -11,6 +11,12 @@ floor of the e^(A/2) prefactor; the pre-averaging term count adapts to the
 image's frequency scale so oscillatory ACFs (light/ultra-light stocks) stay
 resolved out to the requested horizon.
 
+The times are inverted in ascending order, in blocks of at most BLOCK_POINTS
+image points, and each block sums the term count its own largest time
+needs.  Early lags thus stop paying for the horizon: a uniform lag grid
+costs about n_times * n(t_max) / 2 image evaluations, half of one shared
+count, and memory stays O(BLOCK_POINTS) however many times are asked for.
+
 Only models whose shapes extend off the real axis can be inverted here;
 the Lambert-type and functional-equation models are real-axis only and get
 their ACFs from the time-domain evolution routines in ``volterra``.
@@ -28,6 +34,12 @@ from .series import AcfSeries, SpectralDensity
 EULER_A = 23.0
 AVG_TERMS = 12
 BASE_TERMS = 15
+# image points one inversion block may hold: memory stays O(BLOCK_POINTS)
+# whatever the number of times or the horizon
+BLOCK_POINTS = 2**15
+# binomial (Euler) weights averaging the last AVG_TERMS + 1 partial sums
+_EULER_WEIGHTS = (np.array([math.comb(AVG_TERMS, i) for i in range(AVG_TERMS + 1)])
+                  / 2.0**AVG_TERMS)
 # spot check of f(conj p) = conj f(p); violations mean the image cannot be
 # the transform of a real function and the cosine-series inversion is invalid
 CONJUGATE_SYMMETRY_TOL = 1e-8
@@ -54,11 +66,35 @@ def _conjugate_residual(evaluator, p0):
     return abs(down - np.conj(up)) / max(abs(up), 1e-300)
 
 
+def _block_stops(width):
+    """End indices of consecutive blocks over times sorted ascending, whose
+    rows need ``width`` image points each: a block takes as many times as
+    fit in BLOCK_POINTS at the width of its last (largest) time, and never
+    fewer than one."""
+    stops = []
+    start = 0
+    while start < width.size:
+        # width is nondecreasing, so no block starting here fits more rows
+        reach = min(width.size - start, max(1, BLOCK_POINTS // int(width[start])))
+        load = np.arange(1, reach + 1) * width[start : start + reach]
+        start += max(1, int(np.searchsorted(load, BLOCK_POINTS, side="right")))
+        stops.append(start)
+    return stops
+
+
 def invert_at(evaluator, times, tolerance=1e-6):
     """Invert the normalized ACF image at strictly positive times.
 
+    The times are inverted in ascending order, block by block, and returned
+    in the caller's order.  Each block holds at most BLOCK_POINTS image
+    points (a time that alone needs more gets a block of its own) and sums
+    BASE_TERMS + ceil(1.8 freq_scale t_max / pi) terms before averaging,
+    with t_max the block's largest time.  A uniform lag grid thus costs
+    about n_times * n(t_max) / 2 image points and O(BLOCK_POINTS) memory.
+
     Returns the normalized ACF values; raises AccuracyError carrying the
-    worst internal error estimate if it exceeds ``tolerance``.
+    worst internal error estimate, over all blocks, if it exceeds
+    ``tolerance``.
     """
     _require_invertible(evaluator)
     t = np.asarray(times, dtype=float)
@@ -77,26 +113,34 @@ def invert_at(evaluator, times, tolerance=1e-6):
         )
 
     scale = evaluator.transform_scale
-    n0 = BASE_TERMS + int(math.ceil(1.8 * evaluator.freq_scale * float(np.max(t)) / math.pi))
-    n_terms = n0 + AVG_TERMS + 1
-    k = np.arange(n_terms + 1)
-    p = (0.5 * EULER_A + 1j * math.pi * k[None, :]) / t[:, None]
-    image = scale * np.asarray(evaluator(p.ravel())).reshape(p.shape)
-    terms = np.real(image) * np.where(k % 2 == 0, 1.0, -1.0)[None, :]
-    terms[:, 0] *= 0.5
-    partial = np.cumsum(terms, axis=1)
-
-    w = np.array([math.comb(AVG_TERMS, i) for i in range(AVG_TERMS + 1)], dtype=float)
-    w /= 2.0**AVG_TERMS
-    prefactor = math.exp(0.5 * EULER_A) / t
-    vals = (partial[:, n0 : n0 + AVG_TERMS + 1] @ w) * prefactor
-    shifted = (partial[:, n0 + 1 : n0 + AVG_TERMS + 2] @ w) * prefactor
-    achieved = float(np.max(np.abs(vals - shifted)))
+    order = np.argsort(t, kind="stable")
+    ts = t[order]
+    # pre-averaging term count of each time; a block sums the count of its last
+    n_pre = BASE_TERMS + np.ceil(1.8 * evaluator.freq_scale * ts / math.pi).astype(np.int64)
+    width = n_pre + AVG_TERMS + 2
+    values = np.empty(t.size)
+    achieved = 0.0
+    start = 0
+    for stop in _block_stops(width):
+        tb = ts[start:stop]
+        n0 = int(n_pre[stop - 1])
+        k = np.arange(n0 + AVG_TERMS + 2)
+        p = (0.5 * EULER_A + 1j * math.pi * k[None, :]) / tb[:, None]
+        terms = scale * np.real(np.asarray(evaluator(p.ravel())).reshape(p.shape))
+        terms[:, 1::2] *= -1.0
+        terms[:, 0] *= 0.5
+        partial = np.cumsum(terms, axis=1)
+        prefactor = math.exp(0.5 * EULER_A) / tb
+        vals = (partial[:, n0 : n0 + AVG_TERMS + 1] @ _EULER_WEIGHTS) * prefactor
+        shifted = (partial[:, n0 + 1 : n0 + AVG_TERMS + 2] @ _EULER_WEIGHTS) * prefactor
+        achieved = max(achieved, float(np.max(np.abs(vals - shifted))))
+        values[order[start:stop]] = vals
+        start = stop
     if achieved > tolerance:
         raise AccuracyError(
             "inversion error estimate above requested tolerance", achieved=achieved
         )
-    return float(vals[0]) if scalar else vals
+    return float(values[0]) if scalar else values
 
 
 def invert(evaluator, h, n_lags, tolerance=1e-6):

@@ -593,6 +593,33 @@ class TestAudit:
         code, _, _ = run_cli("audit", *argv, "--n-real", "50")
         assert code == 0 and len(seen) == calls
 
+    def test_fd_step_bound_is_the_grid_edge(self):
+        code, _, err = run_cli("audit", "--model", "differential", "--fd-step", "0.05")
+        assert code == 2
+        assert "--fd-step must be in (0, 0.01]" in err and "u - du" in err and ">= 0" in err
+        assert "Re p" not in err
+        code, out, _ = run_cli("audit", "--model", "differential", "--fd-step", "0.009",
+                               "--n-real", "20")
+        assert code == 0 and "failures = 0" in out
+        # the largest step reaches u - du = 0, up to roundoff, at odd tau_R
+        code, _, _ = run_cli("audit", "--model", "differential", "--tau-R", "3",
+                             "--fd-step", "0.01", "--n-real", "20")
+        assert code == 0
+
+    @pytest.mark.parametrize("tau_R", ["1", "3", "0.7"])
+    def test_default_step_derivative_rows_are_unchanged(self, tau_R):
+        args = audit_args("--model", "differential", "--tau-R", tau_R, "--n-real", "60")
+        model = cli._build_model(args)
+        rows, _ = cli._audit_rows(model, args, 1e-10)
+        # reference: the plain central difference, without the clamp at p = 0
+        p = (1.0 / model.corr_time) * np.logspace(-2.0, 2.0, 60)
+        u = model.tau_R * p
+        du = args.fd_step * np.maximum(u, 1.0)
+        slope = (force_shape(model, (u + du) / model.tau_R)
+                 - force_shape(model, (u - du) / model.tau_R)) / (2.0 * du)
+        expected = [repr(float(r)) for r in np.abs(slope - observable_shape(model, p))]
+        assert [row[3] for row in rows if row[0] == "derivative"] == expected
+
 
 def read_csv_status(path):
     with open(path, newline="", encoding="utf-8") as fh:
@@ -601,6 +628,26 @@ def read_csv_status(path):
 
 
 # -- process-level behavior ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("command,target,argv", [
+    ("acf", "invert", ["--model", "stock", "--theta", "1", "--route", "laplace",
+                       "--h", "0.1", "--n-points", "10"]),
+    ("audit", "identity_residual", ["--model", "stock", "--theta", "1"]),
+    ("estimate", "fit_theta", None),
+])
+def test_memory_error_maps_to_exit_2_in_every_subcommand(tmp_path, monkeypatch,
+                                                         command, target, argv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    if argv is None:  # estimate needs a readable price series first
+        prices = np.exp(np.cumsum(np.random.default_rng(5).normal(0.0, 0.01, 400)))
+        write_prices(tmp_path / "prices.csv", prices, times=0.1 * np.arange(400))
+        argv = ["--input", str(tmp_path / "prices.csv")]
+    monkeypatch.setattr(cli, target, exhausted)
+    code, _, err = run_cli(command, "--out-dir", str(tmp_path), *argv)
+    assert code == 2 and err.startswith("error: out of memory")
 
 
 def test_console_help_via_module():

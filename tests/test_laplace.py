@@ -1,11 +1,15 @@
 """Transform-inversion tests against closed-form ACF pairs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from glemarket.errors import AccuracyError, CapabilityError, InputError
-from glemarket.laplace import invert, invert_at, spectral_density
-from glemarket.models import ModelSpec, force_evaluator, observable_evaluator
+from glemarket.laplace import (AVG_TERMS, BASE_TERMS, BLOCK_POINTS, invert, invert_at,
+                               spectral_density)
+from glemarket.models import (ModelSpec, ShapeEvaluator, closed_form_acf, force_evaluator,
+                              observable_evaluator)
 from glemarket.specfun import bessel_j0, lambda1
 
 
@@ -56,6 +60,64 @@ def test_invert_scalar_time():
     v = invert_at(observable_evaluator(m), 1.0)
     assert isinstance(v, float)
     assert abs(v - np.exp(-1.0)) < 1e-7
+    w = invert_at(observable_evaluator(m), np.float64(2.5))
+    assert isinstance(w, float)
+    assert w == invert_at(observable_evaluator(m), np.array([2.5]))[0]
+
+
+def test_unsorted_and_duplicate_times_keep_the_callers_order():
+    ev = observable_evaluator(ModelSpec.stock_theta(tau_r=1.0, theta=2.0))
+    rng = np.random.default_rng(3)
+    base = 0.05 * np.arange(1, 4001)
+    # duplicates spread over the whole range, so some straddle block edges
+    t = rng.permutation(np.concatenate([base, rng.choice(base, 500)]))
+    order = np.argsort(t, kind="stable")
+    vals = invert_at(ev, t)
+    assert vals.shape == t.shape
+    assert np.array_equal(vals[order], invert_at(ev, t[order]))
+    assert np.max(np.abs(vals - closed_form_acf(ev.model, t))) < 2e-9
+
+
+@pytest.mark.parametrize("model", [
+    ModelSpec.white_noise(1.0),
+    ModelSpec.linear_self_similar(tau_R=1.0),
+    ModelSpec.stock_theta(tau_r=1.0, theta=0.0),
+    ModelSpec.stock_theta(tau_r=1.0, theta=1.0),
+    ModelSpec.stock_theta(tau_r=1.0, theta=2.0),
+], ids=["white", "selfsim", "stock0", "stock1", "stock2"])
+def test_long_grids_match_closed_forms(model):
+    # early lags sum far fewer terms than the 400-time horizon needs
+    acf = invert(observable_evaluator(model), h=0.05, n_lags=8000)
+    assert np.max(np.abs(acf.values - closed_form_acf(model, acf.lags))) < 2e-9
+
+
+def test_peak_memory_does_not_grow_with_times_by_horizon():
+    # one n_times x n_terms matrix here would be several hundred MB
+    ev = observable_evaluator(ModelSpec.stock_theta(tau_r=1.0, theta=0.05))
+    tracemalloc.start()
+    try:
+        invert(ev, h=0.05, n_lags=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def test_blocks_stay_within_budget_and_adapt_to_their_horizon():
+    sizes = []
+
+    class Counting(ShapeEvaluator):
+        def __call__(self, p):
+            sizes.append(np.size(p))
+            return super().__call__(p)
+
+    ev = Counting(ModelSpec.linear_self_similar(tau_R=1.0))
+    t = 0.05 * np.arange(1, 8000)
+    invert_at(ev, t)
+    assert max(sizes) <= BLOCK_POINTS
+    # every time at the horizon's term count would cost n_times x width(t_max)
+    width = BASE_TERMS + np.ceil(1.8 * ev.freq_scale * t[-1] / np.pi) + AVG_TERMS + 2
+    assert sum(sizes) < 0.6 * t.size * width
 
 
 def test_capability_refusals():
