@@ -12,7 +12,8 @@ function are linked through their Laplace images.  The package provides
   spectral densities;
 * ``volterra`` -- time-domain propagation: memory-kernel convolution
   equations, driven-integration of the GLE, stationary ensembles;
-* ``noise``    -- seeded Gaussian noise with a prescribed spectrum;
+* ``noise``    -- seeded Gaussian noise with a prescribed spectrum, and
+  the seed-lane table every per-path stream is drawn from;
 * ``market``   -- geometric-Brownian price paths, exact white-noise return
   sampling, and conversions between prices and detrended return rates;
 * ``estimate`` -- sample autocorrelations and the memory-exponent fit
@@ -65,9 +66,7 @@ from .volterra import (
     integrate_gle,
     memory_kernel,
     propagate_acf,
-    propagate_self_consistent,
     simulate_stationary_ensemble,
-    zero_kernel,
 )
 
 __version__ = "0.1.0"
@@ -119,7 +118,6 @@ __all__ = [
     "observable_shape",
     "price_from_returns",
     "propagate_acf",
-    "propagate_self_consistent",
     "returns_from_prices",
     "sample_acf",
     "sigma_from_tau",
@@ -130,5 +128,4 @@ __all__ = [
     "spectral_atom",
     "spectral_density",
     "tau_from_volatility",
-    "zero_kernel",
 ]

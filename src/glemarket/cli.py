@@ -50,7 +50,7 @@ from .models import (
     observable_shape,
     render_catalog,
 )
-from .noise import generate_wiener_increments
+from .noise import LANES, generate_wiener_increments
 from .series import PathEnsemble
 from .specfun import lambda0, lambda1
 from .volterra import (_generated_steps, boltzmann_acf, differential_acf, memory_kernel,
@@ -79,7 +79,7 @@ class RunConfig:
     time_unit: str = "unit"
     seed: int | None = None
     out_dir: str = "."
-    tolerance: float = 1e-10
+    tolerance: float | None = None  # None: each command's own default
     presets: tuple = ()
 
     def __post_init__(self):
@@ -89,7 +89,7 @@ class RunConfig:
             isinstance(self.seed, int) and 0 <= self.seed < 2**64
         ):
             raise InputError("seed must be an integer in [0, 2^64)")
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+        if self.tolerance is not None and not (np.isfinite(self.tolerance) and self.tolerance > 0):
             raise InputError("tolerance must be positive and finite")
         object.__setattr__(self, "presets", tuple(sorted(dict(self.presets).items())))
         for key, value in self.presets:
@@ -138,13 +138,11 @@ def parse_config(text):
 
 def serialize_config(config):
     """Canonical text form; parse_config(serialize_config(c)) == c."""
-    lines = [
-        f"time_unit = {config.time_unit}",
-        f"out_dir = {config.out_dir}",
-        f"tolerance = {config.tolerance!r}",
-    ]
+    lines = [f"time_unit = {config.time_unit}", f"out_dir = {config.out_dir}"]
     if config.seed is not None:
         lines.insert(1, f"seed = {config.seed}")
+    if config.tolerance is not None:
+        lines.append(f"tolerance = {config.tolerance!r}")
     lines.extend(f"{key} = {value!r}" for key, value in config.presets)
     return "\n".join(lines) + "\n"
 
@@ -188,12 +186,12 @@ def _resolved_seed(args):
     return seed
 
 
-def _resolved_tolerance(args, default=None):
-    if args.tolerance is not None:
-        return args.tolerance
-    if default is not None:
-        return default
-    return args.config.tolerance
+def _resolved_tolerance(args, default):
+    """--tolerance, else the config's tolerance, else the command's default."""
+    for tolerance in (args.tolerance, args.config.tolerance):
+        if tolerance is not None:
+            return tolerance
+    return default
 
 
 def _param(args, name, default):
@@ -259,8 +257,7 @@ def _acf_by_route(model, route, h, n_points, tolerance):
         lags = h * np.arange(n_points)
         return lags, closed_form_acf(model, lags)
     if route == "laplace":
-        acf = invert(observable_evaluator(model), h, n_points,
-                     tolerance=1e-6 if tolerance is None else tolerance)
+        acf = invert(observable_evaluator(model), h, n_points, tolerance=tolerance)
         return h * np.arange(n_points), acf.values
     if route == "volterra":
         if model.variant is Variant.BOLTZMANN:
@@ -280,14 +277,15 @@ def cmd_acf(args):
         raise InputError("--h must be positive")
     if args.n_points < 2:
         raise InputError("--n-points must be >= 2")
-    lags, values = _acf_by_route(model, args.route, args.h, args.n_points, args.tolerance)
+    lags, values = _acf_by_route(model, args.route, args.h, args.n_points,
+                                 _resolved_tolerance(args, 1e-6))
     path = _out_path(args, args.out)
     _write_csv(path, ["lag", "acf"], zip(lags, values))
     print(f"wrote {path} ({args.n_points} rows, model={args.model}, route={args.route})")
     return 0
 
 
-_LANE_LEGEND = "seed lanes: colored-force=0, wiener=1, white-return=2, spectral-line=3"
+_LANE_LEGEND = "seed lanes: " + ", ".join(f"{name}={lane}" for name, lane in LANES.items())
 
 
 def _simulate_ensemble(args, model, seed):
@@ -576,7 +574,7 @@ def cmd_audit(args):
             f"u - du = u - fd_step * max(u, 1), which must stay >= 0 down to the "
             f"smallest grid point u = tau_R p = {u_min!r}"
         )
-    tolerance = _resolved_tolerance(args)
+    tolerance = _resolved_tolerance(args, 1e-10)
     rows, failures = _audit_rows(model, args, tolerance)
     print("check,p_real,p_imag,residual,status")
     for row in rows:

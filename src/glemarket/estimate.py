@@ -160,13 +160,14 @@ def _refine_tau(lags, data, theta, lo, hi, iters=40):
     return mid, _objective(lags, data, mid, theta)
 
 
-def _profile_tau(lags, data, theta, tau_hint):
-    """min over tau_r at fixed theta: dense local scan, then golden polish.
+def _profile_tau(lags, data, theta, tau_hint, span=0.15, points=13):
+    """min over tau_r at fixed theta: a scan of ``points`` log-spaced values
+    within ``span`` decades of ``tau_hint``, then golden polish.
 
     The tau_r slice can be multimodal for oscillatory ACFs, so the golden
     section is only trusted inside the bracket found by the scan.
     """
-    taus = tau_hint * np.logspace(-0.15, 0.15, 13)
+    taus = tau_hint * np.logspace(-span, span, points)
     vals = [_objective(lags, data, tau, theta) for tau in taus]
     j = int(np.argmin(vals))
     ratio = taus[1] / taus[0]
@@ -226,16 +227,9 @@ def fit_theta(acf, lag_window):
     # profile the objective over tau_r separately for every coarse theta:
     # oscillatory ACFs make the tau_r slice multimodal (phase aliasing), so
     # the scan must be dense before the smooth profiled minimum is trusted
-    thetas = np.arange(0.0, 4.0 + 1e-9, 0.2)
-    taus = tau_scale * np.logspace(-1.2, 1.2, 97)
-    ratio = taus[1] / taus[0]
     best = (np.inf, 0.0, tau_scale)
-    for theta in thetas:
-        slice_vals = [_objective(lags, data, tau, theta) for tau in taus]
-        j = int(np.argmin(slice_vals))
-        tau_j, f_j = _refine_tau(
-            lags, data, theta, taus[j] / ratio, taus[j] * ratio
-        )
+    for theta in np.arange(0.0, 4.0 + 1e-9, 0.2):
+        tau_j, f_j = _profile_tau(lags, data, theta, tau_scale, span=1.2, points=97)
         if f_j < best[0]:
             best = (f_j, theta, tau_j)
     f_best, theta_best, tau_best = best

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .noise import _check_counts, _check_seed
+from .noise import _check_counts, _check_seed, path_stream
 from .series import PathEnsemble
-
-_LANE_WHITE = 2  # lanes 0 and 1 belong to the noise module
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ def sigma_from_tau(tau_R, variance_R):
     return np.sqrt(2.0 * variance_R * tau_R)
 
 
-def simulate_gbm(params, increments, horizon=None):
+def simulate_gbm(params, increments):
     """Integrate log-space GBM over a Wiener-increment ensemble.
 
     Returns a "price" ensemble with n_steps + 1 samples per path (the
@@ -81,14 +79,6 @@ def simulate_gbm(params, increments, horizon=None):
             f"increments must have kind 'wiener-increment', got {increments.kind!r}"
         )
     h = increments.h
-    if horizon is not None:
-        span = increments.n_steps * h
-        if not np.isfinite(horizon) or horizon <= 0.0:
-            raise InputError("horizon must be positive and finite")
-        if abs(span - horizon) > 1e-9 * max(span, horizon):
-            raise InputError(
-                f"horizon {horizon} does not match increment span {span}"
-            )
     t = h * np.arange(increments.n_steps + 1)
     walk = np.zeros((increments.n_paths, increments.n_steps + 1))
     if params.sigma != 0.0:
@@ -189,10 +179,7 @@ def simulate_white_returns(tau_R, variance_R, n_steps, h, n_paths, seed):
     # the recursion time-major and vectorized across paths
     z = np.empty((n_paths, n_steps))
     for i in range(n_paths):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(_LANE_WHITE, i))
-        )
-        z[i] = rng.standard_normal(n_steps)
+        z[i] = path_stream(seed, "white-return", i).standard_normal(n_steps)
     paths = np.empty((n_paths, n_steps))
     paths[:, 0] = np.sqrt(variance_R) * z[:, 0]
     z *= scale

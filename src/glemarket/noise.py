@@ -11,11 +11,14 @@ one retry at doubled embedding length, then a spectral-positivity error
 naming the worst eigenvalue.
 
 Reproducibility: every path is drawn from its own counter-based substream,
-``SeedSequence(master_seed, spawn_key=(lane, path_index))``, so the same
-request always reproduces the same ensemble bit for bit, any subset of
+``path_stream(master_seed, lane, path_index)``, that is
+``SeedSequence(master_seed, spawn_key=(LANES[lane], path_index))``, so the
+same request always reproduces the same ensemble bit for bit, any subset of
 paths can be regenerated in isolation, and parallel generation cannot
-reorder results.  Colored noise and Wiener increments use distinct lanes
-so the two never share a stream even under one master seed.
+reorder results.  ``LANES`` is the one table of lane numbers: each kind of
+draw in the package (colored force, Wiener increments, white returns,
+spectral-line phases) has its own lane, so no two kinds share a stream
+even under one master seed.
 """
 
 from dataclasses import dataclass
@@ -26,9 +29,13 @@ from .errors import InputError, SpectralPositivityError
 from .series import AcfSeries, PathEnsemble, SpectralDensity
 
 EIGENVALUE_CLAMP = 1e-8  # relative to the largest circulant eigenvalue
-_LANE_COLORED = 0
-_LANE_WIENER = 1
+LANES = {"colored-force": 0, "wiener": 1, "white-return": 2, "spectral-line": 3}
 _MAX_SEED = 2**64 - 1
+
+
+def path_stream(seed, lane, i):
+    """Random generator of path ``i`` on the named seed lane."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(LANES[lane], i)))
 
 
 def _check_seed(seed):
@@ -149,9 +156,7 @@ def generate_colored(request):
     n = request.n_steps
     paths = np.empty((request.n_paths, n))
     for i in range(request.n_paths):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(request.seed, spawn_key=(_LANE_COLORED, i))
-        )
+        rng = path_stream(request.seed, "colored-force", i)
         w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         paths[i] = np.fft.fft(scale * w)[:n].real
     return PathEnsemble(
@@ -172,10 +177,7 @@ def generate_wiener_increments(n_steps, h, n_paths, seed):
     root_h = np.sqrt(h)
     paths = np.empty((n_paths, n_steps))
     for i in range(n_paths):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(_LANE_WIENER, i))
-        )
-        paths[i] = root_h * rng.standard_normal(n_steps)
+        paths[i] = root_h * path_stream(seed, "wiener", i).standard_normal(n_steps)
     return PathEnsemble(
         h=h,
         paths=paths,

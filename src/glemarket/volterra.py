@@ -12,8 +12,9 @@ or its stochastically forced counterpart
 with the implicit-trapezoid (Crank-Nicolson) one-step update paired with
 trapezoidal product integration of the memory term.  That combination is
 A-stable, has no parasitic mode over long horizons, converges at O(h^2),
-and reduces exactly to the cumulative trapezoid of the forcing when the
-kernel vanishes.
+and reduces to the cumulative trapezoid of the forcing when the kernel
+vanishes (D(z) = 1 - z below, so 1/D is a running sum).  A zero kernel
+takes the same transfer-function route as any other, exact up to FFT roundoff.
 
 The update is a convolution quadrature (Lubich 1988): with generating
 functions X(z) = sum_j x_j z^j of the samples it reads D R = r_0 A + U, where
@@ -58,14 +59,13 @@ import numpy as np
 from .errors import CapabilityError, InputError
 from .laplace import spectral_density
 from .models import ModelSpec, Variant, force_evaluator, observable_shape, spectral_atom
-from .noise import NoiseRequest, _check_counts, _check_seed, generate_colored
+from .noise import NoiseRequest, _check_counts, _check_seed, generate_colored, path_stream
 from .series import AcfSeries, KernelSeries, PathEnsemble
 from .specfun import lambda1
 
 EULER_GAMMA = 0.5772156649015329
 STARTUP_SPAN = 0.25  # in units of tau_R
 STEHFEST_DEGREE = 16
-_LANE_HARMONIC = 3  # lanes 0/1 belong to noise, 2 to the white-return market
 
 
 def memory_kernel(model, h, n_points):
@@ -90,11 +90,6 @@ def memory_kernel(model, h, n_points):
     else:
         raise CapabilityError(f"no closed-form kernel for {v.value}")
     return KernelSeries(h=h, values=vals, label=f"{v.value} kernel")
-
-
-def zero_kernel(h, n_points):
-    _check_grid(h, n_points)
-    return KernelSeries(h=h, values=np.zeros(n_points), label="zero kernel")
 
 
 def _check_grid(h, n_points):
@@ -151,27 +146,6 @@ def propagate_acf(kernel, n_steps, variance=1.0):
     return AcfSeries(h=kernel.h, values=c, variance=variance)
 
 
-def propagate_self_consistent(corr_time, h, n_steps, variance=1.0):
-    """March the self-closing equation dc/dt = -(1/tau^2) (c*c), c(0) = 1.
-
-    This is the time-domain face of the force-mirrors-observable closure;
-    its solution is lambda1(2t/tau).
-    """
-    _check_grid(h, n_steps)
-    if not (np.isfinite(corr_time) and corr_time > 0):
-        raise InputError("corr_time must be positive and finite")
-    inv_t2 = 1.0 / (corr_time * corr_time)
-    c = np.empty(n_steps)
-    c[0] = 1.0
-    denom = 1.0 + 0.5 * h * h * inv_t2
-    current_i = 0.0
-    for j in range(n_steps - 1):
-        d = np.dot(c[1 : j + 1], c[j:0:-1]) if j >= 1 else 0.0
-        c[j + 1] = (c[j] - 0.5 * h * current_i - 0.5 * h * h * inv_t2 * d) / denom
-        current_i = h * inv_t2 * (c[j + 1] + d)
-    return AcfSeries(h=h, values=c, variance=variance)
-
-
 def integrate_gle(kernel, forcing, r0=0.0):
     """Drive dR/dt = F - (k*R) for every path of a forcing ensemble.
 
@@ -179,7 +153,8 @@ def integrate_gle(kernel, forcing, r0=0.0):
     averages of its forcing convolved with 1/D (see the module docstring).
     Both series come from one O(n log n) transfer-function inverse shared by
     the whole ensemble; the forcing enters through one FFT convolution per
-    path.  A zero kernel takes the exact cumulative trapezoid instead.
+    path.  A zero kernel takes the same route and gives the cumulative
+    trapezoid of the forcing to FFT roundoff.
     ``r0`` may be a scalar or a per-path array of initial values.  Returns
     a PathEnsemble of kind "return-rate" on the forcing's grid.
     """
@@ -193,16 +168,11 @@ def integrate_gle(kernel, forcing, r0=0.0):
         raise InputError("kernel must cover the full integration horizon")
     h = kernel.h
     r0 = np.broadcast_to(np.asarray(r0, dtype=float), (n_paths,))
-    k = kernel.values
 
     u = 0.5 * h * (f[:, 1:] + f[:, :-1])  # U(z) from z^1 on
-    if np.any(k):
-        g, hom = _transfer(k, h, n_steps)
-        r = r0[:, None] * hom
-        r[:, 1:] += _fft_product(u, g[:-1], n_steps - 1)
-    else:  # memoryless limit: the exact cumulative trapezoid of the forcing
-        r = np.repeat(r0[:, None], n_steps, axis=1)
-        r[:, 1:] += np.cumsum(u, axis=1)
+    g, hom = _transfer(kernel.values, h, n_steps)
+    r = r0[:, None] * hom
+    r[:, 1:] += _fft_product(u, g[:-1], n_steps - 1)
     return PathEnsemble(
         h=forcing.h,
         paths=r,
@@ -270,12 +240,9 @@ def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed, burn_in=None)
         coef = np.linalg.solve(basis.T @ basis, basis.T @ r.T)
         r = r - (basis @ coef).T
         amp = np.sqrt(2.0 * weight * model.variance)
-        phases = np.empty((n_paths, 2))
-        for i in range(n_paths):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(_LANE_HARMONIC, i))
-            )
-            phases[i] = rng.standard_normal(2)
+        phases = np.array(
+            [path_stream(seed, "spectral-line", i).standard_normal(2) for i in range(n_paths)]
+        )
         r = r + amp * (phases @ basis.T)
 
     return PathEnsemble(

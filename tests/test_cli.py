@@ -54,7 +54,9 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = parse_config("")
         assert cfg == RunConfig()
-        assert cfg.seed is None and cfg.tolerance == 1e-10
+        # no tolerance: each command falls back to its own default
+        assert cfg.seed is None and cfg.tolerance is None
+        assert "tolerance" not in serialize_config(cfg)
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -129,6 +131,16 @@ class TestAcf:
         _, closed = read_csv(tmp_path / "c.csv")
         _, lap = read_csv(tmp_path / "l.csv")
         assert np.abs(closed[:, 1] - lap[:, 1]).max() <= 1e-4
+
+    def test_config_tolerance_is_honoured(self, tmp_path):
+        config = tmp_path / "strict.cfg"
+        config.write_text("tolerance = 1e-20\n", encoding="utf-8")
+        args = ["acf", "--out-dir", str(tmp_path), "--model", "selfsim", "--route",
+                "laplace", "--h", "0.05", "--n-points", "50"]
+        assert run_cli(*args)[0] == 0
+        assert run_cli(*args, "--config", str(config))[0] == 4
+        # the flag still wins over the config
+        assert run_cli(*args, "--config", str(config), "--tolerance", "1e-6")[0] == 0
 
     def test_boltzmann_volterra_route(self, tmp_path):
         code, _, _ = run_cli(
@@ -229,7 +241,7 @@ class TestSimulate:
             "--h", "0.05", "--seed", "11",
         )
         assert code == 0
-        assert "master_seed = 11" in out and "seed lanes" in out
+        assert "master_seed = 11" in out and cli._LANE_LEGEND in out.splitlines()
         header, data = read_csv(tmp_path / "simulate_summary.csv")
         assert header == ["lag", "acf_mean", "acf_se"]
         assert data[0, 1] == 1.0 and data.shape[0] >= 64

@@ -65,7 +65,7 @@ class TestSimulateGbm:
     def test_zero_volatility_is_exact(self):
         p = MarketParams(mu=0.05, sigma=0.0, variance_R=0.5, M0=100.0)
         w = generate_wiener_increments(10, 0.1, 1, seed=1)
-        out = simulate_gbm(p, w, horizon=1.0)
+        out = simulate_gbm(p, w)
         assert out.paths[0, -1] == 100.0 * np.exp(0.05)
         assert out.paths[0, 0] == 100.0
 
@@ -96,12 +96,6 @@ class TestSimulateGbm:
         p = MarketParams(mu=0.1, sigma=0.3, variance_R=0.5, M0=1.0)
         w = generate_wiener_increments(32, 0.1, 2, seed=9)
         assert np.array_equal(simulate_gbm(p, w).paths, simulate_gbm(p, w).paths)
-
-    def test_horizon_mismatch(self):
-        p = MarketParams(mu=0.1, sigma=0.3, variance_R=0.5, M0=1.0)
-        w = generate_wiener_increments(10, 0.1, 1, seed=1)
-        with pytest.raises(InputError):
-            simulate_gbm(p, w, horizon=2.0)
 
     def test_wrong_increment_kind(self):
         p = MarketParams(mu=0.1, sigma=0.3, variance_R=0.5, M0=1.0)

@@ -5,6 +5,8 @@ generator is fully deterministic given (seed, request), so these tests are
 exact reruns, not flaky Monte Carlo.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +15,7 @@ from glemarket.errors import InputError, SpectralPositivityError
 from glemarket.laplace import spectral_density
 from glemarket.models import ModelSpec, force_evaluator
 from glemarket.noise import (
+    LANES,
     NoiseRequest,
     circulant_spectrum,
     generate_colored,
@@ -307,3 +310,19 @@ class TestWienerIncrements:
     def test_invalid_inputs(self, kwargs):
         with pytest.raises(InputError):
             generate_wiener_increments(**kwargs)
+
+
+# -- seed lanes -------------------------------------------------------------------
+
+
+def test_lanes_are_distinct():
+    assert len(set(LANES.values())) == len(LANES)
+
+
+def test_streams_are_seeded_only_in_noise():
+    # every per-path stream goes through noise.path_stream and its lane table
+    src = Path(__file__).resolve().parents[1] / "src" / "glemarket"
+    seeding = sorted(
+        p.name for p in src.glob("*.py") if "SeedSequence(" in p.read_text(encoding="utf-8")
+    )
+    assert seeding == ["noise.py"]

@@ -6,7 +6,7 @@ import pytest
 
 from glemarket.errors import CapabilityError, InputError
 from glemarket.models import ModelSpec, observable_shape
-from glemarket.series import PathEnsemble
+from glemarket.series import KernelSeries, PathEnsemble
 from glemarket.specfun import bessel_j0, lambda1
 from glemarket.volterra import (
     boltzmann_acf,
@@ -15,9 +15,7 @@ from glemarket.volterra import (
     integrate_gle,
     memory_kernel,
     propagate_acf,
-    propagate_self_consistent,
     simulate_stationary_ensemble,
-    zero_kernel,
 )
 from oracles import integrate_gle_direct
 
@@ -103,6 +101,10 @@ def test_kernel_route_matches_closed_acf():
     h, n = 1.0 / 200, 2001  # [0, 10 tau_R]
     acf = propagate_acf(memory_kernel(m, h, n), n)
     assert np.max(np.abs(acf.values - lambda1(2.0 * acf.lags))) < 2e-5
+    # locate the leading zero by linear crossing
+    i = np.where(np.diff(np.sign(acf.values)) < 0)[0][0]
+    z = acf.lags[i] + acf.values[i] * h / (acf.values[i] - acf.values[i + 1])
+    assert abs(z - FIRST_ZERO) < 1e-4
 
 
 def test_kernel_route_stock_ultralight():
@@ -122,39 +124,22 @@ def test_kernel_route_second_order_convergence():
     assert 3.5 < errs[50] / errs[100] < 4.5
 
 
-def test_self_consistent_route():
-    h, n = 1.0 / 200, 2001
-    acf = propagate_self_consistent(1.0, h, n)
-    assert np.max(np.abs(acf.values - lambda1(2.0 * acf.lags))) < 1e-5
-    # locate the leading zero by linear crossing
-    i = np.where(np.diff(np.sign(acf.values)) < 0)[0][0]
-    z = acf.lags[i] + acf.values[i] * h / (acf.values[i] - acf.values[i + 1])
-    assert abs(z - FIRST_ZERO) < 1e-4
-
-
-def test_routes_agree_with_each_other():
-    m = ModelSpec.linear_self_similar(tau_R=1.0)
-    h, n = 1.0 / 100, 501
-    a = propagate_acf(memory_kernel(m, h, n), n)
-    b = propagate_self_consistent(1.0, h, n)
-    assert np.max(np.abs(a.values - b.values)) < 5e-5
-
-
 def test_propagation_validation():
     m = ModelSpec.linear_self_similar(tau_R=1.0)
     k = memory_kernel(m, h=0.1, n_points=8)
     with pytest.raises(InputError):
         propagate_acf(k, 9)  # kernel shorter than the horizon
-    with pytest.raises(InputError):
-        propagate_self_consistent(-1.0, 0.1, 8)
-    with pytest.raises(InputError):
-        propagate_self_consistent(1.0, 0.1, 1)
 
 
 # -- stochastic integration ---------------------------------------------------
 
 
+def zero_kernel(h, n):
+    return KernelSeries(h=h, values=np.zeros(n))
+
+
 def test_zero_kernel_is_cumulative_trapezoid():
+    # the memoryless limit runs through the transfer function too
     h = 0.25
     rng = np.random.default_rng(3)
     f = rng.normal(size=(2, 33))
