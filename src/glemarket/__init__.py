@@ -5,7 +5,8 @@ generalized Langevin equation whose memory kernel and correlation
 function are linked through their Laplace images.  The package provides
 
 * ``specfun``  -- the special functions the closed-form solutions need
-  (Bessel, Lambert W in direct and log-argument forms);
+  (Bessel, the Bessel-Neumann series of the stock ACF, Lambert W in direct
+  and log-argument forms);
 * ``models``   -- the model catalog: memory-kernel variants, their Laplace
   shapes, closed-form autocorrelations, and the self-consistency audit;
 * ``laplace``  -- numerical inversion of Laplace images and one-sided

@@ -168,6 +168,12 @@ def _write_csv(path, header, rows):
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
+def _write_columns(path, header, *columns):
+    """CSV of equal-length float columns.  Python floats format exactly as
+    numpy scalars do (shortest repr), but csv.writer handles them faster."""
+    _write_csv(path, header, zip(*(np.asarray(c).tolist() for c in columns)))
+
+
 def _out_path(args, filename):
     out_dir = args.out_dir if args.out_dir is not None else args.config.out_dir
     try:
@@ -247,7 +253,7 @@ def cmd_fig1(args):
     col1 = lambda1(2.0 * ratio)
     col0 = lambda0(2.0 * ratio)
     path = _out_path(args, args.out)
-    _write_csv(path, ["lag_ratio", "lambda1", "lambda0"], zip(ratio, col1, col0))
+    _write_columns(path, ["lag_ratio", "lambda1", "lambda0"], ratio, col1, col0)
     print(f"wrote {path} ({args.n_points} rows)")
     return 0
 
@@ -280,7 +286,7 @@ def cmd_acf(args):
     lags, values = _acf_by_route(model, args.route, args.h, args.n_points,
                                  _resolved_tolerance(args, 1e-6))
     path = _out_path(args, args.out)
-    _write_csv(path, ["lag", "acf"], zip(lags, values))
+    _write_columns(path, ["lag", "acf"], lags, values)
     print(f"wrote {path} ({args.n_points} rows, model={args.model}, route={args.route})")
     return 0
 
@@ -304,7 +310,7 @@ def _write_paths_csv(path, times, paths, prices=False):
         header = ["t", "price"]
     else:
         header = ["t"] + [f"path_{i}" for i in range(paths.shape[0])]
-    _write_csv(path, header, zip(times, *paths))
+    _write_columns(path, header, times, *paths)
 
 
 def _simulate_size(args, model):
@@ -395,7 +401,7 @@ def _summarize_returns(args, ensemble, base):
     max_lag = max(1, min(ensemble.n_steps // 4, args.max_lag))
     acf, se = ensemble_acf(ensemble, max_lag)
     lags = acf.h * np.arange(max_lag + 1)
-    _write_csv(summary_file, ["lag", "acf_mean", "acf_se"], zip(lags, acf.values, se))
+    _write_columns(summary_file, ["lag", "acf_mean", "acf_se"], lags, acf.values, se)
     print(f"wrote {summary_file} ({max_lag + 1} rows)")
     print(f"variance = {float(acf.variance)!r}")
     return 0

@@ -5,10 +5,12 @@ goes the other way.  sample_acf/ensemble_acf estimate a normalized ACF from
 return-rate series with the biased (divide-by-N) estimator, which keeps the
 estimate positive semidefinite as a sequence.  fit_theta then least-squares
 matches the estimate against the two-relaxation-time stock family, scanning
-a coarse (tau_r, theta) grid and refining by coordinate descent, with the
-model curves obtained by numerical Laplace inversion on a unit-time grid
-cached per theta (inversion dominates the cost; the cache is a read-mostly
-dict safe under concurrent fits because entries are write-once).
+a coarse (tau_r, theta) grid and refining by coordinate descent.  The model
+curves are the exact stock ACF (``closed_form_acf``: closed forms at
+theta = 0, 1, 2 and a Bessel-Neumann series elsewhere) on a unit-time grid,
+cached per theta; a cold curve costs about a millisecond at theta = 1 and
+grows as 1/theta below it.  The cache is a read-mostly dict, safe under
+concurrent fits because entries are write-once.
 """
 
 from dataclasses import dataclass
@@ -16,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeriesError, InputError
-from .laplace import invert_at
-from .models import ModelSpec, StockClass, classify_theta, observable_evaluator
+# unused since model curves come from the series, but perfbench's tracer
+# patches glemarket.estimate.invert_at and fails if the name is missing
+from .laplace import invert_at  # noqa: F401
+from .models import ModelSpec, StockClass, classify_theta, closed_form_acf
 from .series import AcfSeries, PathEnsemble
 
 # unit-tau_r lag grid for cached model curves; fits are restricted to
@@ -26,7 +30,7 @@ _U_MAX = 50.0
 _U_POINTS = 2001
 _THETA_KEY_DECIMALS = 6
 # all fitted thetas live on this lattice so the curve cache is shared
-# across fits (each curve costs a full numerical inversion)
+# across fits
 _THETA_STEP = 0.0125
 
 _model_curve_cache = {}
@@ -121,11 +125,7 @@ def model_curve(theta):
     if hit is not None:
         return hit
     grid = np.linspace(0.0, _U_MAX, _U_POINTS)
-    model = ModelSpec.stock_theta(tau_r=1.0, theta=key)
-    values = np.empty(_U_POINTS)
-    values[0] = 1.0
-    values[1:] = invert_at(observable_evaluator(model), grid[1:])
-    entry = (grid, values)
+    entry = (grid, closed_form_acf(ModelSpec.stock_theta(tau_r=1.0, theta=key), grid))
     _model_curve_cache[key] = entry
     return entry
 

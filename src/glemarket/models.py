@@ -27,7 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DomainError, InputError, SolverError
-from .specfun import bessel_j0, lambda1, lambert_w0_exp, lambert_wm1_neg_exp
+from .specfun import (
+    bessel_j0,
+    lambda1,
+    lambert_w0_exp,
+    lambert_wm1_neg_exp,
+    neumann_series,
+)
 
 
 class Variant(enum.Enum):
@@ -191,7 +197,7 @@ CATALOG = {
         "yes", "yes", "yes", "kernel march", "complex p"),
     Variant.STOCK_THETA: CatalogRow(
         ModelSpec.stock_theta, "stock", True, "selfsim y at tau_R",
-        "theta 0, 1, 2", "yes", "theta > 0", "kernel; theta=0 exact", "complex p"),
+        "yes", "yes", "theta > 0", "kernel; theta=0 exact", "complex p"),
     Variant.SCALING: CatalogRow(
         ModelSpec.scaling, "stock", False, "y(theta p)",
         "no", "no (real axis)", "no (shape-level)", "no", "real axis"),
@@ -362,8 +368,7 @@ def solve_functional_shape(model, p):
         y = _solve_fractional(tau_r, theta, arr)
         resid = np.abs(y * (tau_r * arr + y**theta) - 1.0)
     else:
-        y = _solve_scaling(tau_r, theta, arr)
-        y_at_theta_p = _solve_scaling(tau_r, theta, theta * arr)
+        y, y_at_theta_p = _solve_scaling(tau_r, theta, arr)
         resid = np.abs(y * (tau_r * arr + y_at_theta_p) - 1.0)
     worst = float(np.max(resid))
     if worst > RESIDUAL_LIMIT:
@@ -388,16 +393,20 @@ def _solve_fractional(tau_r, theta, arr):
 
 
 def _solve_scaling(tau_r, theta, arr):
+    """(y(p), y(theta p)) of the scaling equation; the second is the chain's
+    level 1, which the residual check needs."""
     if theta == 0.0:
-        return 1.0 / (1.0 + tau_r * arr)
+        return 1.0 / (1.0 + tau_r * arr), np.ones_like(arr)
     if theta == 1.0:
         # the substitution chain is a self-loop; its fixed point is the
         # self-similar closed form, which we take directly
-        return _selfsim_shape(tau_r, arr)
+        y = _selfsim_shape(tau_r, arr)
+        return y, y
     out = np.ones_like(arr)
+    out_theta = np.ones_like(arr)
     pos = arr > 0
     if not np.any(pos):
-        return out
+        return out, out_theta
     q = arr[pos]
     # substitution chain p, theta p, theta^2 p, ... closed where y is known
     # to 1e-13: y -> 1 below the floor, y -> 1/(tau_r p) above the ceiling
@@ -419,10 +428,11 @@ def _solve_scaling(tau_r, theta, arr):
         y = np.ones(q.size)
     # one ordered sweep from the closed end solves the chain exactly; extra
     # sweeps (budget 200) would only repeat it, so convergence is immediate
-    for k in range(depth - 1, -1, -1):
+    for k in range(depth - 1, 0, -1):
         y = 1.0 / (tau_r * (q * powers[k]) + y)
-    out[pos] = y
-    return out
+    out_theta[pos] = y
+    out[pos] = 1.0 / (tau_r * q + y)
+    return out, out_theta
 
 
 # -- closed time-domain forms ------------------------------------------------
@@ -431,11 +441,21 @@ _THETA_SNAP = 1e-12
 
 
 def closed_form_acf(model, tau):
-    """Closed-form normalized ACF where one exists.
+    """Exact normalized ACF of the white, self-similar and stock models.
 
-    white: exp(-tau/tau_R); selfsim: lambda1(2 tau/tau_R); stock at
-    theta in {0, 1, 2}: exp(-tau/tau_r), lambda1(2 tau/tau_r), J0(tau/tau_r).
-    Anything else raises CapabilityError.
+    white: exp(-tau/tau_R); selfsim: lambda1(2 tau/tau_R).  A stock of
+    theta > 0 has, with x = 2 tau/tau_R, the Neumann series
+
+        c(tau) = (2/x) sum_n a_n (2n+1) J_2n+1(x) = sum_n a_n [J_2n(x) + J_2n+2(x)]
+
+    with a_n = (1 - theta)^n for theta < 2, and for theta > 2
+    a_n = (1 - theta)^-n / (theta - 1) plus the ``spectral_atom`` line
+    2 R cos(omega tau); c(0) = 1.  (Substituting omega = (2/tau_R) sin phi
+    makes the stock image rational in e^(i phi); DLMF 10.9.1 turns its
+    geometric expansion into Bessel functions.)  At theta = 1 and 2 the
+    series telescopes to lambda1(2 tau/tau_r) and J0(tau/tau_r), and theta = 0
+    is exp(-tau/tau_r); those three are evaluated in closed form.  The other
+    models raise CapabilityError.
     """
     t = np.asarray(tau)
     scalar = t.ndim == 0
@@ -456,12 +476,22 @@ def closed_form_acf(model, tau):
         elif abs(theta - 2.0) <= _THETA_SNAP:
             c = bessel_j0(t / model.tau_r)
         else:
-            raise CapabilityError(
-                f"no closed ACF for stock theta = {theta}; use the transform or volterra route"
-            )
+            c = _stock_series_acf(model, t)
     else:
         raise CapabilityError(f"no closed ACF for {v.value}")
     return _out(scalar, np.atleast_1d(c))
+
+
+def _stock_series_acf(model, t):
+    theta = model.theta
+    x = 2.0 * t / model.tau_R
+    if theta < 2.0:
+        return neumann_series(x, 1.0, 1.0 - theta)
+    omega, weight = spectral_atom(model)
+    c = neumann_series(x, 1.0 / (theta - 1.0), 1.0 / (1.0 - theta))
+    c += 2.0 * weight * np.cos(omega * t)
+    c[t == 0] = 1.0  # a_0 + 2 R = 1, exactly
+    return c
 
 
 def identity_residual(model, p):

@@ -2,7 +2,9 @@
 conventions, exit codes, and seeded reproducibility."""
 
 import csv
+import hashlib
 import io
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -154,7 +156,7 @@ class TestAcf:
 
     def test_capability_gap_prints_matrix(self, tmp_path):
         code, _, err = run_cli(
-            "acf", "--out-dir", str(tmp_path), "--model", "stock", "--theta", "1.5",
+            "acf", "--out-dir", str(tmp_path), "--model", "scaling", "--theta", "1.5",
             "--route", "closed", "--h", "0.1", "--n-points", "16",
         )
         assert code == 3
@@ -637,6 +639,56 @@ def read_csv_status(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+# -- CSV bytes ---------------------------------------------------------------------
+
+
+def numpy_scalar_csv_digest(header, columns):
+    """SHA-256 of the CSV that csv.writer makes from np.float64 cells, the
+    way columns were written before they went through .tolist()."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
+def file_digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_float_columns_write_the_bytes_of_numpy_scalars(tmp_path):
+    values = np.array([-0.0, 0.0, 1e16, 1e-5, 5e-324, 2.2250738585072014e-308, 1.0 / 3.0,
+                       -1e30, 1e-30, 123456789.125, 0.1 + 0.2, 1e300, -7.0])
+    cli._write_columns(tmp_path / "v.csv", ["a", "b"], values, values[::-1])
+    text = (tmp_path / "v.csv").read_text(encoding="utf-8")
+    assert "-0.0," in text and "1e+16" in text and "5e-324" in text
+    assert file_digest(tmp_path / "v.csv") == numpy_scalar_csv_digest(
+        ["a", "b"], [values, values[::-1]])
+
+
+def test_seeded_csvs_write_the_bytes_of_numpy_scalars(tmp_path, monkeypatch):
+    expected = {}
+    write_columns = cli._write_columns
+
+    def recording(path, header, *columns):
+        expected[os.path.basename(path)] = numpy_scalar_csv_digest(header, columns)
+        write_columns(path, header, *columns)
+
+    monkeypatch.setattr(cli, "_write_columns", recording)
+    out = ["--out-dir", str(tmp_path)]
+    assert run_cli("simulate", *out, "--model", "stock", "--theta", "1.5", "--n-paths", "2",
+                   "--n-steps", "256", "--h", "0.125", "--seed", "11", "--emit-prices")[0] == 0
+    assert run_cli("acf", *out, "--model", "stock", "--theta", "0.5", "--route", "closed",
+                   "--h", "0.1", "--n-points", "300", "--out", "closed.csv")[0] == 0
+    assert run_cli("acf", *out, "--model", "stock", "--theta", "3", "--route", "laplace",
+                   "--h", "0.1", "--n-points", "200", "--out", "laplace.csv")[0] == 0
+    assert run_cli("fig1", *out, "--n-points", "200")[0] == 0
+    assert len(expected) == 6
+    for name, digest in expected.items():
+        assert file_digest(tmp_path / name) == digest, name
 
 
 # -- process-level behavior ----------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
+from glemarket import estimate, laplace
 from glemarket.errors import DegenerateSeriesError, InputError
 from glemarket.estimate import (
     ensemble_acf,
@@ -146,6 +147,19 @@ class TestModelCurve:
         assert np.abs(c0 - np.exp(-grid)).max() < 1e-8
         assert np.abs(c1 - lambda1(2.0 * grid)).max() < 1e-8
         assert np.abs(c2 - bessel_j0(grid)).max() < 1e-8
+
+    def test_curves_come_from_the_series_not_inversion(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("model curves must not invert a Laplace image")
+
+        monkeypatch.setattr(estimate, "_model_curve_cache", {})
+        monkeypatch.setattr(estimate, "invert_at", refuse)
+        monkeypatch.setattr(laplace, "invert_at", refuse)
+        lags = 0.1 * np.arange(201)
+        acf = AcfSeries(h=0.1, values=lambda1(2.0 * lags / 1.5), variance=1.0)
+        rep = fit_theta(acf, lag_window=20.0)
+        assert rep.theta == pytest.approx(1.0, abs=0.05)
+        assert len(estimate._model_curve_cache) > 20
 
     def test_lag_zero_pinned_and_cached(self):
         grid, vals = model_curve(1.7)

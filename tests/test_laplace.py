@@ -47,6 +47,16 @@ def test_stock_closed_form_thetas(theta, closed):
     assert np.max(np.abs(acf.values - closed(acf.lags))) < 1e-6
 
 
+@pytest.mark.parametrize("theta", [0.05, 0.2, 0.5, 1.5, 1.9, 2.5, 3.0, 4.0])
+def test_stock_inversion_matches_the_series_on_the_fit_grid(theta):
+    # the estimator's unit-tau_r grid; the Laplace route stays an independent
+    # check of the series closed_form_acf evaluates
+    m = ModelSpec.stock_theta(tau_r=1.0, theta=theta)
+    t = np.linspace(0.0, 50.0, 2001)[1:]
+    vals = invert_at(observable_evaluator(m), t)
+    assert np.max(np.abs(vals - closed_form_acf(m, t))) < 1e-9
+
+
 def test_oscillatory_horizon_stays_resolved():
     # ultra-light stock at a long horizon: many ACF oscillations
     m = ModelSpec.stock_theta(tau_r=1.0, theta=2.0)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
 from glemarket.errors import CapabilityError, DomainError, InputError
 from glemarket.models import (
@@ -31,7 +32,7 @@ from glemarket.models import (
     solve_functional_shape,
     spectral_atom,
 )
-from glemarket.specfun import bessel_j0, lambda1
+from glemarket.specfun import bessel_j0, lambda1, neumann_series
 
 # frozen oracle values (root-finding at 60 digits)
 BOLTZ_Y_AT_U10 = 0.11334431013315436
@@ -245,10 +246,66 @@ def test_closed_form_acfs():
     m = ModelSpec.stock_theta(tau_r=1.0, theta=2.0)
     assert np.allclose(closed_form_acf(m, t), bessel_j0(t), rtol=0, atol=1e-15)
     m = ModelSpec.stock_theta(tau_r=1.0, theta=0.5)
-    with pytest.raises(CapabilityError):
-        closed_form_acf(m, t)
+    assert np.max(np.abs(closed_form_acf(m, t) - jv_series_acf(0.5, t))) < 1e-13
     with pytest.raises(CapabilityError):
         closed_form_acf(ModelSpec.boltzmann(1.0), t)
+
+
+def jv_series_acf(theta, t):
+    """Stock ACF at tau_r = 1 as a direct scipy.special.jv sum of the Neumann
+    series sum_n a_n [J_2n(x) + J_2n+2(x)], x = 2 t / theta, plus the theta > 2
+    line."""
+    x = 2.0 * t / theta
+    if theta < 2.0:
+        first, ratio = 1.0, 1.0 - theta
+    else:
+        first, ratio = 1.0 / (theta - 1.0), 1.0 / (1.0 - theta)
+    c = np.zeros_like(x)
+    for n in range(int(np.max(x) + 10.0 * np.cbrt(np.max(x)) + 60.0) // 2):
+        c += first * ratio**n * (jv(2 * n, x) + jv(2 * n + 2, x))
+    if theta > 2.0:
+        omega = 1.0 / np.sqrt(theta - 1.0)
+        c += (theta - 2.0) / (theta - 1.0) * np.cos(omega * t)
+    return c
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.5, 1.5, 1.9, 2.5, 3.0, 10.0])
+def test_stock_series_matches_a_direct_jv_sum(theta):
+    t = np.concatenate([[0.0, 1e-9, 4e-4, 2e-3], np.linspace(0.01, 6.0 * theta, 301)])
+    m = ModelSpec.stock_theta(tau_r=1.0, theta=theta)
+    assert np.max(np.abs(closed_form_acf(m, t) - jv_series_acf(theta, t))) < 1e-13
+
+
+def test_series_telescopes_to_lambda1_and_j0():
+    # the general path at theta = 1 (a_n = 0^n) and theta = 2 (a_n = (-1)^n)
+    x = np.linspace(0.0, 800.0, 4001)
+    assert np.max(np.abs(neumann_series(x, 1.0, 0.0) - lambda1(x))) < 1e-13
+    assert np.max(np.abs(neumann_series(x, 1.0, -1.0) - bessel_j0(x))) < 1e-13
+
+
+def test_series_is_continuous_across_theta_2():
+    t = np.linspace(0.0, 100.0, 2001)
+    j0 = closed_form_acf(ModelSpec.stock_theta(tau_r=1.0, theta=2.0), t)
+    for theta in (2.0 - 1e-9, 2.0 + 1e-9):
+        c = closed_form_acf(ModelSpec.stock_theta(tau_r=1.0, theta=theta), t)
+        assert np.max(np.abs(c - j0)) < 1e-8
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.5, 1.999, 2.001, 2.5, 3.0, 7.3])
+def test_stock_acf_is_exactly_one_at_lag_zero(theta):
+    m = ModelSpec.stock_theta(tau_r=0.7, theta=theta)
+    assert closed_form_acf(m, 0.0) == 1.0
+    assert closed_form_acf(m, np.array([2.0, 0.0, 1.0]))[1] == 1.0
+
+
+@given(
+    st.floats(min_value=0.02, max_value=2.0),
+    st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_stock_acf_is_bounded_by_one_up_to_theta_2(theta, lags):
+    m = ModelSpec.stock_theta(tau_r=1.0, theta=theta)
+    assert np.all(np.abs(closed_form_acf(m, np.array(lags))) <= 1.0)
 
 
 def test_constructor_validation():

@@ -189,3 +189,29 @@ def test_scalar_array_round_trip():
     arr = specfun.lambda1(np.array([0.0, 1.0, 2.0]))
     assert arr.shape == (3,)
     assert isinstance(specfun.lambert_w0(np.array([0.1, 0.2])), np.ndarray)
+
+
+# --- Neumann series ------------------------------------------------------
+
+
+def test_neumann_series_shapes_limits_and_order():
+    assert specfun.neumann_series(0.0, 0.4, -0.5) == 0.4
+    assert isinstance(specfun.neumann_series(3.0, 1.0, 0.5), float)
+    x = np.array([[40.0, 0.0], [1e-4, 7.5]])
+    out = specfun.neumann_series(x, 1.0, 0.5)
+    assert out.shape == (2, 2) and out[0, 1] == 1.0
+    # unsorted input keeps the caller's order
+    for value, xi in zip(out.ravel(), x.ravel()):
+        assert value == specfun.neumann_series(xi, 1.0, 0.5)
+    # the Taylor seam at x = 1e-3 is continuous with the recurrence
+    below, above = specfun.neumann_series(np.array([1e-3 * (1 - 1e-12), 1e-3]), 1.0, 0.5)
+    assert abs(below - above) < 1e-15
+
+
+def test_neumann_series_domain():
+    with pytest.raises(DomainError):
+        specfun.neumann_series(-1.0, 1.0, 0.5)
+    with pytest.raises(DomainError):
+        specfun.neumann_series(np.nan, 1.0, 0.5)
+    with pytest.raises(DomainError):
+        specfun.neumann_series(1.0, 1.0, 1.5)
