@@ -283,6 +283,8 @@ def cmd_acf(args):
         raise InputError("--h must be positive")
     if args.n_points < 2:
         raise InputError("--n-points must be >= 2")
+    if args.tolerance is not None and args.route != "laplace":
+        raise InputError(f"--tolerance applies to --route laplace only, not {args.route}")
     lags, values = _acf_by_route(model, args.route, args.h, args.n_points,
                                  _resolved_tolerance(args, 1e-6))
     path = _out_path(args, args.out)

@@ -454,8 +454,10 @@ def closed_form_acf(model, tau):
     makes the stock image rational in e^(i phi); DLMF 10.9.1 turns its
     geometric expansion into Bessel functions.)  At theta = 1 and 2 the
     series telescopes to lambda1(2 tau/tau_r) and J0(tau/tau_r), and theta = 0
-    is exp(-tau/tau_r); those three are evaluated in closed form.  The other
-    models raise CapabilityError.
+    is exp(-tau/tau_r); those three are evaluated in closed form.  The series
+    needs about 2 tau/(theta tau_r) orders per lag, so a request above
+    specfun.NEUMANN_WORK_BOUND (small theta at long lags) raises InputError.
+    The other models raise CapabilityError.
     """
     t = np.asarray(tau)
     scalar = t.ndim == 0

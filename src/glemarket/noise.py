@@ -2,13 +2,16 @@
 
 The colored random force driving the evolution equation is generated by
 circulant embedding: the target ACF (or a target spectral density) is
-extended evenly to a circulant covariance, whose eigenvalues are obtained
-by one FFT; multiplying independent complex normals by the eigenvalue
-square roots and transforming back yields paths whose covariance is the
-target exactly, in distribution.  Small negative eigenvalues (within
-EIGENVALUE_CLAMP of the largest) are clamped to zero; larger ones trigger
-one retry at doubled embedding length, then a spectral-positivity error
-naming the worst eigenvalue.
+extended evenly to a circulant covariance of order m = 2 n_steps, whose
+eigenvalues lambda_k are obtained by one FFT.  Each path is synthesized
+Hermitian-symmetrically from m real normals: xi_0 and xi_{m/2} are real
+N(0, 1), and xi_k = (a_k + i b_k)/sqrt(2) for 0 < k < m/2 with
+xi_{m-k} = conj(xi_k), so one real inverse FFT of sqrt(lambda_k m) xi_k
+yields a path whose covariance is the target exactly, in distribution
+(Wood & Chan 1994; Dietrich & Newsam 1997).  Small negative eigenvalues
+(within EIGENVALUE_CLAMP of the largest) are clamped to zero; larger ones
+trigger one retry at doubled embedding length, then a spectral-positivity
+error naming the worst eigenvalue.
 
 Reproducibility: every path is drawn from its own counter-based substream,
 ``path_stream(master_seed, lane, path_index)``, that is
@@ -30,6 +33,9 @@ from .series import AcfSeries, PathEnsemble, SpectralDensity
 
 EIGENVALUE_CLAMP = 1e-8  # relative to the largest circulant eigenvalue
 LANES = {"colored-force": 0, "wiener": 1, "white-return": 2, "spectral-line": 3}
+# paths per batched inverse FFT: bounds the transient spectrum and output
+# buffers to a constant beside the n_paths x n_steps result
+_SYNTHESIS_BLOCK = 64
 _MAX_SEED = 2**64 - 1
 
 
@@ -75,8 +81,8 @@ class NoiseRequest:
         n_steps, n_paths = _check_counts(self.n_steps, self.n_paths)
         object.__setattr__(self, "n_steps", n_steps)
         object.__setattr__(self, "n_paths", n_paths)
-        if n_steps < 2 or n_steps & (n_steps - 1):
-            raise InputError("n_steps must be a power of two (>= 2)")
+        if n_steps < 2 or n_steps % 2:
+            raise InputError("n_steps must be even (>= 2)")
         object.__setattr__(self, "seed", _check_seed(self.seed))
         if (self.target_acf is None) == (self.target_spectrum is None):
             raise InputError("give exactly one of target_acf and target_spectrum")
@@ -150,15 +156,25 @@ def generate_colored(request):
         raise InputError("request must be a NoiseRequest")
     lam = _embedding(request)
     m = lam.size
-    # Re(FFT(s * W)) with complex-normal W has covariance (m s^2) evaluated on
-    # the circulant; s = sqrt(lam / m) reproduces the target autocovariance.
-    scale = np.sqrt(lam / m)
+    half = m // 2
+    # irfft(Y)_j = (1/m) sum_k Y_k e^(2 pi i jk/m) over the Hermitian
+    # extension; Y_k = sqrt(lambda_k m) xi_k reproduces the target covariance
+    weight = np.sqrt(lam[: half + 1] * m)
+    weight[1:half] *= np.sqrt(0.5)
     n = request.n_steps
     paths = np.empty((request.n_paths, n))
-    for i in range(request.n_paths):
-        rng = path_stream(request.seed, "colored-force", i)
-        w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        paths[i] = np.fft.fft(scale * w)[:n].real
+    for start in range(0, request.n_paths, _SYNTHESIS_BLOCK):
+        stop = min(start + _SYNTHESIS_BLOCK, request.n_paths)
+        spec = np.empty((stop - start, half + 1), dtype=complex)
+        # interleaved (re_0, im_0, re_1, ..., re_m/2, im_m/2): the m normals
+        # fill from re_1 on, the last moves to re_0, and im_0 = im_m/2 = 0
+        flat = spec.view(float)
+        for row, i in enumerate(range(start, stop)):
+            path_stream(request.seed, "colored-force", i).standard_normal(out=flat[row, 2:])
+        flat[:, 0] = flat[:, -1]
+        flat[:, 1] = flat[:, -1] = 0.0
+        spec *= weight
+        paths[start:stop] = np.fft.irfft(spec, m)[:, :n]
     return PathEnsemble(
         h=request.h,
         paths=paths,

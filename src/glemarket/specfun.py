@@ -22,7 +22,7 @@ All functions accept scalars or arrays and follow ufunc-style return rules.
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, InputError
 
 _SERIES_CUTOFF = 17.0
 _HANKEL_TERMS = 30
@@ -140,6 +140,12 @@ def lambda0(x):
 _NEUMANN_TAYLOR_BELOW = 1e-3
 # coefficients a_n below this magnitude are dropped from the Neumann series
 _NEUMANN_COEF_FLOOR = 1e-17
+# work of one Neumann-series call is sum_i N(x_i) array steps plus, per
+# recurrence order, a fixed loop cost worth about this many array steps;
+# calls above the bound are refused (it is about 2 s on a 2-vCPU Xeon, and
+# a fit_theta curve at theta = 0.0125 costs 4e7)
+_NEUMANN_ORDER_COST = 4096
+NEUMANN_WORK_BOUND = 2e9
 
 
 def neumann_series(x, first, ratio):
@@ -153,8 +159,10 @@ def neumann_series(x, first, ratio):
     dropped once |a_n| < 1e-17.  Arguments below 1e-3 use the series' Taylor
     polynomial; x = 0 gives ``first``.
 
-    Cost is O(sum_i N(x_i)) array operations (for the stock ACF, about
-    n_lags * t_max / (theta tau_r)); memory is O(len(x)).
+    Cost is sum_i N(x_i) array steps plus a fixed loop cost for each of the
+    N(max x) orders (for the stock ACF, N(x) is about 2 t/(theta tau_r));
+    a call whose count exceeds NEUMANN_WORK_BOUND raises InputError before
+    any work.  Memory is O(len(x) + N(max x)).
     """
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)) or np.any(xa < 0):
@@ -176,6 +184,12 @@ def neumann_series(x, first, ratio):
         start = np.ceil(xs + 10.0 * np.cbrt(xs) + 40.0).astype(np.int64)
         start += start % 2
         top = int(start[-1])
+        work = float(start.sum()) + _NEUMANN_ORDER_COST * top
+        if work > NEUMANN_WORK_BOUND:
+            raise InputError(
+                f"Neumann series too costly: {xs.size} arguments up to x = {xs[-1]:.6g} "
+                f"need {work:.3g} recurrence steps (bound {NEUMANN_WORK_BOUND:.3g})"
+            )
         n = np.arange(top // 2)
         a = first * ratio**n  # |a_n| never grows, so the kept terms are a prefix
         coef = (a * (2 * n + 1))[: np.count_nonzero(np.abs(a) >= _NEUMANN_COEF_FLOOR)]

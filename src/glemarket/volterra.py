@@ -99,9 +99,23 @@ def _check_grid(h, n_points):
         raise InputError("n_points must be an integer >= 2")
 
 
+def _five_smooth(n):
+    """Smallest 2^i 3^j 5^k >= n: an FFT length pocketfft factors cheaply."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # odd times the least power of two reaching n
+            best = min(best, odd << ((n - 1) // odd).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _fft_product(a, b, n):
     """First n coefficients of the series product a b (a may be one per row)."""
-    size = 1 << int(np.ceil(np.log2(a.shape[-1] + b.shape[-1] - 1)))
+    size = _five_smooth(a.shape[-1] + b.shape[-1] - 1)
     return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[..., :n]
 
 
@@ -183,13 +197,13 @@ def integrate_gle(kernel, forcing, r0=0.0):
 
 
 def _generated_steps(model, h, n_steps, burn_in):
-    """Grid length simulate_stationary_ensemble generates: the published
-    window plus burn-in, rounded up to a power of two."""
+    """Grid length simulate_stationary_ensemble generates: the smallest even
+    5-smooth length >= the published window plus burn-in (2160 for 2048 + 64)."""
     if burn_in is None:
         burn_in = int(np.ceil(8.0 * model.tau_R / h))
     elif not (isinstance(burn_in, (int, np.integer)) and burn_in >= 0):
         raise InputError("burn_in must be a nonnegative integer")
-    return 1 << max(1, int(np.ceil(np.log2(n_steps + burn_in))))
+    return 2 * _five_smooth((n_steps + burn_in + 1) // 2)
 
 
 def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed, burn_in=None):

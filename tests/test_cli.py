@@ -144,6 +144,19 @@ class TestAcf:
         # the flag still wins over the config
         assert run_cli(*args, "--config", str(config), "--tolerance", "1e-6")[0] == 0
 
+    @pytest.mark.parametrize("route", ["closed", "volterra"])
+    def test_tolerance_flag_is_refused_off_the_laplace_route(self, tmp_path, route):
+        args = ["acf", "--out-dir", str(tmp_path), "--model", "selfsim", "--route",
+                route, "--h", "0.05", "--n-points", "50"]
+        code, _, err = run_cli(*args, "--tolerance", "1e-20")
+        assert code == 2
+        assert "--tolerance applies to --route laplace only" in err
+        assert not (tmp_path / "acf.csv").exists()
+        # a config tolerance keeps its meaning: it only tunes the laplace route
+        config = tmp_path / "strict.cfg"
+        config.write_text("tolerance = 1e-20\n", encoding="utf-8")
+        assert run_cli(*args, "--config", str(config))[0] == 0
+
     def test_boltzmann_volterra_route(self, tmp_path):
         code, _, _ = run_cli(
             "acf", "--out-dir", str(tmp_path), "--model", "boltzmann",
@@ -332,9 +345,9 @@ class TestSimulate:
             "simulate", "--out-dir", str(tmp_path), "--model", "stock",
             "--n-paths", "3", "--n-steps", "1000", "--h", "0.125", "--seed", "1",
         )
-        # 1000 steps + 64 burn-in round up to a 2048-step grid
+        # 1000 steps + 64 burn-in round up to a 1080-step grid (even, 5-smooth)
         assert code == 2
-        assert "out of memory: 3 paths x 2048 steps need about 6.55e+05 bytes" in err
+        assert "out of memory: 3 paths x 1080 steps need about 3.46e+05 bytes" in err
 
 
 # -- estimate ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
+from glemarket import estimate
 from glemarket.errors import CapabilityError, DomainError, InputError
 from glemarket.models import (
     CATALOG,
@@ -289,6 +290,23 @@ def test_series_is_continuous_across_theta_2():
     for theta in (2.0 - 1e-9, 2.0 + 1e-9):
         c = closed_form_acf(ModelSpec.stock_theta(tau_r=1.0, theta=theta), t)
         assert np.max(np.abs(c - j0)) < 1e-8
+
+
+def test_small_theta_series_is_refused_before_any_work():
+    # theta = 1e-6 needs ~2e7 recurrence orders for lag 9.9: refused at once
+    # with the count, where summing it would take minutes
+    m = ModelSpec.stock_theta(tau_r=1.0, theta=1e-6)
+    with pytest.raises(InputError, match=r"need [0-9.]+e\+10 recurrence steps"):
+        closed_form_acf(m, 0.1 * np.arange(100))
+    with pytest.raises(InputError):
+        closed_form_acf(m, 9.9)
+
+
+def test_fit_grid_stays_under_the_series_work_bound():
+    # the smallest fitted theta on estimate's lattice, on its model-curve grid
+    grid = np.linspace(0.0, estimate._U_MAX, estimate._U_POINTS)
+    m = ModelSpec.stock_theta(tau_r=1.0, theta=estimate._THETA_STEP)
+    assert np.all(np.isfinite(closed_form_acf(m, grid)))
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.5, 1.999, 2.001, 2.5, 3.0, 7.3])

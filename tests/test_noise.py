@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from glemarket import noise
 from glemarket.errors import InputError, SpectralPositivityError
 from glemarket.laplace import spectral_density
 from glemarket.models import ModelSpec, force_evaluator
@@ -52,11 +53,13 @@ def sample_acf_per_path(paths, max_lag):
 # ---------------------------------------------------------------- request
 
 class TestNoiseRequest:
-    def test_power_of_two_required(self):
+    def test_even_length_required(self):
         with pytest.raises(InputError):
             NoiseRequest(n_steps=7, n_paths=1, seed=1, target_acf=delta_target(8))
         with pytest.raises(InputError):
             NoiseRequest(n_steps=1, n_paths=1, seed=1, target_acf=delta_target(2))
+        req = NoiseRequest(n_steps=2160, n_paths=1, seed=1, target_acf=delta_target(2160))
+        assert req.n_steps == 2160
 
     def test_exactly_one_target(self):
         sd = SpectralDensity(omega=np.array([0.0, 1.0]), values=np.array([1.0, 0.5]))
@@ -181,6 +184,32 @@ class TestColoredGeneration:
         one = generate_colored(NoiseRequest(n_steps=256, n_paths=1, seed=5, target_acf=tgt))
         three = generate_colored(NoiseRequest(n_steps=256, n_paths=3, seed=5, target_acf=tgt))
         assert np.array_equal(three.paths[0], one.paths[0])
+        # on a non-power-of-two grid too: paths 0-1 of five equal a 2-path request
+        tgt = exp_target(90, h=0.1, tau=0.7)
+        five = generate_colored(NoiseRequest(n_steps=90, n_paths=5, seed=8, target_acf=tgt))
+        two = generate_colored(NoiseRequest(n_steps=90, n_paths=2, seed=8, target_acf=tgt))
+        assert np.array_equal(five.paths[:2], two.paths)
+
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_synthesis_covariance_is_exact(self, n, monkeypatch):
+        # the synthesis is linear in its m = 2n normals: feeding path j the
+        # unit vector e_j makes path j column j of the map M, and M M^T must
+        # be the Toeplitz matrix of the target autocovariance
+        class UnitDraw:
+            def __init__(self, j):
+                self.j = j
+
+            def standard_normal(self, out):
+                out[:] = 0.0
+                out[self.j] = 1.0
+
+        monkeypatch.setattr(noise, "path_stream", lambda seed, lane, i: UnitDraw(i))
+        tgt = exp_target(n, h=0.2, tau=0.5, variance=1.7)
+        m = 2 * n
+        cols = generate_colored(NoiseRequest(n_steps=n, n_paths=m, seed=1, target_acf=tgt)).paths
+        lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        toeplitz = tgt.variance * tgt.values[lags]
+        assert np.abs(cols.T @ cols - toeplitz).max() < 1e-12
 
     def test_delta_target_gives_iid_noise(self):
         req = NoiseRequest(

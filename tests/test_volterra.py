@@ -1,6 +1,8 @@
 """Time-domain evolution tests: kernel propagation, stochastic integration,
 and the causal convolution identities of the Lambert-type models."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from glemarket.specfun import bessel_j0, lambda1
 from glemarket.volterra import (
     boltzmann_acf,
     differential_acf,
+    _generated_steps,
     _series_inverse,
     integrate_gle,
     memory_kernel,
@@ -400,6 +403,29 @@ def test_stationary_ensemble_determinism_and_stream_stability():
     assert np.array_equal(a.paths, b.paths)
     assert np.array_equal(a.paths, c.paths[:4])
     assert not np.array_equal(a.paths, d.paths)
+
+
+def test_stationary_ensemble_grid_is_even_five_smooth():
+    # 2048 published + 64 burn-in steps run on 2160 = 2^4 3^3 5, not 4096
+    model = ModelSpec.stock_theta(tau_r=1.0, theta=1.0)
+    assert _generated_steps(model, 0.125, 2048, None) == 2160
+    assert _generated_steps(ModelSpec.stock_theta(tau_r=1.0, theta=3.0), 0.125, 2048, None) == 2250
+    assert _generated_steps(model, 0.125, 1, 0) == 2
+
+
+def test_stationary_ensemble_peak_memory_within_simulate_estimate():
+    # cli._simulate_size allows 64 bytes per generated step per path plus
+    # two shared arrays; the run must not exceed it
+    model = ModelSpec.stock_theta(tau_r=1.0, theta=1.0)
+    n_gen = _generated_steps(model, 0.125, 2048, None)
+    simulate_stationary_ensemble(model, h=0.125, n_steps=64, n_paths=2, seed=1)
+    tracemalloc.start()
+    try:
+        simulate_stationary_ensemble(model, h=0.125, n_steps=2048, n_paths=200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * (200 + 2) * n_gen
 
 
 def test_stationary_ensemble_burn_in_microstructure():
