@@ -50,7 +50,7 @@ from .models import (
     observable_shape,
     render_catalog,
 )
-from .noise import LANES, generate_wiener_increments
+from .noise import LANES, _check_seed, generate_wiener_increments
 from .series import PathEnsemble
 from .specfun import lambda0, lambda1
 from .volterra import (_generated_steps, boltzmann_acf, differential_acf, memory_kernel,
@@ -189,7 +189,7 @@ def _resolved_seed(args):
         raise InputError(
             "this command draws random numbers: pass --seed (or set seed in the config)"
         )
-    return seed
+    return _check_seed(seed)
 
 
 def _resolved_tolerance(args, default):
@@ -334,8 +334,9 @@ def cmd_simulate(args):
     seed = _resolved_seed(args)
     if not (np.isfinite(args.h) and args.h > 0):
         raise InputError("--h must be positive")
-    if args.n_steps < 2 or args.n_paths < 1:
-        raise InputError("--n-steps must be >= 2 and --n-paths >= 1")
+    # the summary ACF needs at least 4 samples (lag 1 at n/4)
+    if args.n_steps < 4 or args.n_paths < 1:
+        raise InputError("--n-steps must be >= 4 and --n-paths >= 1")
     if args.model == "gbm" and (args.theta, args.tau_r, args.tau_R) != (None,) * 3:
         raise InputError("model 'gbm' takes --mu, --sigma, --variance and --M0 only")
     model = None if args.model == "gbm" else _build_model(args)

@@ -136,10 +136,10 @@ def returns_from_prices(prices, mu=None):
         raise InputError(f"prices must have kind 'price', got {prices.kind!r}")
     if prices.n_steps < 2:
         raise InputError("need at least two prices per path")
-    bad = ~(prices.paths > 0.0)
+    bad = ~((prices.paths > 0.0) & np.isfinite(prices.paths))
     if bad.any():
         path, idx = np.argwhere(bad)[0]
-        raise DomainError(f"nonpositive price at path {path}, sample {idx}")
+        raise DomainError(f"nonpositive or non-finite price at path {path}, sample {idx}")
     log_m = np.log(prices.paths)
     rate = np.diff(log_m, axis=1) / prices.h
     if mu is None:

@@ -1,17 +1,17 @@
-"""Stationary Gaussian noise synthesis with a prescribed autocorrelation.
+"""Stationary Gaussian noise synthesis with a prescribed spectral density.
 
 The colored random force driving the evolution equation is generated by
-circulant embedding: the target ACF (or a target spectral density) is
-extended evenly to a circulant covariance of order m = 2 n_steps, whose
-eigenvalues lambda_k are obtained by one FFT.  Each path is synthesized
-Hermitian-symmetrically from m real normals: xi_0 and xi_{m/2} are real
-N(0, 1), and xi_k = (a_k + i b_k)/sqrt(2) for 0 < k < m/2 with
-xi_{m-k} = conj(xi_k), so one real inverse FFT of sqrt(lambda_k m) xi_k
-yields a path whose covariance is the target exactly, in distribution
-(Wood & Chan 1994; Dietrich & Newsam 1997).  Small negative eigenvalues
-(within EIGENVALUE_CLAMP of the largest) are clamped to zero; larger ones
-trigger one retry at doubled embedding length, then a spectral-positivity
-error naming the worst eigenvalue.
+circulant embedding (Wood & Chan 1994; Dietrich & Newsam 1997).  The
+target is a one-sided spectral density S(omega); sampled at step h over
+n_steps = L points, the circulant covariance of order m = 2L has the
+eigenvalues lambda_k = S(omega_k)/h on omega_k = pi k / (L h), k = 0..L,
+mirrored for k > L, and zero beyond the spectrum's last frequency.  Each
+path is synthesized Hermitian-symmetrically from m real normals: xi_0 and
+xi_L are real N(0, 1), and xi_k = (a_k + i b_k)/sqrt(2) for 0 < k < L, so
+one real inverse FFT of sqrt(lambda_k m) xi_k yields a path whose
+covariance is that circulant's, exactly, in distribution.  Small negative
+eigenvalues (within EIGENVALUE_CLAMP of the largest) are clamped to zero;
+larger ones raise a spectral-positivity error naming the worst eigenvalue.
 
 Reproducibility: every path is drawn from its own counter-based substream,
 ``path_stream(master_seed, lane, path_index)``, that is
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SpectralPositivityError
-from .series import AcfSeries, PathEnsemble, SpectralDensity
+from .series import PathEnsemble, SpectralDensity
 
 EIGENVALUE_CLAMP = 1e-8  # relative to the largest circulant eigenvalue
 LANES = {"colored-force": 0, "wiener": 1, "white-return": 2, "spectral-line": 3}
@@ -62,20 +62,16 @@ def _check_counts(n_steps, n_paths):
 
 @dataclass(frozen=True)
 class NoiseRequest:
-    """Everything needed to synthesize one reproducible colored ensemble.
-
-    Exactly one of ``target_acf`` (force units carried by its variance
-    field) and ``target_spectrum`` must be given.  ``h`` defaults to the
-    target ACF's own step and must match it when both are supplied;
-    a spectrum target always needs an explicit ``h``.
+    """Everything needed to synthesize one reproducible colored ensemble:
+    ``n_paths`` paths of an even ``n_steps`` samples at step ``h`` whose
+    one-sided spectral density is ``target_spectrum`` (force units).
     """
 
     n_steps: int
     n_paths: int
     seed: int
-    target_acf: AcfSeries | None = None
-    target_spectrum: SpectralDensity | None = None
-    h: float | None = None
+    target_spectrum: SpectralDensity
+    h: float
 
     def __post_init__(self):
         n_steps, n_paths = _check_counts(self.n_steps, self.n_paths)
@@ -84,88 +80,50 @@ class NoiseRequest:
         if n_steps < 2 or n_steps % 2:
             raise InputError("n_steps must be even (>= 2)")
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        if (self.target_acf is None) == (self.target_spectrum is None):
-            raise InputError("give exactly one of target_acf and target_spectrum")
-        if self.target_acf is not None:
-            if not isinstance(self.target_acf, AcfSeries):
-                raise InputError("target_acf must be an AcfSeries")
-            if self.h is None:
-                object.__setattr__(self, "h", self.target_acf.h)
-            elif abs(self.h - self.target_acf.h) > 1e-12 * self.target_acf.h:
-                raise InputError("h disagrees with the target ACF's step")
-        else:
-            if not isinstance(self.target_spectrum, SpectralDensity):
-                raise InputError("target_spectrum must be a SpectralDensity")
-            if self.h is None:
-                raise InputError("a spectrum target needs an explicit h")
-        if not (np.isfinite(self.h) and self.h > 0):
+        if not isinstance(self.target_spectrum, SpectralDensity):
+            raise InputError("target_spectrum must be a SpectralDensity")
+        if self.h is None or not (np.isfinite(self.h) and self.h > 0):
             raise InputError("h must be positive and finite")
 
 
-def circulant_spectrum(request, embed_len=None):
-    """Eigenvalues of the even-extension circulant the request embeds in.
+def circulant_spectrum(request):
+    """Clamped half-spectrum of the circulant the request embeds in.
 
-    ``embed_len`` is the half length L (defaults to n_steps); the circulant
-    itself has order 2L.  Exposed for diagnostics and spectral tests.
+    Returns the L + 1 eigenvalues S(omega_k)/h on omega_k = pi k / (L h),
+    k = 0..L with L = n_steps, zero beyond the target's last frequency; the
+    order-2L circulant repeats them mirrored.  Negatives within
+    EIGENVALUE_CLAMP of the largest are set to zero; larger ones, or no
+    positive mass at all, raise SpectralPositivityError.
     """
-    L = int(embed_len) if embed_len is not None else request.n_steps
-    if request.target_acf is not None:
-        rho = request.target_acf.variance * request.target_acf.values
-        if rho.size < L + 1:
-            rho = np.concatenate([rho, np.zeros(L + 1 - rho.size)])
-        circ = np.concatenate([rho[: L + 1], rho[L - 1 : 0 : -1]])
-        return np.fft.fft(circ).real
-    # spectrum route: the order-2L circulant eigenvalues converge to
-    # S(omega_k)/h on the rfft frequencies omega_k = pi k / (L h)
+    L = request.n_steps
     sd = request.target_spectrum
     omega = np.pi * np.arange(L + 1) / (L * request.h)
-    lam_half = np.interp(omega, sd.omega, sd.values, right=0.0) / request.h
-    return np.concatenate([lam_half, lam_half[L - 1 : 0 : -1]])
-
-
-def _embedding(request):
-    L = request.n_steps
-    if request.target_acf is not None and len(request.target_acf) < L + 1:
-        raise InputError(
-            "target ACF must cover n_steps + 1 lags for an exact embedding"
-        )
-    worst = 0.0
-    for half_len in (L, 2 * L):
-        lam = circulant_spectrum(request, half_len)
-        top = lam.max()
-        if top <= 0:
-            raise SpectralPositivityError(
-                "target has no positive spectral mass", worst=float(lam.min())
-            )
-        worst = float(lam.min())
-        if worst >= -EIGENVALUE_CLAMP * top:
-            return np.maximum(lam, 0.0)
-    raise SpectralPositivityError(
-        f"circulant embedding is indefinite (worst eigenvalue {worst:.6e} "
-        f"after doubling)",
-        worst=worst,
-    )
+    lam = np.interp(omega, sd.omega, sd.values, right=0.0) / request.h
+    top, worst = lam.max(), float(lam.min())
+    if top <= 0:
+        raise SpectralPositivityError("target has no positive spectral mass", worst=worst)
+    if worst < -EIGENVALUE_CLAMP * top:
+        raise SpectralPositivityError("target spectrum is indefinite", worst=worst)
+    return np.maximum(lam, 0.0)
 
 
 def generate_colored(request):
-    """Synthesize Gaussian paths whose covariance is the request's target.
+    """Synthesize Gaussian paths with the request's target spectrum.
 
     Returns a PathEnsemble of kind "force" with full seed lineage.
     """
     if not isinstance(request, NoiseRequest):
         raise InputError("request must be a NoiseRequest")
-    lam = _embedding(request)
-    m = lam.size
-    half = m // 2
-    # irfft(Y)_j = (1/m) sum_k Y_k e^(2 pi i jk/m) over the Hermitian
-    # extension; Y_k = sqrt(lambda_k m) xi_k reproduces the target covariance
-    weight = np.sqrt(lam[: half + 1] * m)
-    weight[1:half] *= np.sqrt(0.5)
     n = request.n_steps
+    m = 2 * n
+    # irfft(Y)_j = (1/m) sum_k Y_k e^(2 pi i jk/m) over the Hermitian
+    # extension; Y_k = sqrt(lambda_k m) xi_k reproduces the circulant covariance
+    weight = np.sqrt(circulant_spectrum(request) * m)
+    weight[1:n] *= np.sqrt(0.5)
     paths = np.empty((request.n_paths, n))
     for start in range(0, request.n_paths, _SYNTHESIS_BLOCK):
         stop = min(start + _SYNTHESIS_BLOCK, request.n_paths)
-        spec = np.empty((stop - start, half + 1), dtype=complex)
+        spec = np.empty((stop - start, n + 1), dtype=complex)
         # interleaved (re_0, im_0, re_1, ..., re_m/2, im_m/2): the m normals
         # fill from re_1 on, the last moves to re_0, and im_0 = im_m/2 = 0
         flat = spec.view(float)

@@ -74,7 +74,6 @@ class KernelSeries:
 
     h: float
     values: np.ndarray
-    label: str = "kernel"
 
     def __post_init__(self):
         if not (self.h > 0):

@@ -13,9 +13,10 @@ Rev. 9:24) normalized by J0 + 2 sum_k J_2k = 1.  Against a direct
 scipy.special.jv sum it agrees to a few 1e-15, and its theta = 1 and 2
 cases reproduce lambda1 and J0 to ~4e-15 out to x = 800.
 
-Lambert W uses Halley iteration from branch-appropriate starting points,
+Lambert W0 uses Halley iteration from branch-appropriate starting points,
 stopping when the step falls below 1e-14 (relative), with a residual
-post-condition |w e^w - x| <= 1e-12 |x|.
+post-condition |w e^w - x| <= 1e-12 |x|.  The lower branch W-1 is needed
+only as W-1(-e^-z), which ``lambert_wm1_neg_exp`` solves directly.
 
 All functions accept scalars or arrays and follow ufunc-style return rules.
 """
@@ -274,26 +275,6 @@ def lambert_w0(x):
     exact = xa == 0.0
     if np.any(exact):
         w[exact] = 0.0
-    _check_residual(w, xa)
-    return _return_like(x, w)
-
-
-def lambert_wm1(x):
-    """Lower Lambert branch W-1 on -1/e <= x < 0 (values <= -1)."""
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xa >= 0) or np.any(xa < -_INV_E - 1e-14) or not np.all(np.isfinite(xa)):
-        raise DomainError("lambert_wm1 requires -1/e <= x < 0")
-    w = np.empty_like(xa)
-    near = xa < -_INV_E + 0.04
-    if np.any(near):
-        p = np.sqrt(np.maximum(2.0 * (np.e * xa[near] + 1.0), 0.0))
-        w[near] = -1.0 - p - p * p / 3.0 - 11.0 * p**3 / 72.0
-    far = ~near
-    if np.any(far):
-        l1 = np.log(-xa[far])
-        w[far] = l1 - np.log(-l1)
-    w = _halley_we(w, xa)
-    w = np.minimum(w, -1.0)  # branch point itself rounds to exactly -1
     _check_residual(w, xa)
     return _return_like(x, w)
 

@@ -89,7 +89,7 @@ def memory_kernel(model, h, n_points):
         vals = lambda1(2.0 * t / model.tau_R) / (model.tau_r * model.tau_R)
     else:
         raise CapabilityError(f"no closed-form kernel for {v.value}")
-    return KernelSeries(h=h, values=vals, label=f"{v.value} kernel")
+    return KernelSeries(h=h, values=vals)
 
 
 def _check_grid(h, n_points):
@@ -150,14 +150,14 @@ def _transfer(k, h, n):
     return g, hom
 
 
-def propagate_acf(kernel, n_steps, variance=1.0):
+def propagate_acf(kernel, n_steps):
     """Relax dc/dt = -(k*c), c(0) = 1, over n_steps points in O(n log n);
     returns AcfSeries."""
     _check_grid(kernel.h, n_steps)
     if kernel.values.size < n_steps:
         raise InputError("kernel must cover the full propagation horizon")
     _, c = _transfer(kernel.values, kernel.h, n_steps)
-    return AcfSeries(h=kernel.h, values=c, variance=variance)
+    return AcfSeries(h=kernel.h, values=c)
 
 
 def integrate_gle(kernel, forcing, r0=0.0):

@@ -303,6 +303,17 @@ class TestSimulate:
         )
         assert code == 2 and "--seed" in err
 
+    @pytest.mark.parametrize("model", ["gbm", "white", "stock"])
+    @pytest.mark.parametrize("n_steps", ["2", "3"])
+    def test_too_few_steps_refused_before_writing(self, tmp_path, model, n_steps):
+        # the summary ACF needs 4 samples; nothing may be written first
+        code, _, err = run_cli(
+            "simulate", "--out-dir", str(tmp_path), "--model", model,
+            "--n-paths", "1", "--n-steps", n_steps, "--h", "0.1", "--seed", "1",
+        )
+        assert code == 2 and "--n-steps must be >= 4" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_supplies_seed_and_presets(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 42\nmodel.tau_R = 0.5\nout_dir = %s\n" % tmp_path)
@@ -405,6 +416,15 @@ class TestEstimate:
         assert code == 2 and "--h" in err
         code, _, _ = run_cli("estimate", "--input", str(f), "--h", "0.1")
         assert code == 0
+
+    def test_infinite_price_refused_without_warnings(self, tmp_path):
+        f = tmp_path / "p.csv"
+        prices = 1.0 + 0.01 * np.random.default_rng(0).standard_normal(100)
+        f.write_text("t,price\n" + "".join(
+            f"{0.1 * i!r},{'inf' if i == 40 else repr(float(x))}\n" for i, x in enumerate(prices)
+        ))
+        code, _, err = run_cli("estimate", "--input", str(f))
+        assert code == 2 and "non-finite price at path 0, sample 40" in err
 
     def test_malformed_inputs_report_line_numbers(self, tmp_path):
         f = tmp_path / "bad.csv"
@@ -533,6 +553,18 @@ class TestAudit:
         b = run_cli("audit", "--model", "stock", "--theta", "1.5",
                     "--n-real", "10", "--n-complex", "10", "--seed", "4")
         assert a == b and a[0] == 0
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_refused_like_simulate(self, tmp_path, seed):
+        # one seed rule for every command: exit 2, never a traceback
+        code, _, err = run_cli("audit", "--model", "stock", "--theta", "1.5",
+                               "--n-real", "5", "--n-complex", "3", "--seed", seed)
+        assert code == 2 and "seed" in err
+        code, _, err = run_cli(
+            "simulate", "--out-dir", str(tmp_path), "--model", "white",
+            "--n-paths", "1", "--n-steps", "64", "--h", "0.1", "--seed", seed,
+        )
+        assert code == 2 and "seed" in err
 
     def test_real_axis_only_models_refuse_complex_grid(self):
         code, _, err = run_cli("audit", "--model", "boltzmann",

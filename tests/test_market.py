@@ -161,6 +161,16 @@ class TestConversions:
         assert "path 1" in str(err.value)
         assert "3" in str(err.value)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_price_identified(self, bad):
+        # refused with its position, before any reduction can warn
+        paths = np.full((2, 5), 3.0)
+        paths[0, 2] = bad
+        pe = PathEnsemble(h=0.1, paths=paths, kind="price")
+        with pytest.raises(DomainError) as err:
+            returns_from_prices(pe)
+        assert "path 0, sample 2" in str(err.value)
+
     def test_bad_m0(self):
         pe = PathEnsemble(h=0.1, paths=np.zeros((1, 10)), kind="return-rate")
         with pytest.raises(DomainError):

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from glemarket import noise
 from glemarket.errors import InputError, SpectralPositivityError
@@ -26,15 +25,17 @@ from glemarket.series import AcfSeries, SpectralDensity
 from glemarket.specfun import lambda1
 
 
-def delta_target(n_lags, h=0.1, variance=1.0):
-    vals = np.zeros(n_lags + 1)
-    vals[0] = 1.0
-    return AcfSeries(h=h, values=vals, variance=variance)
+def flat_target(h, level=1.0):
+    """White force of variance ``level``: S = level h through Nyquist pi/h
+    (the grid runs past it so the last rfft frequency is inside)."""
+    return SpectralDensity(omega=np.array([0.0, 2.0 * np.pi / h]), values=np.array([level * h] * 2))
 
 
-def exp_target(n_lags, h, tau, variance=1.0):
-    lags = h * np.arange(n_lags + 1)
-    return AcfSeries(h=h, values=np.exp(-lags / tau), variance=variance)
+def lorentz_target(h, tau, variance=1.0):
+    """Spectrum 2 var tau / (1 + omega^2 tau^2) of an exponential ACF,
+    sampled through Nyquist."""
+    omega = np.linspace(0.0, 2.0 * np.pi / h, 4001)
+    return SpectralDensity(omega=omega, values=2.0 * variance * tau / (1.0 + (omega * tau) ** 2))
 
 
 def sample_acf_per_path(paths, max_lag):
@@ -54,95 +55,73 @@ def sample_acf_per_path(paths, max_lag):
 
 class TestNoiseRequest:
     def test_even_length_required(self):
+        sd = flat_target(0.1)
         with pytest.raises(InputError):
-            NoiseRequest(n_steps=7, n_paths=1, seed=1, target_acf=delta_target(8))
+            NoiseRequest(n_steps=7, n_paths=1, seed=1, target_spectrum=sd, h=0.1)
         with pytest.raises(InputError):
-            NoiseRequest(n_steps=1, n_paths=1, seed=1, target_acf=delta_target(2))
-        req = NoiseRequest(n_steps=2160, n_paths=1, seed=1, target_acf=delta_target(2160))
+            NoiseRequest(n_steps=1, n_paths=1, seed=1, target_spectrum=sd, h=0.1)
+        req = NoiseRequest(n_steps=2160, n_paths=1, seed=1, target_spectrum=sd, h=0.1)
         assert req.n_steps == 2160
-
-    def test_exactly_one_target(self):
-        sd = SpectralDensity(omega=np.array([0.0, 1.0]), values=np.array([1.0, 0.5]))
-        with pytest.raises(InputError):
-            NoiseRequest(n_steps=8, n_paths=1, seed=1)
-        with pytest.raises(InputError):
-            NoiseRequest(
-                n_steps=8, n_paths=1, seed=1,
-                target_acf=delta_target(8), target_spectrum=sd,
-            )
 
     def test_spectrum_target_needs_h(self):
         sd = SpectralDensity(omega=np.array([0.0, 1.0]), values=np.array([1.0, 0.5]))
-        with pytest.raises(InputError):
+        with pytest.raises(TypeError):
             NoiseRequest(n_steps=8, n_paths=1, seed=1, target_spectrum=sd)
-
-    def test_h_defaults_to_target_step(self):
-        req = NoiseRequest(n_steps=8, n_paths=1, seed=1, target_acf=delta_target(8, h=0.25))
-        assert req.h == 0.25
-
-    def test_h_mismatch_rejected(self):
+        for h in (None, 0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(InputError):
+                NoiseRequest(n_steps=8, n_paths=1, seed=1, target_spectrum=sd, h=h)
+        acf = AcfSeries(h=0.1, values=np.array([1.0, 0.5]))
         with pytest.raises(InputError):
-            NoiseRequest(
-                n_steps=8, n_paths=1, seed=1,
-                target_acf=delta_target(8, h=0.25), h=0.3,
-            )
+            NoiseRequest(n_steps=8, n_paths=1, seed=1, target_spectrum=acf, h=0.1)
 
     @pytest.mark.parametrize("seed", [True, -1, 2**64, 1.5, None])
     def test_bad_seeds_rejected(self, seed):
         with pytest.raises(InputError):
-            NoiseRequest(n_steps=8, n_paths=1, seed=seed, target_acf=delta_target(8))
+            NoiseRequest(n_steps=8, n_paths=1, seed=seed, target_spectrum=flat_target(0.1), h=0.1)
 
     def test_bad_counts_rejected(self):
         with pytest.raises(InputError):
-            NoiseRequest(n_steps=8, n_paths=0, seed=1, target_acf=delta_target(8))
+            NoiseRequest(n_steps=8, n_paths=0, seed=1, target_spectrum=flat_target(0.1), h=0.1)
 
 
 # ------------------------------------------------------- circulant spectrum
 
 class TestCirculantSpectrum:
     def test_lag_one_eigenvalues_analytic(self):
-        # rho = [1, a, 0, ...] embeds to eigenvalues 1 + 2 a cos(2 pi k / m)
-        a = 0.3
-        vals = np.zeros(129)
-        vals[0], vals[1] = 1.0, a
-        req = NoiseRequest(
-            n_steps=128, n_paths=1, seed=1,
-            target_acf=AcfSeries(h=1.0, values=vals),
-        )
-        lam = circulant_spectrum(req)
-        k = np.arange(256)
-        expected = 1.0 + 2.0 * a * np.cos(2.0 * np.pi * k / 256.0)
-        assert np.abs(lam - expected).max() < 1e-12
+        # S = h (1 + 2 a cos(omega h)) sampled on the rfft grid itself is the
+        # spectrum of rho = [1, a, 0, ...]: eigenvalues 1 + 2 a cos(2 pi k / m)
+        a, h, n = 0.3, 0.5, 128
+        omega = np.pi * np.arange(n + 1) / (n * h)
+        sd = SpectralDensity(omega=omega, values=h * (1.0 + 2.0 * a * np.cos(omega * h)))
+        lam = circulant_spectrum(NoiseRequest(n_steps=n, n_paths=1, seed=1, target_spectrum=sd, h=h))
+        k = np.arange(n + 1)
+        assert lam.shape == (n + 1,)
+        assert np.abs(lam - (1.0 + 2.0 * a * np.cos(2.0 * np.pi * k / (2 * n)))).max() < 1e-12
+        rho = np.fft.irfft(lam, 2 * n)[:n]
+        assert np.abs(rho - np.r_[1.0, a, np.zeros(n - 2)]).max() < 1e-12
+
+    def test_eigenvalues_sample_target_and_vanish_beyond_it(self):
+        # S(omega) = 3 - omega on [0, 2] (linear, so interpolation is exact);
+        # h = 0.5 puts Nyquist at 2 pi, far past the target's last frequency
+        h, n = 0.5, 16
+        sd = SpectralDensity(omega=np.array([0.0, 1.0, 2.0]), values=np.array([3.0, 2.0, 1.0]))
+        lam = circulant_spectrum(NoiseRequest(n_steps=n, n_paths=1, seed=1, target_spectrum=sd, h=h))
+        omega = np.pi * np.arange(n + 1) / (n * h)
+        inside = omega <= 2.0
+        assert np.abs(lam[inside] - (3.0 - omega[inside]) / h).max() < 1e-12
+        assert np.all(lam[~inside] == 0.0)
 
     def test_variance_scales_eigenvalues(self):
-        req1 = NoiseRequest(n_steps=64, n_paths=1, seed=1, target_acf=delta_target(64))
+        h = 0.1
+        req1 = NoiseRequest(n_steps=64, n_paths=1, seed=1, target_spectrum=lorentz_target(h, 0.4), h=h)
         req2 = NoiseRequest(
-            n_steps=64, n_paths=1, seed=1, target_acf=delta_target(64, variance=2.5)
+            n_steps=64, n_paths=1, seed=1, target_spectrum=lorentz_target(h, 0.4, variance=2.5), h=h
         )
-        assert np.allclose(circulant_spectrum(req2), 2.5 * circulant_spectrum(req1))
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.1, max_value=1.0),
-                st.floats(min_value=-2.0, max_value=3.7),
-            ),
-            min_size=1,
-            max_size=3,
+        assert np.allclose(circulant_spectrum(req2), 2.5 * circulant_spectrum(req1), rtol=1e-14, atol=0)
+        # and the paths scale by the square root, draw for draw
+        assert np.allclose(
+            generate_colored(req2).paths, np.sqrt(2.5) * generate_colored(req1).paths, rtol=1e-12, atol=1e-14
         )
-    )
-    def test_exponential_mixtures_are_positive(self, comps):
-        # mixtures of decaying exponentials are valid autocovariances and
-        # their truncated even periodization stays (numerically) nonnegative
-        lags = np.arange(129) * 1.0
-        vals = sum(w * np.exp(-lags / 10.0**logt) for w, logt in comps)
-        vals = vals / vals[0]
-        req = NoiseRequest(
-            n_steps=128, n_paths=1, seed=1,
-            target_acf=AcfSeries(h=1.0, values=vals),
-        )
-        lam = circulant_spectrum(req)
-        assert lam.min() >= -1e-10 * lam.max()
 
 
 # ------------------------------------------------------------- generation
@@ -152,13 +131,8 @@ class TestColoredGeneration:
         with pytest.raises(InputError):
             generate_colored("not a request")
 
-    def test_target_must_cover_lags(self):
-        req = NoiseRequest(n_steps=128, n_paths=1, seed=1, target_acf=delta_target(64))
-        with pytest.raises(InputError):
-            generate_colored(req)
-
     def test_metadata(self):
-        req = NoiseRequest(n_steps=64, n_paths=3, seed=17, target_acf=delta_target(64, h=0.2))
+        req = NoiseRequest(n_steps=64, n_paths=3, seed=17, target_spectrum=flat_target(0.2), h=0.2)
         out = generate_colored(req)
         assert out.kind == "force"
         assert out.h == 0.2
@@ -167,34 +141,36 @@ class TestColoredGeneration:
         assert out.stream_indices == (0, 1, 2)
 
     def test_deterministic_rerun(self):
-        req = NoiseRequest(n_steps=256, n_paths=4, seed=9, target_acf=delta_target(256))
+        req = NoiseRequest(n_steps=256, n_paths=4, seed=9, target_spectrum=lorentz_target(0.1, 0.5), h=0.1)
         a = generate_colored(req)
         b = generate_colored(req)
         assert np.array_equal(a.paths, b.paths)
 
     def test_seed_changes_output(self):
-        r1 = NoiseRequest(n_steps=256, n_paths=1, seed=1, target_acf=delta_target(256))
-        r2 = NoiseRequest(n_steps=256, n_paths=1, seed=2, target_acf=delta_target(256))
+        sd = lorentz_target(0.1, 0.5)
+        r1 = NoiseRequest(n_steps=256, n_paths=1, seed=1, target_spectrum=sd, h=0.1)
+        r2 = NoiseRequest(n_steps=256, n_paths=1, seed=2, target_spectrum=sd, h=0.1)
         assert not np.array_equal(generate_colored(r1).paths, generate_colored(r2).paths)
 
     def test_path_streams_independent_of_count(self):
         # path i is a fixed function of (seed, i): generating more paths must
         # not perturb earlier ones
-        tgt = exp_target(256, h=0.05, tau=1.0)
-        one = generate_colored(NoiseRequest(n_steps=256, n_paths=1, seed=5, target_acf=tgt))
-        three = generate_colored(NoiseRequest(n_steps=256, n_paths=3, seed=5, target_acf=tgt))
+        sd = lorentz_target(0.05, 1.0)
+        one = generate_colored(NoiseRequest(n_steps=256, n_paths=1, seed=5, target_spectrum=sd, h=0.05))
+        three = generate_colored(NoiseRequest(n_steps=256, n_paths=3, seed=5, target_spectrum=sd, h=0.05))
         assert np.array_equal(three.paths[0], one.paths[0])
         # on a non-power-of-two grid too: paths 0-1 of five equal a 2-path request
-        tgt = exp_target(90, h=0.1, tau=0.7)
-        five = generate_colored(NoiseRequest(n_steps=90, n_paths=5, seed=8, target_acf=tgt))
-        two = generate_colored(NoiseRequest(n_steps=90, n_paths=2, seed=8, target_acf=tgt))
+        sd = lorentz_target(0.1, 0.7)
+        five = generate_colored(NoiseRequest(n_steps=90, n_paths=5, seed=8, target_spectrum=sd, h=0.1))
+        two = generate_colored(NoiseRequest(n_steps=90, n_paths=2, seed=8, target_spectrum=sd, h=0.1))
         assert np.array_equal(five.paths[:2], two.paths)
 
     @pytest.mark.parametrize("n", [6, 10])
     def test_synthesis_covariance_is_exact(self, n, monkeypatch):
         # the synthesis is linear in its m = 2n normals: feeding path j the
         # unit vector e_j makes path j column j of the map M, and M M^T must
-        # be the Toeplitz matrix of the target autocovariance
+        # be the Toeplitz matrix of the circulant's autocovariance, which is
+        # the inverse real FFT of its half-spectrum
         class UnitDraw:
             def __init__(self, j):
                 self.j = j
@@ -204,32 +180,24 @@ class TestColoredGeneration:
                 out[self.j] = 1.0
 
         monkeypatch.setattr(noise, "path_stream", lambda seed, lane, i: UnitDraw(i))
-        tgt = exp_target(n, h=0.2, tau=0.5, variance=1.7)
-        m = 2 * n
-        cols = generate_colored(NoiseRequest(n_steps=n, n_paths=m, seed=1, target_acf=tgt)).paths
-        lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        toeplitz = tgt.variance * tgt.values[lags]
+        h = 0.2
+        req = NoiseRequest(n_steps=n, n_paths=2 * n, seed=1, target_spectrum=lorentz_target(h, 0.5, 1.7), h=h)
+        cols = generate_colored(req).paths
+        rho = np.fft.irfft(circulant_spectrum(req), 2 * n)[:n]
+        toeplitz = rho[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+        assert rho[0] > 1.0  # a colored target, not a degenerate one
         assert np.abs(cols.T @ cols - toeplitz).max() < 1e-12
 
     def test_delta_target_gives_iid_noise(self):
-        req = NoiseRequest(
-            n_steps=1024, n_paths=8, seed=11,
-            target_acf=delta_target(1024, h=0.1, variance=2.0),
-        )
+        # S = 2h on [0, pi/h] is the spectrum of a delta autocovariance of
+        # variance 2: every eigenvalue is 2 and the samples are iid
+        h = 0.1
+        req = NoiseRequest(n_steps=1024, n_paths=8, seed=11, target_spectrum=flat_target(h, 2.0), h=h)
+        assert np.abs(circulant_spectrum(req) - 2.0).max() < 1e-12
         x = generate_colored(req).paths
         assert abs(x.var() - 2.0) < 0.12
         lag1 = np.mean(x[:, 1:] * x[:, :-1]) / 2.0
         assert abs(lag1) < 3.0 / np.sqrt(x.size)
-
-    def test_exponential_target_acf_recovered(self):
-        h, tau, n = 0.05, 1.0, 2**12
-        tgt = exp_target(n, h=h, tau=tau, variance=1.5)
-        req = NoiseRequest(n_steps=n, n_paths=100, seed=7, target_acf=tgt)
-        x = generate_colored(req).paths
-        max_lag = int(5 * tau / h)
-        mean, se = sample_acf_per_path(x, max_lag)
-        truth = 1.5 * np.exp(-h * np.arange(max_lag + 1) / tau)
-        assert np.all(np.abs(mean - truth) <= 3.0 * se)
 
     def test_semicircle_spectrum_route_matches_band_limited_acf(self):
         # the compact-support force spectrum of the self-similar model; its
@@ -260,27 +228,28 @@ class TestColoredGeneration:
 
 class TestPositivityFailure:
     def test_indefinite_target_is_refused(self):
-        vals = np.zeros(1025)
-        vals[0], vals[1] = 1.0, 0.9  # spectrum 1 + 1.8 cos(w) dips to -0.8
-        req = NoiseRequest(
-            n_steps=1024, n_paths=1, seed=1,
-            target_acf=AcfSeries(h=0.1, values=vals),
-        )
+        # S = h (1 + 1.8 cos(omega h)) dips to -0.8 h near Nyquist
+        h = 0.1
+        omega = np.linspace(0.0, np.pi / h, 2001)
+        sd = SpectralDensity(omega=omega, values=h * (1.0 + 1.8 * np.cos(omega * h)))
+        req = NoiseRequest(n_steps=1024, n_paths=1, seed=1, target_spectrum=sd, h=h)
         with pytest.raises(SpectralPositivityError) as err:
             generate_colored(req)
         assert err.value.worst < -0.5
         assert "indefinite" in str(err.value)
 
-    def test_truncated_band_limited_acf_is_refused(self):
-        # a compact-support spectrum cannot be reached through the lag-domain
-        # route: truncating the slowly decaying oscillatory tail leaves
-        # negative ripple past the band edge, and doubling cannot cure it
-        h, n = 0.05, 2**12
-        lags = h * np.arange(n + 1)
-        tgt = AcfSeries(h=h, values=lambda1(2.0 * lags))
-        req = NoiseRequest(n_steps=n, n_paths=1, seed=1, target_acf=tgt)
-        with pytest.raises(SpectralPositivityError):
-            generate_colored(req)
+    def test_tiny_negatives_are_clamped(self):
+        # a negative tail 1e-10 of the peak is roundoff, not indefiniteness
+        h, n = 0.1, 64
+        sd = SpectralDensity(
+            omega=np.array([0.0, 1.0, 1.5, 3.0]), values=np.array([1.0, 1.0, -1e-10, -1e-10])
+        )
+        req = NoiseRequest(n_steps=n, n_paths=2, seed=1, target_spectrum=sd, h=h)
+        lam = circulant_spectrum(req)
+        omega = np.pi * np.arange(n + 1) / (n * h)
+        assert np.all(lam[omega >= 1.5] == 0.0)
+        assert np.all(lam[omega <= 1.0] == pytest.approx(1.0 / h))
+        assert np.all(np.isfinite(generate_colored(req).paths))
 
     def test_zero_spectrum_has_no_mass(self):
         sd = SpectralDensity(omega=np.array([0.0, 1.0]), values=np.array([0.0, 0.0]))
@@ -318,7 +287,7 @@ class TestWienerIncrements:
         # same master seed must not reuse draws across noise kinds
         w = generate_wiener_increments(256, 0.1, 1, seed=5)
         c = generate_colored(
-            NoiseRequest(n_steps=256, n_paths=1, seed=5, target_acf=delta_target(256))
+            NoiseRequest(n_steps=256, n_paths=1, seed=5, target_spectrum=flat_target(0.1), h=0.1)
         )
         assert not np.allclose(w.paths / np.sqrt(0.1), c.paths)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import lambertw
 
 from glemarket import specfun
 from glemarket.errors import DomainError
@@ -45,11 +46,9 @@ J1_TABLE = {
 }
 J0_FIRST_ZERO = 2.404825557695773
 J1_FIRST_ZERO = 3.831705970207512
-WM1_AT_MINUS_TENTH = -3.577152063957297
 W0_AT_ONE = 0.5671432904097839
 W0_AT_HALF = 0.35173371124919583
 W0_AT_MINUS_QUARTER = -0.3574029561813889
-WM1_AT_MINUS_QUARTER = -2.1532923641103496
 W0_EXP_11 = 8.822674899385971
 
 
@@ -133,18 +132,11 @@ def test_lambert_frozen_values():
     assert specfun.lambert_w0(-0.25) == pytest.approx(W0_AT_MINUS_QUARTER, abs=1e-14)
     assert specfun.lambert_w0(np.e) == pytest.approx(1.0, abs=1e-14)
     assert specfun.lambert_w0(0.0) == 0.0
-    assert specfun.lambert_wm1(-0.1) == pytest.approx(WM1_AT_MINUS_TENTH, abs=1e-13)
-    assert specfun.lambert_wm1(-0.25) == pytest.approx(WM1_AT_MINUS_QUARTER, abs=1e-13)
-    assert specfun.lambert_wm1(-np.exp(-1.0)) == pytest.approx(-1.0, abs=1e-7)
 
 
 def test_lambert_domains():
     with pytest.raises(DomainError):
         specfun.lambert_w0(-0.5)
-    with pytest.raises(DomainError):
-        specfun.lambert_wm1(0.1)
-    with pytest.raises(DomainError):
-        specfun.lambert_wm1(-1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -152,14 +144,6 @@ def test_lambert_domains():
 def test_lambert_w0_residual_property(x):
     w = specfun.lambert_w0(x)
     assert abs(w * np.exp(w) - x) <= 1e-12 * max(abs(x), 1e-10)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=-0.3678, max_value=-1e-8))
-def test_lambert_wm1_residual_property(x):
-    w = specfun.lambert_wm1(x)
-    assert w <= -1.0
-    assert abs(w * np.exp(w) - x) <= 1e-12 * abs(x)
 
 
 def test_lambert_w0_exp_matches_composition_and_oracle():
@@ -177,7 +161,7 @@ def test_lambert_w0_exp_matches_composition_and_oracle():
 def test_lambert_wm1_neg_exp_matches_branch():
     for z in (1.2, 2.0, 5.0, 30.0):
         composed = specfun.lambert_wm1_neg_exp(z)
-        direct = specfun.lambert_wm1(-np.exp(-z))
+        direct = lambertw(-np.exp(-z), -1).real
         assert composed == pytest.approx(direct, rel=1e-12)
     w = specfun.lambert_wm1_neg_exp(2000.0)  # -e^-z underflows; form survives
     v = -w
