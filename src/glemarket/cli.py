@@ -337,6 +337,11 @@ def cmd_simulate(args):
     # the summary ACF needs at least 4 samples (lag 1 at n/4)
     if args.n_steps < 4 or args.n_paths < 1:
         raise InputError("--n-steps must be >= 4 and --n-paths >= 1")
+    # checked for every model, before anything is written
+    if args.burn_in is not None and args.burn_in < 0:
+        raise InputError("--burn-in must be a nonnegative integer")
+    if args.max_lag < 1:
+        raise InputError("--max-lag must be >= 1")
     if args.model == "gbm" and (args.theta, args.tau_r, args.tau_R) != (None,) * 3:
         raise InputError("model 'gbm' takes --mu, --sigma, --variance and --M0 only")
     model = None if args.model == "gbm" else _build_model(args)
@@ -377,13 +382,14 @@ def _run_simulate(args, model, seed):
         return code
 
     ensemble = _simulate_ensemble(args, model, seed)
+    if args.emit_prices:  # built first: it validates --mu and --M0 before any write
+        mu = _param(args, "mu", 0.0)
+        M0 = _param(args, "M0", 1.0)
+        prices = price_from_returns(ensemble, mu=mu, M0=M0)
     paths_file = _out_path(args, f"{base}_paths.csv")
     _write_paths_csv(paths_file, ensemble.times, ensemble.paths)
     print(f"wrote {paths_file} (return rates, {ensemble.n_paths} paths x {ensemble.n_steps} samples)")
     if args.emit_prices:
-        mu = _param(args, "mu", 0.0)
-        M0 = _param(args, "M0", 1.0)
-        prices = price_from_returns(ensemble, mu=mu, M0=M0)
         prices_file = _out_path(args, f"{base}_prices.csv")
         _write_paths_csv(prices_file, prices.times, prices.paths, prices=True)
         print(f"wrote {prices_file} (prices via exp integral, mu={mu!r}, M0={M0!r})")
@@ -401,7 +407,7 @@ def _summarize_returns(args, ensemble, base):
         print(f"wrote {summary_file} (deterministic run: zero return variance, ACF omitted)")
         print("variance = 0.0")
         return 0
-    max_lag = max(1, min(ensemble.n_steps // 4, args.max_lag))
+    max_lag = min(ensemble.n_steps // 4, args.max_lag)
     acf, se = ensemble_acf(ensemble, max_lag)
     lags = acf.h * np.arange(max_lag + 1)
     _write_columns(summary_file, ["lag", "acf_mean", "acf_se"], lags, acf.values, se)

@@ -37,6 +37,10 @@ BASE_TERMS = 15
 # image points one inversion block may hold: memory stays O(BLOCK_POINTS)
 # whatever the number of times or the horizon
 BLOCK_POINTS = 2**15
+# image points one call may evaluate in all; the count is known before any
+# evaluation, and above this bound the call refuses instead of running for
+# many seconds (stock theta -> 0 needs ~1/theta points per time)
+INVERSION_POINT_BOUND = 5e7
 # binomial (Euler) weights averaging the last AVG_TERMS + 1 partial sums
 _EULER_WEIGHTS = (np.array([math.comb(AVG_TERMS, i) for i in range(AVG_TERMS + 1)])
                   / 2.0**AVG_TERMS)
@@ -94,7 +98,8 @@ def invert_at(evaluator, times, tolerance=1e-6):
 
     Returns the normalized ACF values; raises AccuracyError carrying the
     worst internal error estimate, over all blocks, if it exceeds
-    ``tolerance``.
+    ``tolerance``, and InputError, before any evaluation, if the blocks
+    would hold more than INVERSION_POINT_BOUND image points in all.
     """
     _require_invertible(evaluator)
     t = np.asarray(times, dtype=float)
@@ -105,6 +110,20 @@ def invert_at(evaluator, times, tolerance=1e-6):
     if not (0 < tolerance):
         raise InputError("tolerance must be positive")
 
+    order = np.argsort(t, kind="stable")
+    ts = t[order]
+    # pre-averaging term count of each time; a block sums the count of its last
+    n_pre = BASE_TERMS + np.ceil(1.8 * evaluator.freq_scale * ts / math.pi).astype(np.int64)
+    width = n_pre + AVG_TERMS + 2
+    stops = np.array(_block_stops(width))
+    points = float(np.diff(stops, prepend=0) @ width[stops - 1])
+    if points > INVERSION_POINT_BOUND:
+        raise InputError(
+            f"Laplace inversion too costly: {t.size} times up to t = {ts[-1]:.6g} need "
+            f"{points:.3g} image points (bound {INVERSION_POINT_BOUND:.3g}); "
+            "for stock models --route closed is exact"
+        )
+
     sym = _conjugate_residual(evaluator, (1.0 + 2.0j) / evaluator.corr_time)
     if sym > CONJUGATE_SYMMETRY_TOL:
         raise AccuracyError(
@@ -113,15 +132,10 @@ def invert_at(evaluator, times, tolerance=1e-6):
         )
 
     scale = evaluator.transform_scale
-    order = np.argsort(t, kind="stable")
-    ts = t[order]
-    # pre-averaging term count of each time; a block sums the count of its last
-    n_pre = BASE_TERMS + np.ceil(1.8 * evaluator.freq_scale * ts / math.pi).astype(np.int64)
-    width = n_pre + AVG_TERMS + 2
     values = np.empty(t.size)
     achieved = 0.0
     start = 0
-    for stop in _block_stops(width):
+    for stop in stops:
         tb = ts[start:stop]
         n0 = int(n_pre[stop - 1])
         k = np.arange(n0 + AVG_TERMS + 2)

@@ -35,10 +35,17 @@ integral collapses by the s -> t - s substitution):
     Boltzmann:     t c(t) = (1 - t/2) (c*c)(t)
     differential:  t c(t) = (c*c)(t) + (c*c*c)(t)
 
-Both determine c(t) stepwise from earlier values.  The lag-zero behavior
-is logarithmic, c = 1 -+ v ln v + B v with v = t/tau_R (minus/B = -gamma
-for Boltzmann, plus/B = -(2 - ln 2 - gamma) for the differential model).
-Two consequences for the discretization:
+Each step solves for c(t_j) given the earlier samples, but the
+convolutions run over the whole history, so stepping them one by one would
+cost O(n^2).  They are formed online instead (a relaxed product: Hairer,
+Lubich & Schlichte 1985; van der Hoeven 2002): a divide-and-conquer tree
+adds each finished block's share of the later sums with one FFT product,
+and each step adds only the lags of its own 64-lag leaf, for O(n log^2 n)
+work and O(n) memory.
+
+The lag-zero behavior is logarithmic, c = 1 -+ v ln v + B v with
+v = t/tau_R (minus/B = -gamma for Boltzmann, plus/B = -(2 - ln 2 - gamma)
+for the differential model).  Two consequences for the discretization:
 
 * Near t = 0 the identities are asymptotically scale-invariant, so a
   uniform-step march started at the corner locks onto a slightly wrong
@@ -284,6 +291,18 @@ def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed, burn_in=None)
 # integrated in product form against the known local behavior
 # a(s) = 1 + sign * s ln s + B s, with exact moments M0 = int a and
 # M1 = int s a over one panel.
+#
+# What remains at step j is the interior trapezoid sum over all earlier
+# lags, sum_{0<i<j} c_i c_{j-i} (and c_i q_{j-i} for the differential
+# model), of series the march itself extends.  _relaxed_lags forms these
+# sums online by divide and conquer: once the left half of a segment is
+# final, its share of the right half's sums is one product per sum (by
+# FFT from DIRECT_BELOW coefficients up), and each step adds only the pairs
+# inside its own leaf by a short inner product.  A level of the tree costs O(n log n), so n
+# steps cost O(n log^2 n) where full-history inner products cost O(n^2).
+
+RELAXED_LEAF = 64    # lags a leaf marches one by one (a power of two)
+DIRECT_BELOW = 256   # block products shorter than this convolve directly
 
 
 def _log_moments(h, sign, b):
@@ -338,31 +357,111 @@ def _panel_coeffs(variant, hh, c1):
     return gamma0, delta0
 
 
+def _relaxed_lags(c, q, start):
+    """Online sums s1 = c*c and s2 = c*q for a march that extends c and q.
+
+    c and q (None for s1 alone) span one grid of n lags with c[0] = q[0] = 0.
+    This generator yields (j, s1_j, s2_j), s1_j = sum_{0<i<j} c_i c_{j-i} and
+    s2_j = sum_{0<i<j} c_i q_{j-i} (0 without q), for j = max(start + 1, 2),
+    ..., n - 1 in turn; before asking for the next lag the caller must make
+    c[j] and q[j] final.  Entries up to ``start`` are final from the outset.
+
+    The lags form a power-of-two segment tree whose leaves are RELAXED_LEAF
+    lags wide.  Once the left half [lo, mid) of a segment is final, its
+    pairs landing in [mid, hi) are added with one product per sum (see
+    _spill).  Each boundary lo is the midpoint of exactly one segment, of
+    half-width lo & -lo.  Inside a leaf each lag adds the pairs whose larger
+    index lies in the leaf by an inner product against the first leaf.
+    Every pair is thus counted once, at the segment that splits its larger
+    index from its sum, for O(n log^2 n) work in all.
+    """
+    n = c.size
+    first = max(start + 1, 2)
+    leaf = RELAXED_LEAF
+    for j in range(first, min(leaf, n)):
+        s2 = 0.0 if q is None else c[1:j].dot(q[j - 1 : 0 : -1])
+        yield j, c[1:j].dot(c[j - 1 : 0 : -1]), s2
+    # the first leaf reversed: rc[leaf - 1 - k:] is c[k], ..., c[1]; the
+    # columns of rcq are rc and the same for q
+    rc = c[leaf - 1 : 0 : -1].copy()
+    rcq = None if q is None else np.stack([rc, q[leaf - 1 : 0 : -1]], axis=1)
+    acc = np.zeros((1 if q is None else 2, n))  # the sums gathered so far
+    acc1, acc2 = acc[0], acc[-1]  # acc2 is read only with q
+    for lo in range(leaf, n, leaf):
+        half = lo & -lo
+        hi = min(lo + half, n)
+        if hi > first:
+            _spill(c, q, acc, lo - half, lo, hi)
+        for j in range(max(lo, first), min(lo + leaf, n)):
+            k = leaf - 1 - (j - lo)
+            if q is None:
+                yield j, acc1.item(j) + 2.0 * c[lo:j].dot(rc[k:]), 0.0
+            else:
+                cc, cq = c[lo:j].dot(rcq[k:]).tolist()
+                yield j, acc1.item(j) + 2.0 * cc, acc2.item(j) + cq + q[lo:j].dot(rc[k:])
+
+
+def _spill(c, q, acc, lo, mid, hi):
+    """Add the pairs whose larger index lies in [lo, mid) to acc[:, mid:hi].
+
+    For lo = 0 these are c[:mid] c[:mid] (and c[:mid] q[:mid]).  Otherwise
+    the segment is no wider than lo, so every pair has one index in
+    [lo, mid) and the other below w = hi - lo, already final:
+    2 c[lo:mid] c[:w] (and c[lo:mid] q[:w] + q[lo:mid] c[:w]).  Products
+    shorter than DIRECT_BELOW convolve directly; longer ones share one FFT
+    of each operand slice.
+    """
+    w = hi - lo
+    reach = mid if lo == 0 else w  # length of the early factor
+    top = min(w, mid - lo + reach - 1)  # needed, capped by the product length
+    ops = [c] if q is None else [c, q]
+    if top < DIRECT_BELOW:
+        product = np.convolve
+        seg = [x[lo:mid] for x in ops]
+        early = [x[:reach] for x in ops]
+    else:
+        product = np.multiply
+        size = _five_smooth(mid - lo + reach - 1)
+        seg = [np.fft.rfft(x[lo:mid], size) for x in ops]
+        early = seg if lo == 0 else [np.fft.rfft(x[:reach], size) for x in ops]
+    rows = [product(seg[0], early[0])]
+    if q is not None:
+        rows.append(product(seg[0], early[1]))
+        if lo:
+            rows[1] = rows[1] + product(seg[1], early[0])
+    if lo:
+        rows[0] = rows[0] + rows[0]
+    parts = np.stack(rows) if top < DIRECT_BELOW else np.fft.irfft(np.stack(rows), size)
+    acc[:, mid : lo + top] += parts[:, mid - lo : top]
+
+
 def _boltzmann_march(hh, c, start):
     """Fill c[start+1:] of t c = (1 - t/2)(c*c); c[:start+1] already known."""
     n = c.size
-    t = hh * np.arange(n)
-    gamma0, delta0 = _panel_coeffs(Variant.BOLTZMANN, hh, c[1])
-    for j in range(max(start + 1, 2), n):
-        s1 = np.dot(c[1:j], c[j - 1 : 0 : -1])
-        known = hh * s1 + 2.0 * delta0 * c[j - 1]
+    t = (hh * np.arange(n)).tolist()
+    gamma0, delta0 = map(float, _panel_coeffs(Variant.BOLTZMANN, hh, c[1]))
+    c[0] = 0.0  # the interior sums exclude lag zero
+    for j, s1, _ in _relaxed_lags(c, None, start):
+        known = hh * s1 + 2.0 * delta0 * c.item(j - 1)
         half = 1.0 - 0.5 * t[j]
         c[j] = half * known / (t[j] - 2.0 * gamma0 * half)
+    c[0] = 1.0
 
 
 def _differential_march(hh, c, q, start):
     """Fill c[start+1:] of t c = (c*c) + (c*(c*c)); q holds (c*c) samples."""
     n = c.size
-    t = hh * np.arange(n)
-    gamma0, delta0 = _panel_coeffs(Variant.DIFFERENTIAL, hh, c[1])
-    for j in range(max(start + 1, 2), n):
-        s1 = np.dot(c[1:j], c[j - 1 : 0 : -1])
-        s2 = np.dot(c[1:j], q[j - 1 : 0 : -1])
-        known = hh * s1 + 2.0 * delta0 * c[j - 1]
-        c[j] = ((1.0 + gamma0) * known + hh * s2 + delta0 * q[j - 1]) / (
+    t = (hh * np.arange(n)).tolist()
+    gamma0, delta0 = map(float, _panel_coeffs(Variant.DIFFERENTIAL, hh, c[1]))
+    c[0] = 0.0  # the interior sums exclude lag zero; q[0] is 0 already
+    for j, s1, s2 in _relaxed_lags(c, q, start):
+        known = hh * s1 + 2.0 * delta0 * c.item(j - 1)
+        cj = ((1.0 + gamma0) * known + hh * s2 + delta0 * q.item(j - 1)) / (
             t[j] - 2.0 * gamma0 * (1.0 + gamma0)
         )
-        q[j] = 2.0 * gamma0 * c[j] + known
+        c[j] = cj
+        q[j] = 2.0 * gamma0 * cj + known
+    c[0] = 1.0
 
 
 def _lambert_type_acf(model, h, n_steps, variant):

@@ -3,10 +3,11 @@
 Everything here is deliberately brute force and shares no code with the
 package under test: truncated power series summed in mpmath arithmetic,
 bisection for zeros and for Lambert branches, and the step-by-step O(n^2)
-march of the discrete evolution equation.  The special-function outputs
-are computed first and frozen as literals in the test modules; the
-functions stay here so the frozen numbers can be regenerated.  The march
-is cheap enough to run live against the O(n log n) production route.
+marches of the discrete evolution equation and of the Lambert-type
+identities.  The special-function outputs are computed first and frozen as
+literals in the test modules; the functions stay here so the frozen
+numbers can be regenerated.  The marches are cheap enough to run live
+against the fast production routes.
 """
 
 import mpmath as mp
@@ -150,6 +151,53 @@ def integrate_gle_direct(k, h, f, r0=0.0):
             current_i = partial + 0.5 * h * k[0] * r[j + 1]
     return out
 
+
+# -- the step-by-step O(n^2) Lambert-type marches -----------------------------
+# One full-history inner product per lag: the reference for the relaxed
+# convolution in volterra.  The endpoint panel coefficients are recomputed
+# here from their closed-form moments.
+
+_EULER_GAMMA = 0.5772156649015329
+_STARTUP = {
+    # march -> (sign of the s ln s term, coefficient B of the linear term)
+    "boltzmann": (-1.0, -_EULER_GAMMA),
+    "differential": (1.0, -(2.0 - np.log(2.0) - _EULER_GAMMA)),
+}
+
+
+def _panel_coeffs(kind, hh, c1):
+    sign, b = _STARTUP[kind]
+    lh = np.log(hh)
+    m0 = hh + sign * 0.5 * hh * hh * (lh - 0.5) + 0.5 * b * hh * hh
+    m1 = 0.5 * hh * hh + sign * (hh**3 / 3.0) * (lh - 1.0 / 3.0) + b * hh**3 / 3.0
+    return m0 - m1 / hh, m1 / hh - 0.5 * hh * c1
+
+
+def boltzmann_march_direct(hh, c, start):
+    """Fill c[start+1:] of t c = (1 - t/2)(c*c); c[:start+1] already known."""
+    n = c.size
+    t = hh * np.arange(n)
+    gamma0, delta0 = _panel_coeffs("boltzmann", hh, c[1])
+    for j in range(max(start + 1, 2), n):
+        s1 = np.dot(c[1:j], c[j - 1 : 0 : -1])
+        known = hh * s1 + 2.0 * delta0 * c[j - 1]
+        half = 1.0 - 0.5 * t[j]
+        c[j] = half * known / (t[j] - 2.0 * gamma0 * half)
+
+
+def differential_march_direct(hh, c, q, start):
+    """Fill c[start+1:] of t c = (c*c) + (c*(c*c)); q holds (c*c) samples."""
+    n = c.size
+    t = hh * np.arange(n)
+    gamma0, delta0 = _panel_coeffs("differential", hh, c[1])
+    for j in range(max(start + 1, 2), n):
+        s1 = np.dot(c[1:j], c[j - 1 : 0 : -1])
+        s2 = np.dot(c[1:j], q[j - 1 : 0 : -1])
+        known = hh * s1 + 2.0 * delta0 * c[j - 1]
+        c[j] = ((1.0 + gamma0) * known + hh * s2 + delta0 * q[j - 1]) / (
+            t[j] - 2.0 * gamma0 * (1.0 + gamma0)
+        )
+        q[j] = 2.0 * gamma0 * c[j] + known
 
 if __name__ == "__main__":
     print("J0(1)       =", mp.nstr(j0_series(1), 17))

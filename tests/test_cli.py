@@ -167,6 +167,14 @@ class TestAcf:
         assert header == ["lag", "acf"]
         assert data[0, 1] == 1.0
 
+    def test_oversized_inversion_exits_2_and_points_to_closed(self, tmp_path):
+        args = ["acf", "--out-dir", str(tmp_path), "--model", "stock", "--theta", "0.0125",
+                "--h", "0.05", "--n-points", "8000"]
+        code, _, err = run_cli(*args, "--route", "laplace")
+        assert code == 2 and "image points" in err and "--route closed" in err
+        assert list(tmp_path.iterdir()) == []
+        assert run_cli(*args, "--route", "closed")[0] == 0
+
     def test_capability_gap_prints_matrix(self, tmp_path):
         code, _, err = run_cli(
             "acf", "--out-dir", str(tmp_path), "--model", "scaling", "--theta", "1.5",
@@ -312,6 +320,33 @@ class TestSimulate:
             "--n-paths", "1", "--n-steps", n_steps, "--h", "0.1", "--seed", "1",
         )
         assert code == 2 and "--n-steps must be >= 4" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--mu", "nan", "mu must be finite"),
+        ("--M0", "-1", "M0 must be positive"),
+    ])
+    def test_bad_price_flags_refused_before_writing(self, tmp_path, flag, value, message):
+        code, _, err = run_cli(
+            "simulate", "--out-dir", str(tmp_path), "--model", "stock", "--theta", "1",
+            "--n-paths", "1", "--n-steps", "64", "--h", "0.1", "--seed", "1",
+            "--emit-prices", flag, value,
+        )
+        assert code == 2 and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("model", ["gbm", "white", "stock"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--burn-in", "-5", "--burn-in must be a nonnegative integer"),
+        ("--max-lag", "0", "--max-lag must be >= 1"),
+        ("--max-lag", "-3", "--max-lag must be >= 1"),
+    ])
+    def test_window_flags_checked_for_every_model(self, tmp_path, model, flag, value, message):
+        code, _, err = run_cli(
+            "simulate", "--out-dir", str(tmp_path), "--model", model,
+            "--n-paths", "1", "--n-steps", "64", "--h", "0.1", "--seed", "1", flag, value,
+        )
+        assert code == 2 and message in err
         assert list(tmp_path.iterdir()) == []
 
     def test_config_supplies_seed_and_presets(self, tmp_path):

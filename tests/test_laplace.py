@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from glemarket.errors import AccuracyError, CapabilityError, InputError
-from glemarket.laplace import (AVG_TERMS, BASE_TERMS, BLOCK_POINTS, invert, invert_at,
-                               spectral_density)
+from glemarket.laplace import (AVG_TERMS, BASE_TERMS, BLOCK_POINTS, INVERSION_POINT_BOUND,
+                               invert, invert_at, spectral_density)
 from glemarket.models import (ModelSpec, ShapeEvaluator, closed_form_acf, force_evaluator,
                               observable_evaluator)
 from glemarket.specfun import bessel_j0, lambda1
@@ -129,6 +129,23 @@ def test_blocks_stay_within_budget_and_adapt_to_their_horizon():
     width = BASE_TERMS + np.ceil(1.8 * ev.freq_scale * t[-1] / np.pi) + AVG_TERMS + 2
     assert sum(sizes) < 0.6 * t.size * width
 
+
+def test_oversized_inversion_refused_before_any_evaluation():
+    # stock theta -> 0 needs ~1/theta image points per time; this grid would
+    # evaluate about 1.5e8 of them (tens of seconds) and is refused up front
+    calls = []
+
+    class Counting(ShapeEvaluator):
+        def __call__(self, p):
+            calls.append(np.size(p))
+            return super().__call__(p)
+
+    ev = Counting(ModelSpec.stock_theta(tau_r=1.0, theta=0.0125))
+    with pytest.raises(InputError, match="--route closed") as e:
+        invert_at(ev, 0.05 * np.arange(1, 8000))
+    assert calls == []
+    points = float(str(e.value).split(" need ")[1].split()[0])
+    assert points > INVERSION_POINT_BOUND
 
 def test_capability_refusals():
     with pytest.raises(CapabilityError):

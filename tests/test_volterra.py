@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from glemarket import volterra
 from glemarket.errors import CapabilityError, InputError
 from glemarket.models import ModelSpec, observable_shape
 from glemarket.series import KernelSeries, PathEnsemble
@@ -20,7 +21,7 @@ from glemarket.volterra import (
     propagate_acf,
     simulate_stationary_ensemble,
 )
-from oracles import integrate_gle_direct
+from oracles import boltzmann_march_direct, differential_march_direct, integrate_gle_direct
 
 # High-precision inversion references for the Lambert-type ACFs
 # (real-axis Gaver-Stehfest at 120+ digits, degree 28-40 cross-checked;
@@ -338,6 +339,99 @@ def test_march_variant_guard():
     with pytest.raises(InputError):
         differential_acf(ModelSpec.boltzmann(tau_R=1.0), 0.01, 64)
 
+
+# -- relaxed convolution against the quadratic march ---------------------------
+
+LAMBERT_MARCHES = [
+    (ModelSpec.boltzmann, boltzmann_acf, "_boltzmann_march", boltzmann_march_direct),
+    (ModelSpec.differential, differential_acf, "_differential_march", differential_march_direct),
+]
+
+
+@pytest.mark.parametrize("tau_R", [1.0, 2.5])
+@pytest.mark.parametrize("h", [0.01, 0.002, 0.0005])  # the last two: head longer than a leaf
+@pytest.mark.parametrize("n", [5, 63, 64, 65, 300, 2049, 8000])
+def test_relaxed_marches_match_quadratic_oracle(monkeypatch, n, h, tau_R):
+    for make, acf, name, oracle in LAMBERT_MARCHES:
+        m = make(tau_R=tau_R)
+        fast = acf(m, h, n).values
+        with monkeypatch.context() as patch:
+            patch.setattr(volterra, name, oracle)
+            slow = acf(m, h, n).values
+        assert fast.shape == slow.shape == (n,)
+        assert np.max(np.abs(fast - slow)) <= 1e-13
+
+
+@pytest.mark.parametrize("start", [1, 4, 63, 64, 200])
+@pytest.mark.parametrize("coupled", [False, True])
+def test_relaxed_lags_forms_every_causal_sum(start, coupled):
+    # a nonlinear march of one or two series, checked against full sums
+    n = 1000
+    rng = np.random.default_rng(7)
+    c = np.zeros(n)
+    q = np.zeros(n) if coupled else None
+    c[1 : start + 1] = rng.uniform(-1.0, 1.0, start)
+    if coupled:
+        q[1 : start + 1] = rng.uniform(-1.0, 1.0, start)
+    seen = []
+    for j, s1, s2 in volterra._relaxed_lags(c, q, start):
+        assert s1 == pytest.approx(np.dot(c[1:j], c[j - 1 : 0 : -1]), abs=1e-12)
+        if coupled:
+            assert s2 == pytest.approx(np.dot(c[1:j], q[j - 1 : 0 : -1]), abs=1e-12)
+            q[j] = np.cos(s2 - c[j - 1])
+        else:
+            assert s2 == 0.0
+        c[j] = np.sin(s1 + j)
+        seen.append(j)
+    assert seen == list(range(max(start + 1, 2), n))
+
+
+class _SliceLog(np.ndarray):
+    """Array view that logs the length of every 1-d slice taken from it."""
+
+    log = None
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) and _SliceLog.log is not None:
+            _SliceLog.log.append(len(range(*key.indices(self.shape[0]))))
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("make,acf", [(m[0], m[1]) for m in LAMBERT_MARCHES])
+def test_no_march_step_reaches_over_the_history(monkeypatch, make, acf):
+    # not a timing: every lag's inner products stay inside one leaf, and the
+    # block products sum to one pass over the lags per tree level
+    n = 4096
+    leaf = volterra.RELAXED_LEAF
+    step_reads, spill_widths, lags = [], [], []
+    real_lags, real_spill = volterra._relaxed_lags, volterra._spill
+
+    def logged_spill(c, q, acc, lo, mid, hi):
+        spill_widths.append(hi - lo)
+        _SliceLog.log = None
+        real_spill(c, q, acc, lo, mid, hi)
+        _SliceLog.log = step_reads
+
+    def logged_lags(c, q, start):
+        views = [None if x is None else x.view(_SliceLog) for x in (c, q)]
+        _SliceLog.log = step_reads
+        try:
+            for step in real_lags(*views, start):
+                lags.append(step[0])
+                yield step
+        finally:
+            _SliceLog.log = None
+
+    monkeypatch.setattr(volterra, "_relaxed_lags", logged_lags)
+    monkeypatch.setattr(volterra, "_spill", logged_spill)
+    h = 0.01
+    values = acf(make(tau_R=1.0), h, n).values
+    assert np.all(np.isfinite(values))
+    head = int(np.ceil(volterra.STARTUP_SPAN / h))
+    assert lags == list(range(head + 1, n))
+    assert step_reads and max(step_reads) <= leaf
+    levels = int(np.log2(n // leaf))
+    assert sum(spill_widths) <= n * levels
 
 # -- stationary ensembles ------------------------------------------------------
 
