@@ -344,7 +344,13 @@ def cmd_simulate(args):
         raise InputError("--max-lag must be >= 1")
     if args.model == "gbm" and (args.theta, args.tau_r, args.tau_R) != (None,) * 3:
         raise InputError("model 'gbm' takes --mu, --sigma, --variance and --M0 only")
+    if args.model == "gbm" and args.emit_prices:
+        raise InputError("model 'gbm' writes prices already; --emit-prices is for return models")
     model = None if args.model == "gbm" else _build_model(args)
+    # flags that would change nothing are refused, like gbm's model flags
+    if args.burn_in is not None and (model is None or model.memoryless):
+        raise InputError(f"--burn-in is for kernel-driven models; a {args.model} run "
+                         "is sampled exactly from its first step")
     size = _simulate_size(args, model)
     try:
         return _run_simulate(args, model, seed)

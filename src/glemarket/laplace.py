@@ -1,21 +1,33 @@
 """Numerical inversion of Laplace-domain ACF images, and spectral densities.
 
-The inverter is the Euler-accelerated Fourier-series (Bromwich) method: for
-each time t the image is sampled along the vertical line Re p = A/(2t),
+The inverter sums the Fourier series of the Bromwich integral (Dubner &
+Abate 1968; Crump 1976) on contours that whole octaves of times share, and
+takes the series' limit by Wynn's epsilon algorithm (Wynn 1956), as de Hoog,
+Knight & Stokes (1982) do.  The times are grouped in octaves
+t in (t_J/2, t_J], t_J = J t_min for J = 1, 2, 4, ..., so the groups go down
+to single times; one contour cannot serve them all, because early times
+would then sit far below its half-period.  An octave's contour has
+half-period T = 2 t_J and abscissa sigma = A/T, and it samples the image F
+at p_k = sigma + i pi k/T for k = 0 .. K + M:
 
-    f(t) ~ (e^(A/2)/t) [ Re f(A/2t)/2 + sum_k (-1)^k Re f((A + 2 i pi k)/(2t)) ],
+    f(t) ~ (e^(sigma t)/T) Re sum_k a_k e^(i pi k t/T),  a_0 = F(sigma)/2, a_k = F(p_k).
 
-with binomial (Euler) averaging of the tail partial sums.  A = 23 puts the
-series-truncation bias near 1e-10, which is also the double-precision noise
-floor of the e^(A/2) prefactor; the pre-averaging term count adapts to the
-image's frequency scale so oscillatory ACFs (light/ultra-light stocks) stay
-resolved out to the requested horizon.
+The series aliases f(t + 2nT) with weight e^(-2n sigma T) = e^(-2nA), which
+A = 23 makes negligible; the factor e^(sigma t) <= e^(A/2) ~ 1e5 amplifies
+rounding, and sets the ~1e-10 floor measured against the closed forms.
+K = MIN_TERMS + ceil(freq_scale T/pi) resolves the image out to its
+frequency scale, so the image-point count grows only linearly in
+freq_scale t_max.  Wynn's epsilon runs on the complex partial sums
+S_K .. S_(K+M), M = EPSILON_TERMS, and the real part is taken last: on real
+parts alone it stalls at 1e-5 to 1e-7.  The achieved error estimate is the
+distance between the last two even epsilon columns, times e^(sigma t)/T.
 
-The times are inverted in ascending order, in blocks of at most BLOCK_POINTS
-image points, and each block sums the term count its own largest time
-needs.  Early lags thus stop paying for the horizon: a uniform lag grid
-costs about n_times * n(t_max) / 2 image evaluations, half of one shared
-count, and memory stays O(BLOCK_POINTS) however many times are asked for.
+On a uniform grid t_j = j h an octave has N = 2T/h = 4J, and e^(i pi k t/T)
+is the N-th root of unity to the power k j, so its partial sums S_K are one
+inverse FFT of the coefficients folded mod N: a grid of n lags costs
+O(n log n) operations and O(freq_scale t_max + (MIN_TERMS + M) log n) image
+points.  At arbitrary times each octave sums its series directly, which
+costs the octave's times x its image points.
 
 Only models whose shapes extend off the real axis can be inverted here;
 the Lambert-type and functional-equation models are real-axis only and get
@@ -23,7 +35,6 @@ their ACFs from the time-domain evolution routines in ``volterra``.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,19 +42,14 @@ from .errors import AccuracyError, CapabilityError, InputError
 from .models import ShapeEvaluator
 from .series import AcfSeries, SpectralDensity
 
-EULER_A = 23.0
-AVG_TERMS = 12
-BASE_TERMS = 15
-# image points one inversion block may hold: memory stays O(BLOCK_POINTS)
-# whatever the number of times or the horizon
-BLOCK_POINTS = 2**15
-# image points one call may evaluate in all; the count is known before any
-# evaluation, and above this bound the call refuses instead of running for
-# many seconds (stock theta -> 0 needs ~1/theta points per time)
-INVERSION_POINT_BOUND = 5e7
-# binomial (Euler) weights averaging the last AVG_TERMS + 1 partial sums
-_EULER_WEIGHTS = (np.array([math.comb(AVG_TERMS, i) for i in range(AVG_TERMS + 1)])
-                  / 2.0**AVG_TERMS)
+CONTOUR_A = 23.0
+MIN_TERMS = 64
+EPSILON_TERMS = 12  # even, so Wynn's last column is an estimate
+# image points on one contour (memory) and image-point x time terms of the
+# direct sums (time): both are known before any evaluation, and above them a
+# call refuses (stock theta -> 0 needs ~1/theta points per contour)
+CONTOUR_POINT_BOUND = 2**20
+DIRECT_TERM_BOUND = 1e9
 # spot check of f(conj p) = conj f(p); violations mean the image cannot be
 # the transform of a real function and the cosine-series inversion is invalid
 CONJUGATE_SYMMETRY_TOL = 1e-8
@@ -64,42 +70,112 @@ def _require_invertible(evaluator):
         )
 
 
-def _conjugate_residual(evaluator, p0):
+def _wynn(sums):
+    """Wynn's epsilon table down the rows of ``sums`` (one column per time).
+
+    Returns the last even column's estimate and its distance from the even
+    column before.  A zero difference (a sum that has already converged)
+    makes the next odd entry infinite; an even entry that comes out
+    non-finite keeps the estimate two columns back.
+    """
+    prev, cur = np.zeros((sums.shape[0] + 1, sums.shape[1]), complex), sums
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for col in range(1, sums.shape[0]):
+            new = prev[1:-1] + 1.0 / (cur[1:] - cur[:-1])
+            if col % 2 == 0:
+                new = np.where(np.isfinite(new), new, prev[1:-1])
+                last_even = prev
+            prev, cur = cur, new
+    return cur[0], np.abs(cur[0] - last_even[-1])
+
+
+def _octave(evaluator, t_top, t, n_fft, n_points):
+    """Invert at the times t <= t_top of one octave on its shared contour.
+
+    With ``n_fft`` the times are j T/(n_fft/2) and the leading K + 1 terms
+    are summed by one inverse FFT.  Without it they are summed directly:
+    k = width k1 + k0 splits e^(i pi k t/T) into two factors, so a slab of
+    times costs one matrix product and O(sqrt K) exponentials per time.
+    The last M terms are added per time.  Returns the values and their
+    error estimates.
+    """
+    T = 2.0 * t_top
+    sigma = CONTOUR_A / T
+    k = np.arange(n_points)
+    a = evaluator.transform_scale * np.asarray(evaluator(sigma + 1j * math.pi / T * k))
+    a[0] *= 0.5
+    lead = n_points - EPSILON_TERMS
+    if n_fft:  # e^(i pi k t/T) = e^(2 pi i k j/N): fold k mod N
+        folded = np.pad(a[:lead], (0, -lead % n_fft)).reshape(-1, n_fft).sum(axis=0)
+        head = n_fft * np.fft.ifft(folded)[np.rint(t * n_fft / (2.0 * T)).astype(np.int64)]
+    else:
+        width = math.isqrt(lead - 1) + 1
+        blocks = np.pad(a[:lead], (0, -lead % width)).reshape(-1, width).T
+        rows = max(1, 2**16 // width)  # times per slab of about 2^16 entries
+        head = np.empty(t.size, complex)
+        for i in range(0, t.size, rows):
+            phase = 1j * math.pi / T * t[i : i + rows, None]
+            inner = np.exp(phase * np.arange(width)) @ blocks
+            outer = np.exp(phase * width * np.arange(blocks.shape[1]))
+            head[i : i + rows] = np.sum(inner * outer, axis=1)
+    tail = a[lead:, None] * np.exp(1j * math.pi / T * np.outer(k[lead:], t))
+    limit, change = _wynn(np.cumsum(np.concatenate([head[None, :], tail]), axis=0))
+    weight = np.exp(sigma * t) / T
+    return weight * limit.real, weight * change
+
+
+def _invert_octaves(evaluator, tops, groups, n_ffts, tolerance):
+    """Invert each group of times on the contour of its octave top, in order.
+
+    ``n_ffts`` holds each octave's FFT length on a uniform grid, or None
+    for direct sums.  Refuses, before any evaluation, a contour above
+    CONTOUR_POINT_BOUND image points or direct sums above DIRECT_TERM_BOUND
+    terms.  Raises AccuracyError when the image fails the initial-value
+    check c(0) = 1 or the conjugate-symmetry spot check, or when the worst
+    error estimate exceeds ``tolerance``.
+    """
+    if not (0 < tolerance):
+        raise InputError("tolerance must be positive")
+    points = [MIN_TERMS + math.ceil(2.0 * evaluator.freq_scale * top / math.pi) + EPSILON_TERMS + 1
+              for top in tops]
+    terms = sum(n * g.size for n, g in zip(points, groups))
+    if max(points) > CONTOUR_POINT_BOUND or (n_ffts is None and terms > DIRECT_TERM_BOUND):
+        need = (f"{max(points)} image points on one contour (bound {CONTOUR_POINT_BOUND})"
+                if max(points) > CONTOUR_POINT_BOUND else
+                f"{terms:.3g} image-point x time terms (bound {DIRECT_TERM_BOUND:.3g})")
+        raise InputError(f"Laplace inversion too costly: {sum(g.size for g in groups)} times up "
+                         f"to t = {groups[-1][-1]:.6g} need {need}; --route closed needs no inversion")
+    # initial-value theorem: p * image(p) -> c(0) = 1 as real p -> inf
+    p_big = 1e7 / evaluator.corr_time
+    c0 = p_big * evaluator.transform_scale * float(evaluator(p_big))
+    p0 = (1.0 + 2.0j) / evaluator.corr_time
     up = evaluator(p0)
-    down = evaluator(np.conj(p0))
-    return abs(down - np.conj(up)) / max(abs(up), 1e-300)
-
-
-def _block_stops(width):
-    """End indices of consecutive blocks over times sorted ascending, whose
-    rows need ``width`` image points each: a block takes as many times as
-    fit in BLOCK_POINTS at the width of its last (largest) time, and never
-    fewer than one."""
-    stops = []
-    start = 0
-    while start < width.size:
-        # width is nondecreasing, so no block starting here fits more rows
-        reach = min(width.size - start, max(1, BLOCK_POINTS // int(width[start])))
-        load = np.arange(1, reach + 1) * width[start : start + reach]
-        start += max(1, int(np.searchsorted(load, BLOCK_POINTS, side="right")))
-        stops.append(start)
-    return stops
+    for residual, bound, message in (
+        (abs(c0 - 1.0), 1e-3, "image fails the initial-value check for a normalized ACF"),
+        (abs(evaluator(np.conj(p0)) - np.conj(up)) / max(abs(up), 1e-300),
+         CONJUGATE_SYMMETRY_TOL, "image violates conjugate symmetry; not a real ACF transform"),
+    ):
+        if residual > bound:
+            raise AccuracyError(message, achieved=residual)
+    results = [_octave(evaluator, *octave)
+               for octave in zip(tops, groups, n_ffts or [None] * len(groups), points)]
+    achieved = max(float(np.max(change)) for _, change in results)
+    if achieved > tolerance:
+        raise AccuracyError("inversion error estimate above requested tolerance", achieved=achieved)
+    return np.concatenate([values for values, _ in results])
 
 
 def invert_at(evaluator, times, tolerance=1e-6):
     """Invert the normalized ACF image at strictly positive times.
 
-    The times are inverted in ascending order, block by block, and returned
-    in the caller's order.  Each block holds at most BLOCK_POINTS image
-    points (a time that alone needs more gets a block of its own) and sums
-    BASE_TERMS + ceil(1.8 freq_scale t_max / pi) terms before averaging,
-    with t_max the block's largest time.  A uniform lag grid thus costs
-    about n_times * n(t_max) / 2 image points and O(BLOCK_POINTS) memory.
-
-    Returns the normalized ACF values; raises AccuracyError carrying the
-    worst internal error estimate, over all blocks, if it exceeds
-    ``tolerance``, and InputError, before any evaluation, if the blocks
-    would hold more than INVERSION_POINT_BOUND image points in all.
+    The times are grouped in octaves (t_J/2, t_J], t_J = 2^q t_min, and each
+    octave sums its contour's Fourier series directly at its times (see the
+    module docstring), at a cost of its times x its image points.  Returns
+    the normalized ACF values in the caller's order, a float for a scalar
+    time.  Raises AccuracyError carrying the worst error estimate if it
+    exceeds ``tolerance``, and InputError, before any evaluation, above
+    CONTOUR_POINT_BOUND image points on one contour or DIRECT_TERM_BOUND
+    terms in all.  Uniform grids are cheaper through ``invert``.
     """
     _require_invertible(evaluator)
     t = np.asarray(times, dtype=float)
@@ -107,80 +183,36 @@ def invert_at(evaluator, times, tolerance=1e-6):
     t = np.atleast_1d(t)
     if t.size == 0 or np.any(t <= 0) or not np.all(np.isfinite(t)):
         raise InputError("times must be finite and > 0")
-    if not (0 < tolerance):
-        raise InputError("tolerance must be positive")
-
     order = np.argsort(t, kind="stable")
     ts = t[order]
-    # pre-averaging term count of each time; a block sums the count of its last
-    n_pre = BASE_TERMS + np.ceil(1.8 * evaluator.freq_scale * ts / math.pi).astype(np.int64)
-    width = n_pre + AVG_TERMS + 2
-    stops = np.array(_block_stops(width))
-    points = float(np.diff(stops, prepend=0) @ width[stops - 1])
-    if points > INVERSION_POINT_BOUND:
-        raise InputError(
-            f"Laplace inversion too costly: {t.size} times up to t = {ts[-1]:.6g} need "
-            f"{points:.3g} image points (bound {INVERSION_POINT_BOUND:.3g}); "
-            "for stock models --route closed is exact"
-        )
-
-    sym = _conjugate_residual(evaluator, (1.0 + 2.0j) / evaluator.corr_time)
-    if sym > CONJUGATE_SYMMETRY_TOL:
-        raise AccuracyError(
-            "image violates conjugate symmetry; not a real ACF transform",
-            achieved=sym,
-        )
-
-    scale = evaluator.transform_scale
+    # ceil rounds a time at an octave top up an octave at worst: still on its contour
+    q, starts = np.unique(np.maximum(np.ceil(np.log2(ts / ts[0])), 0.0), return_index=True)
     values = np.empty(t.size)
-    achieved = 0.0
-    start = 0
-    for stop in stops:
-        tb = ts[start:stop]
-        n0 = int(n_pre[stop - 1])
-        k = np.arange(n0 + AVG_TERMS + 2)
-        p = (0.5 * EULER_A + 1j * math.pi * k[None, :]) / tb[:, None]
-        terms = scale * np.real(np.asarray(evaluator(p.ravel())).reshape(p.shape))
-        terms[:, 1::2] *= -1.0
-        terms[:, 0] *= 0.5
-        partial = np.cumsum(terms, axis=1)
-        prefactor = math.exp(0.5 * EULER_A) / tb
-        vals = (partial[:, n0 : n0 + AVG_TERMS + 1] @ _EULER_WEIGHTS) * prefactor
-        shifted = (partial[:, n0 + 1 : n0 + AVG_TERMS + 2] @ _EULER_WEIGHTS) * prefactor
-        achieved = max(achieved, float(np.max(np.abs(vals - shifted))))
-        values[order[start:stop]] = vals
-        start = stop
-    if achieved > tolerance:
-        raise AccuracyError(
-            "inversion error estimate above requested tolerance", achieved=achieved
-        )
+    values[order] = _invert_octaves(evaluator, ts[0] * 2.0**q, np.split(ts, starts[1:]),
+                                    None, tolerance)
     return float(values[0]) if scalar else values
 
 
 def invert(evaluator, h, n_lags, tolerance=1e-6):
     """Invert an ACF image onto the uniform lag grid 0, h, ..., (n_lags-1) h.
 
-    The lag-0 value is pinned to 1 by normalization after an initial-value
-    cross-check of the image's large-p behavior; the rest comes from the
-    Euler-accelerated series.  Returns a normalized AcfSeries whose variance
-    is the dimensionful equal-time value of the requested ACF.
+    The lag-0 value is pinned to 1 by normalization, which the initial-value
+    check of the image's large-p behavior backs.  Lags j in (J/2, J],
+    J = 1, 2, 4, ..., share the contour with t_J = J h, and their partial
+    sums are one inverse FFT of length 4J, so the grid costs O(n log n)
+    operations.  Returns a normalized AcfSeries whose variance is the
+    dimensionful equal-time value of the requested ACF; raises as
+    ``invert_at`` does.
     """
     _require_invertible(evaluator)
     if not (h > 0 and np.isfinite(h)):
         raise InputError("h must be positive and finite")
     if not (isinstance(n_lags, (int, np.integer)) and n_lags >= 2):
         raise InputError("n_lags must be an integer >= 2")
-    # initial-value theorem: p * image(p) -> c(0) = 1 as real p -> inf
-    p_big = 1e7 / evaluator.corr_time
-    c0 = p_big * evaluator.transform_scale * float(evaluator(p_big))
-    if abs(c0 - 1.0) > 1e-3:
-        raise AccuracyError(
-            "image fails the initial-value check for a normalized ACF",
-            achieved=abs(c0 - 1.0),
-        )
-    lags = h * np.arange(1, n_lags)
-    values = np.concatenate(([1.0], invert_at(evaluator, lags, tolerance)))
-    return AcfSeries(h=h, values=values, variance=evaluator.peak_variance)
+    tops = 2 ** np.arange(int(n_lags - 2).bit_length() + 1)
+    lags = [h * np.arange(top // 2 + 1, min(top, n_lags - 1) + 1) for top in tops]
+    values = _invert_octaves(evaluator, h * tops, lags, list(4 * tops), tolerance)
+    return AcfSeries(h=h, values=np.concatenate(([1.0], values)), variance=evaluator.peak_variance)
 
 
 def spectral_density(evaluator, omega):

@@ -168,12 +168,16 @@ class TestAcf:
         assert data[0, 1] == 1.0
 
     def test_oversized_inversion_exits_2_and_points_to_closed(self, tmp_path):
-        args = ["acf", "--out-dir", str(tmp_path), "--model", "stock", "--theta", "0.0125",
-                "--h", "0.05", "--n-points", "8000"]
+        # a horizon of 1e6 tau_R needs about 2e6 image points on its top contour
+        args = ["acf", "--out-dir", str(tmp_path), "--model", "selfsim",
+                "--h", "100", "--n-points", "10000"]
         code, _, err = run_cli(*args, "--route", "laplace")
         assert code == 2 and "image points" in err and "--route closed" in err
         assert list(tmp_path.iterdir()) == []
         assert run_cli(*args, "--route", "closed")[0] == 0
+        # stock theta = 0.0125 at 8000 lags needs only about 1e5 image points
+        assert run_cli("acf", "--out-dir", str(tmp_path), "--model", "stock", "--theta", "0.0125",
+                       "--h", "0.05", "--n-points", "8000", "--route", "laplace")[0] == 0
 
     def test_capability_gap_prints_matrix(self, tmp_path):
         code, _, err = run_cli(
@@ -345,6 +349,22 @@ class TestSimulate:
         code, _, err = run_cli(
             "simulate", "--out-dir", str(tmp_path), "--model", model,
             "--n-paths", "1", "--n-steps", "64", "--h", "0.1", "--seed", "1", flag, value,
+        )
+        assert code == 2 and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--model", "gbm", "--emit-prices"], "model 'gbm' writes prices already"),
+        (["--model", "gbm", "--burn-in", "5"], "--burn-in is for kernel-driven models"),
+        (["--model", "white", "--burn-in", "5"], "--burn-in is for kernel-driven models"),
+        (["--model", "stock", "--theta", "0", "--burn-in", "0"],
+         "--burn-in is for kernel-driven models"),
+    ], ids=["gbm-emit-prices", "gbm-burn-in", "white-burn-in", "stock0-burn-in"])
+    def test_flags_that_change_nothing_refused_before_writing(self, tmp_path, argv, message):
+        # gbm always writes prices, and memoryless models have no warm-up to burn
+        code, _, err = run_cli(
+            "simulate", "--out-dir", str(tmp_path), *argv,
+            "--n-paths", "1", "--n-steps", "8", "--h", "0.1", "--seed", "1",
         )
         assert code == 2 and message in err
         assert list(tmp_path.iterdir()) == []

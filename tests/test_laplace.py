@@ -6,11 +6,28 @@ import numpy as np
 import pytest
 
 from glemarket.errors import AccuracyError, CapabilityError, InputError
-from glemarket.laplace import (AVG_TERMS, BASE_TERMS, BLOCK_POINTS, INVERSION_POINT_BOUND,
-                               invert, invert_at, spectral_density)
+from glemarket.laplace import (CONTOUR_POINT_BOUND, DIRECT_TERM_BOUND, EPSILON_TERMS, MIN_TERMS,
+                               _wynn, invert, invert_at, spectral_density)
 from glemarket.models import (ModelSpec, ShapeEvaluator, closed_form_acf, force_evaluator,
                               observable_evaluator)
 from glemarket.specfun import bessel_j0, lambda1
+from oracles import euler_invert_at
+
+
+class Counting(ShapeEvaluator):
+    """Observable evaluator that logs the size of every image evaluation."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        object.__setattr__(self, "sizes", [])
+
+    def __call__(self, p):
+        self.sizes.append(np.size(p))
+        return super().__call__(p)
+
+
+def euler(ev, times):
+    return euler_invert_at(ev, ev.transform_scale, ev.freq_scale, times)
 
 
 def test_white_noise_inverts_to_exponential():
@@ -113,39 +130,74 @@ def test_peak_memory_does_not_grow_with_times_by_horizon():
     assert peak < 20e6
 
 
-def test_blocks_stay_within_budget_and_adapt_to_their_horizon():
-    sizes = []
-
-    class Counting(ShapeEvaluator):
-        def __call__(self, p):
-            sizes.append(np.size(p))
-            return super().__call__(p)
-
+def test_uniform_grid_image_points_grow_with_the_horizon_only():
+    # the per-time Euler lines needed 2.1e6 image points for this grid
     ev = Counting(ModelSpec.linear_self_similar(tau_R=1.0))
-    t = 0.05 * np.arange(1, 8000)
-    invert_at(ev, t)
-    assert max(sizes) <= BLOCK_POINTS
-    # every time at the horizon's term count would cost n_times x width(t_max)
-    width = BASE_TERMS + np.ceil(1.8 * ev.freq_scale * t[-1] / np.pi) + AVG_TERMS + 2
-    assert sum(sizes) < 0.6 * t.size * width
+    n = 8000
+    invert(ev, h=0.05, n_lags=n)
+    t_max = 0.05 * (n - 1)
+    # octave tops up to 2 t_max: the K terms sum to at most 2 K(2 t_max)
+    horizon = 2.0 * np.ceil(2.0 * ev.freq_scale * 2.0 * t_max / np.pi)
+    per_octave = MIN_TERMS + EPSILON_TERMS + 1
+    assert sum(ev.sizes) <= horizon + per_octave * (np.log2(n) + 2) + 8
+    assert sum(ev.sizes) < 2.1e6 / 500
+    # doubling the lags at a fixed horizon adds one octave, not n points
+    ev2 = Counting(ModelSpec.linear_self_similar(tau_R=1.0))
+    invert(ev2, h=0.025, n_lags=2 * n - 1)
+    assert sum(ev2.sizes) - sum(ev.sizes) <= per_octave + 1
+
+
+def test_small_theta_grid_inverts_and_matches_the_euler_oracle():
+    # stock theta -> 0 needs ~1/theta image points per contour; the per-time
+    # Euler lines needed 1.5e8 for this grid and were refused
+    ev = observable_evaluator(ModelSpec.stock_theta(tau_r=1.0, theta=0.0125))
+    acf = invert(ev, h=0.05, n_lags=8000)
+    sample = np.arange(1, 8000, 97)
+    assert np.max(np.abs(acf.values[sample] - euler(ev, acf.lags[sample]))) < 2e-9
+    assert np.max(np.abs(acf.values - closed_form_acf(ev.model, acf.lags))) < 2e-9
+
+
+@pytest.mark.parametrize("model", [
+    ModelSpec.linear_self_similar(tau_R=1.0),
+    ModelSpec.stock_theta(tau_r=1.0, theta=0.5),
+    ModelSpec.stock_theta(tau_r=1.0, theta=3.0),
+], ids=["selfsim", "stock0.5", "stock3"])
+def test_fft_and_direct_sums_match_the_euler_oracle(model):
+    ev = observable_evaluator(model)
+    acf = invert(ev, h=0.05, n_lags=1200)
+    assert np.max(np.abs(acf.values[1:] - euler(ev, acf.lags[1:]))) < 2e-9
+    rng = np.random.default_rng(5)
+    t = rng.uniform(0.01, 60.0, 300)
+    t = rng.permutation(np.concatenate([t, rng.choice(t, 60)]))
+    assert np.max(np.abs(invert_at(ev, t) - euler(ev, t))) < 2e-9
+
+
+def test_wynn_keeps_converged_sums_without_warnings():
+    # equal partial sums make every difference zero; warnings are errors here
+    sums = np.full((EPSILON_TERMS + 1, 3), 0.25 + 0.5j)
+    sums[:, 2] = 1.0 - 0.5 ** np.arange(EPSILON_TERMS + 1)  # geometric: exact limit 1
+    limit, change = _wynn(sums)
+    assert np.all(np.isfinite(limit)) and np.all(np.isfinite(change))
+    assert np.allclose(limit, [0.25 + 0.5j, 0.25 + 0.5j, 1.0], rtol=0, atol=1e-15)
 
 
 def test_oversized_inversion_refused_before_any_evaluation():
-    # stock theta -> 0 needs ~1/theta image points per time; this grid would
-    # evaluate about 1.5e8 of them (tens of seconds) and is refused up front
-    calls = []
-
-    class Counting(ShapeEvaluator):
-        def __call__(self, p):
-            calls.append(np.size(p))
-            return super().__call__(p)
-
-    ev = Counting(ModelSpec.stock_theta(tau_r=1.0, theta=0.0125))
+    # stock theta -> 0: at arbitrary times each image point enters every
+    # sum of its octave, about 2.8e9 terms here
+    ev = Counting(ModelSpec.stock_theta(tau_r=1.0, theta=1e-3))
     with pytest.raises(InputError, match="--route closed") as e:
         invert_at(ev, 0.05 * np.arange(1, 8000))
-    assert calls == []
-    points = float(str(e.value).split(" need ")[1].split()[0])
-    assert points > INVERSION_POINT_BOUND
+    assert ev.sizes == []
+    terms = float(str(e.value).split(" need ")[1].split()[0])
+    assert terms > DIRECT_TERM_BOUND
+    # the grid sums each point once, but one contour still has to hold them
+    ev = Counting(ModelSpec.stock_theta(tau_r=1.0, theta=1e-4))
+    with pytest.raises(InputError, match="image points on one contour") as e:
+        invert(ev, h=0.05, n_lags=8000)
+    assert ev.sizes == []
+    points = int(str(e.value).split(" need ")[1].split()[0])
+    assert points > CONTOUR_POINT_BOUND
+
 
 def test_capability_refusals():
     with pytest.raises(CapabilityError):
