@@ -53,7 +53,7 @@ from .models import (
 from .noise import LANES, _check_seed, generate_wiener_increments
 from .series import PathEnsemble
 from .specfun import lambda0, lambda1
-from .volterra import (_generated_steps, boltzmann_acf, differential_acf, memory_kernel,
+from .volterra import (_circulant_length, boltzmann_acf, differential_acf, memory_kernel,
                        propagate_acf, simulate_stationary_ensemble)
 
 _PRESET_KEYS = (
@@ -299,11 +299,9 @@ _LANE_LEGEND = "seed lanes: " + ", ".join(f"{name}={lane}" for name, lane in LAN
 def _simulate_ensemble(args, model, seed):
     h, n_steps, n_paths = args.h, args.n_steps, args.n_paths
     if model.memoryless:
-        # the exact one-step sampler, not the kernel route
+        # the exact one-step sampler, not the circulant route
         return simulate_white_returns(model.corr_time, model.variance, n_steps, h, n_paths, seed)
-    return simulate_stationary_ensemble(
-        model, h, n_steps, n_paths, seed, burn_in=args.burn_in
-    )
+    return simulate_stationary_ensemble(model, h, n_steps, n_paths, seed)
 
 
 def _write_paths_csv(path, times, paths, prices=False):
@@ -320,7 +318,7 @@ def _simulate_size(args, model):
     eight float64 arrays per path and two shared, over the generated grid."""
     samples = args.n_steps
     if model is not None and not model.memoryless:
-        samples = _generated_steps(model, args.h, args.n_steps, args.burn_in)
+        samples = _circulant_length(args.n_steps)
     need = 64 * (args.n_paths + 2) * samples
     size = f"{args.n_paths} paths x {samples} steps need about {need:.3g} bytes"
     if hasattr(os, "sysconf"):
@@ -338,8 +336,6 @@ def cmd_simulate(args):
     if args.n_steps < 4 or args.n_paths < 1:
         raise InputError("--n-steps must be >= 4 and --n-paths >= 1")
     # checked for every model, before anything is written
-    if args.burn_in is not None and args.burn_in < 0:
-        raise InputError("--burn-in must be a nonnegative integer")
     if args.max_lag < 1:
         raise InputError("--max-lag must be >= 1")
     if args.model == "gbm" and (args.theta, args.tau_r, args.tau_R) != (None,) * 3:
@@ -347,10 +343,6 @@ def cmd_simulate(args):
     if args.model == "gbm" and args.emit_prices:
         raise InputError("model 'gbm' writes prices already; --emit-prices is for return models")
     model = None if args.model == "gbm" else _build_model(args)
-    # flags that would change nothing are refused, like gbm's model flags
-    if args.burn_in is not None and (model is None or model.memoryless):
-        raise InputError(f"--burn-in is for kernel-driven models; a {args.model} run "
-                         "is sampled exactly from its first step")
     size = _simulate_size(args, model)
     try:
         return _run_simulate(args, model, seed)
@@ -675,8 +667,6 @@ def _build_parser():
     p.add_argument("--n-paths", type=int, required=True)
     p.add_argument("--n-steps", type=int, required=True)
     p.add_argument("--h", type=float, required=True, help="time step")
-    p.add_argument("--burn-in", type=int, default=None,
-                   help="warm-up steps for kernel-driven models (default: 8 memory times)")
     p.add_argument("--max-lag", type=int, default=400, help="summary ACF lag cap")
     p.add_argument("--emit-prices", action="store_true",
                    help="also write price paths integrated from the return rates")

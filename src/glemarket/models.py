@@ -194,10 +194,10 @@ CATALOG = {
         "yes", "yes", "no (memoryless)", "exact one-step", "complex p"),
     Variant.LINEAR_SELF_SIMILAR: CatalogRow(
         ModelSpec.linear_self_similar, "market", True, "y (self-similar)",
-        "yes", "yes", "yes", "kernel march", "complex p"),
+        "yes", "yes", "yes", "circulant", "complex p"),
     Variant.STOCK_THETA: CatalogRow(
         ModelSpec.stock_theta, "stock", True, "selfsim y at tau_R",
-        "yes", "yes", "theta > 0", "kernel; theta=0 exact", "complex p"),
+        "yes", "yes", "theta > 0", "circulant; theta=0 one-step", "complex p"),
     Variant.SCALING: CatalogRow(
         ModelSpec.scaling, "stock", False, "y(theta p)",
         "no", "no (real axis)", "no (shape-level)", "no", "real axis"),

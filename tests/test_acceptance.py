@@ -13,13 +13,18 @@ import pytest
 from glemarket import (
     MarketParams,
     ModelSpec,
+    NoiseRequest,
+    PathEnsemble,
     StockClass,
     classify_theta,
     closed_form_acf,
     ensemble_acf,
     fit_theta,
+    force_evaluator,
+    generate_colored,
     generate_wiener_increments,
     identity_residual,
+    integrate_gle,
     invert,
     force_shape,
     lambda0,
@@ -33,6 +38,7 @@ from glemarket import (
     simulate_stationary_ensemble,
     simulate_white_returns,
     solve_functional_shape,
+    spectral_density,
     tau_from_volatility,
 )
 from glemarket.cli import main as cli_main
@@ -187,8 +193,16 @@ def test_criterion_07_monte_carlo_acf_recovery(acceptance):
     max_lag = int(round(5.0 * tau_R / h))
     tau = h * np.arange(max_lag + 1)
 
+    # the driven GLE: a force drawn from the kernel's band-limited spectrum,
+    # integrated from rest, with eight memory times of burn-in sliced off
     model = ModelSpec.linear_self_similar(tau_R=tau_R)
-    ens = simulate_stationary_ensemble(model, h, n_steps, n_paths, seed=102)
+    n_gen = 17280  # even and 5-smooth, >= n_steps + 8 tau_R/h
+    force_sd = spectral_density(force_evaluator(model), np.linspace(0.0, 2.0 / tau_R, 2001))
+    force = generate_colored(
+        NoiseRequest(n_steps=n_gen, n_paths=n_paths, seed=102, target_spectrum=force_sd, h=h)
+    )
+    driven = integrate_gle(memory_kernel(model, h, n_gen), force)
+    ens = PathEnsemble(h=h, paths=driven.paths[:, n_gen - n_steps :], kind="return-rate")
     acf, se = ensemble_acf(ens, max_lag)
     z_memory = np.abs(acf.values - closed_form_acf(model, tau))[1:] / se[1:]
 

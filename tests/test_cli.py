@@ -7,6 +7,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -341,7 +342,6 @@ class TestSimulate:
 
     @pytest.mark.parametrize("model", ["gbm", "white", "stock"])
     @pytest.mark.parametrize("flag,value,message", [
-        ("--burn-in", "-5", "--burn-in must be a nonnegative integer"),
         ("--max-lag", "0", "--max-lag must be >= 1"),
         ("--max-lag", "-3", "--max-lag must be >= 1"),
     ])
@@ -355,18 +355,41 @@ class TestSimulate:
 
     @pytest.mark.parametrize("argv,message", [
         (["--model", "gbm", "--emit-prices"], "model 'gbm' writes prices already"),
-        (["--model", "gbm", "--burn-in", "5"], "--burn-in is for kernel-driven models"),
-        (["--model", "white", "--burn-in", "5"], "--burn-in is for kernel-driven models"),
-        (["--model", "stock", "--theta", "0", "--burn-in", "0"],
-         "--burn-in is for kernel-driven models"),
-    ], ids=["gbm-emit-prices", "gbm-burn-in", "white-burn-in", "stock0-burn-in"])
+    ], ids=["gbm-emit-prices"])
     def test_flags_that_change_nothing_refused_before_writing(self, tmp_path, argv, message):
-        # gbm always writes prices, and memoryless models have no warm-up to burn
+        # gbm always writes prices
         code, _, err = run_cli(
             "simulate", "--out-dir", str(tmp_path), *argv,
             "--n-paths", "1", "--n-steps", "8", "--h", "0.1", "--seed", "1",
         )
         assert code == 2 and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "gbm", "--burn-in", "5"],
+        ["--model", "white", "--burn-in", "5"],
+        ["--model", "stock", "--theta", "0", "--burn-in", "0"],
+        ["--model", "stock", "--theta", "1", "--burn-in", "64"],
+    ], ids=["gbm", "white", "stock0", "stock1"])
+    def test_removed_burn_in_flag_refused_before_writing(self, tmp_path, capsys, argv):
+        # every model is sampled stationary from its first step: there is no burn-in
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--out-dir", str(tmp_path), *argv,
+                  "--n-paths", "1", "--n-steps", "8", "--h", "0.1", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --burn-in" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_oversized_fold_exits_2_before_writing(self, tmp_path):
+        # theta = 1e-5 folds a band of 2e5 onto [0, 8 pi]: 1.27e8 image points
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            "simulate", "--out-dir", str(tmp_path), "--model", "stock", "--theta", "1e-5",
+            "--n-paths", "1", "--n-steps", "1000", "--h", "0.125", "--seed", "1",
+        )
+        assert code == 2
+        assert "folded spectrum too costly" in err and "1.27e+08 image points" in err
+        assert time.perf_counter() - start < 5.0
         assert list(tmp_path.iterdir()) == []
 
     def test_config_supplies_seed_and_presets(self, tmp_path):
@@ -411,9 +434,9 @@ class TestSimulate:
             "simulate", "--out-dir", str(tmp_path), "--model", "stock",
             "--n-paths", "3", "--n-steps", "1000", "--h", "0.125", "--seed", "1",
         )
-        # 1000 steps + 64 burn-in round up to a 1080-step grid (even, 5-smooth)
+        # 1000 steps run on a 1000-step grid (even, 5-smooth), with no burn-in
         assert code == 2
-        assert "out of memory: 3 paths x 1080 steps need about 3.46e+05 bytes" in err
+        assert "out of memory: 3 paths x 1000 steps need about 3.2e+05 bytes" in err
 
 
 # -- estimate ----------------------------------------------------------------------

@@ -8,13 +8,15 @@ import pytest
 
 from glemarket import volterra
 from glemarket.errors import CapabilityError, InputError
-from glemarket.models import ModelSpec, observable_shape
+from glemarket.models import ModelSpec, closed_form_acf, observable_shape, spectral_atom
+from glemarket.noise import NoiseRequest, circulant_spectrum
 from glemarket.series import KernelSeries, PathEnsemble
 from glemarket.specfun import bessel_j0, lambda1
 from glemarket.volterra import (
     boltzmann_acf,
     differential_acf,
-    _generated_steps,
+    _circulant_length,
+    _folded_spectrum,
     _series_inverse,
     integrate_gle,
     memory_kernel,
@@ -500,18 +502,21 @@ def test_stationary_ensemble_determinism_and_stream_stability():
 
 
 def test_stationary_ensemble_grid_is_even_five_smooth():
-    # 2048 published + 64 burn-in steps run on 2160 = 2^4 3^3 5, not 4096
+    # the circulant holds the published window and nothing more: no burn-in
+    assert _circulant_length(2048) == 2048
+    assert _circulant_length(1000) == 1000
+    assert _circulant_length(2049) == 2160  # 2^4 3^3 5, not 4096
+    assert _circulant_length(1) == 2
     model = ModelSpec.stock_theta(tau_r=1.0, theta=1.0)
-    assert _generated_steps(model, 0.125, 2048, None) == 2160
-    assert _generated_steps(ModelSpec.stock_theta(tau_r=1.0, theta=3.0), 0.125, 2048, None) == 2250
-    assert _generated_steps(model, 0.125, 1, 0) == 2
+    out = simulate_stationary_ensemble(model, h=0.125, n_steps=2049, n_paths=2, seed=1)
+    assert out.paths.shape == (2, 2049)
 
 
 def test_stationary_ensemble_peak_memory_within_simulate_estimate():
     # cli._simulate_size allows 64 bytes per generated step per path plus
     # two shared arrays; the run must not exceed it
     model = ModelSpec.stock_theta(tau_r=1.0, theta=1.0)
-    n_gen = _generated_steps(model, 0.125, 2048, None)
+    n_gen = _circulant_length(2048)
     simulate_stationary_ensemble(model, h=0.125, n_steps=64, n_paths=2, seed=1)
     tracemalloc.start()
     try:
@@ -522,13 +527,61 @@ def test_stationary_ensemble_peak_memory_within_simulate_estimate():
     assert peak <= 64 * (200 + 2) * n_gen
 
 
-def test_stationary_ensemble_burn_in_microstructure():
-    # explicit burn_in shifts the published window but stays deterministic
-    model = ModelSpec.linear_self_similar(tau_R=1.0)
-    a = simulate_stationary_ensemble(model, h=0.1, n_steps=256, n_paths=2, seed=3, burn_in=0)
-    b = simulate_stationary_ensemble(model, h=0.1, n_steps=256, n_paths=2, seed=3, burn_in=256)
-    assert a.paths.shape == b.paths.shape == (2, 256)
-    assert not np.array_equal(a.paths, b.paths)
+@pytest.mark.parametrize("h", [0.125, 0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("model,bound", [
+    (ModelSpec.linear_self_similar(tau_R=1.0), 1e-3),
+    (ModelSpec.stock_theta(tau_r=1.0, theta=0.5), 1e-3),
+    (ModelSpec.stock_theta(tau_r=1.0, theta=1.0), 1e-3),
+    (ModelSpec.stock_theta(tau_r=1.0, theta=1.5), 1e-3),
+    (ModelSpec.stock_theta(tau_r=1.0, theta=3.0), 1e-3),
+    # near-singular spectrum at the band edge, measured <= 1.6e-2, 2.2e-3
+    # and 1.1e-2; cell-centre samples err by up to 3.5e-2, 2.1e-2 and 9.9e-2
+    (ModelSpec.stock_theta(tau_r=1.0, theta=2.0), 3e-2),
+    (ModelSpec.stock_theta(tau_r=1.0, theta=1.9), 5e-3),
+    (ModelSpec.stock_theta(tau_r=1.0, theta=2.01), 1.5e-2),
+], ids=["selfsim", "stock0.5", "stock1", "stock1.5", "stock3", "stock2", "stock1.9", "stock2.01"])
+def test_circulant_covariance_matches_closed_forms(model, bound, h):
+    # deterministic: the exact covariance of the circulant the sampler draws
+    # from, plus its line (measured <= 3e-4 away from theta = 2)
+    n, t = 2048, h * np.arange(321)
+    target = _folded_spectrum(model, h, n)
+    request = NoiseRequest(n_steps=n, n_paths=1, seed=0, target_spectrum=target, h=h)
+    c = np.fft.irfft(circulant_spectrum(request), 2 * n)[: t.size]
+    atom = spectral_atom(model)
+    if atom is not None:
+        c = c + 2.0 * atom[1] * model.variance * np.cos(atom[0] * t)
+    assert np.max(np.abs(c - closed_form_acf(model, t))) <= bound
+
+
+def test_stationary_ensemble_variance_holds_at_large_h(monkeypatch):
+    # the folded spectrum keeps the aliased band: the GLE march gave 0.50 at h = 2
+    def unused(*args, **kwargs):
+        raise AssertionError("the stationary sampler marches no memory equation")
+
+    monkeypatch.setattr(volterra, "integrate_gle", unused)
+    monkeypatch.setattr(volterra, "memory_kernel", unused)
+    model = ModelSpec.stock_theta(tau_r=1.0, theta=1.0)
+    out = simulate_stationary_ensemble(model, h=2.0, n_steps=2048, n_paths=100, seed=5)
+    assert abs(out.paths.var() - 1.0) <= 0.02
+
+
+def test_stationary_ensemble_deep_fold_keeps_the_variance():
+    # theta = 0.01 folds a band of 200 onto [0, 8 pi]: the GLE march gave 0.117;
+    # the ACF is about exp(-t), so the variance's standard error is about 0.007
+    model = ModelSpec.stock_theta(tau_r=1.0, theta=0.01)
+    out = simulate_stationary_ensemble(model, h=0.125, n_steps=2048, n_paths=100, seed=5)
+    assert abs(out.paths.var() - 1.0) <= 0.03
+
+
+def test_oversized_fold_refused_before_any_evaluation(monkeypatch):
+    def untouchable(*args, **kwargs):
+        raise AssertionError("the cost cap must fire before any image evaluation")
+
+    monkeypatch.setattr(volterra, "spectral_density", untouchable)
+    model = ModelSpec.stock_theta(tau_r=1.0, theta=1e-5)
+    with pytest.raises(InputError, match="image points") as err:
+        simulate_stationary_ensemble(model, h=0.125, n_steps=2048, n_paths=2, seed=1)
+    assert "2.61e+08" in str(err.value)
 
 
 def test_stationary_ensemble_refusals():
@@ -542,10 +595,6 @@ def test_stationary_ensemble_refusals():
             ModelSpec.boltzmann(1.0), h=0.1, n_steps=64, n_paths=2, seed=1
         )
     good = ModelSpec.stock_theta(tau_r=1.0, theta=1.0, variance=1.0)
-    with pytest.raises(InputError):
-        simulate_stationary_ensemble(good, h=0.1, n_steps=64, n_paths=2, seed=1, burn_in=-1)
-    with pytest.raises(InputError):
-        simulate_stationary_ensemble(good, h=0.1, n_steps=64, n_paths=2, seed=1, burn_in=2.5)
     with pytest.raises(InputError):
         simulate_stationary_ensemble(good, h=-0.1, n_steps=64, n_paths=2, seed=1)
     with pytest.raises(InputError):
