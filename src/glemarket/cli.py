@@ -365,53 +365,43 @@ def _run_simulate(args, model, seed):
         paths_file = _out_path(args, f"{base}_paths.csv")
         _write_paths_csv(paths_file, prices.times, prices.paths, prices=True)
         print(f"wrote {paths_file} (prices, {prices.n_paths} paths x {prices.n_steps} samples)")
-        if params.sigma == 0.0:
-            # deterministic run: the return rate is exactly the drift
-            summary_file = _out_path(args, f"{base}_summary.csv")
-            _write_csv(summary_file, ["lag", "acf_mean", "acf_se"], [])
-            print(f"wrote {summary_file} (deterministic run: zero return variance, ACF omitted)")
-            print("variance = 0.0")
-            code = 0
-        else:
-            returns = returns_from_prices(prices)  # sample-mean detrended log returns
-            code = _summarize_returns(args, returns, base)
-        print(f"master_seed = {seed}")
-        print(_LANE_LEGEND)
-        return code
-
-    ensemble = _simulate_ensemble(args, model, seed)
-    if args.emit_prices:  # built first: it validates --mu and --M0 before any write
-        mu = _param(args, "mu", 0.0)
-        M0 = _param(args, "M0", 1.0)
-        prices = price_from_returns(ensemble, mu=mu, M0=M0)
-    paths_file = _out_path(args, f"{base}_paths.csv")
-    _write_paths_csv(paths_file, ensemble.times, ensemble.paths)
-    print(f"wrote {paths_file} (return rates, {ensemble.n_paths} paths x {ensemble.n_steps} samples)")
-    if args.emit_prices:
-        prices_file = _out_path(args, f"{base}_prices.csv")
-        _write_paths_csv(prices_file, prices.times, prices.paths, prices=True)
-        print(f"wrote {prices_file} (prices via exp integral, mu={mu!r}, M0={M0!r})")
-    code = _summarize_returns(args, ensemble, base)
+        # sample-mean detrended log returns; at sigma = 0 the return rate is
+        # exactly the drift, and there is no ACF to summarize
+        returns = returns_from_prices(prices) if params.sigma > 0.0 else None
+    else:
+        returns = _simulate_ensemble(args, model, seed)
+        if args.emit_prices:  # built first: it validates --mu and --M0 before any write
+            mu = _param(args, "mu", 0.0)
+            M0 = _param(args, "M0", 1.0)
+            prices = price_from_returns(returns, mu=mu, M0=M0)
+        paths_file = _out_path(args, f"{base}_paths.csv")
+        _write_paths_csv(paths_file, returns.times, returns.paths)
+        print(f"wrote {paths_file} (return rates, {returns.n_paths} paths x {returns.n_steps} samples)")
+        if args.emit_prices:
+            prices_file = _out_path(args, f"{base}_prices.csv")
+            _write_paths_csv(prices_file, prices.times, prices.paths, prices=True)
+            print(f"wrote {prices_file} (prices via exp integral, mu={mu!r}, M0={M0!r})")
+    _summarize_returns(args, returns, base)
     print(f"master_seed = {seed}")
     print(_LANE_LEGEND)
-    return code
+    return 0
 
 
 def _summarize_returns(args, ensemble, base):
-    variance = float(np.mean(ensemble.paths**2))
+    """Write the ensemble-mean ACF summary; ``None`` (a deterministic run)
+    writes an empty one."""
     summary_file = _out_path(args, f"{base}_summary.csv")
-    if variance <= 0.0:
+    if ensemble is None:
         _write_csv(summary_file, ["lag", "acf_mean", "acf_se"], [])
         print(f"wrote {summary_file} (deterministic run: zero return variance, ACF omitted)")
         print("variance = 0.0")
-        return 0
+        return
     max_lag = min(ensemble.n_steps // 4, args.max_lag)
     acf, se = ensemble_acf(ensemble, max_lag)
     lags = acf.h * np.arange(max_lag + 1)
     _write_columns(summary_file, ["lag", "acf_mean", "acf_se"], lags, acf.values, se)
     print(f"wrote {summary_file} ({max_lag + 1} rows)")
     print(f"variance = {float(acf.variance)!r}")
-    return 0
 
 
 def _read_price_csv(path):

@@ -69,22 +69,12 @@ def _biased_autocovariance(x, max_lag):
 
 
 def sample_acf(series, max_lag, h=1.0):
-    """Normalized biased-estimator ACF of one zero-centered series."""
+    """Normalized biased-estimator ACF of one zero-centered series: the
+    one-path ``ensemble_acf``."""
     x = _as_clean_series(series)
-    max_lag = int(max_lag)
-    if max_lag < 1:
-        raise InputError("max_lag must be >= 1")
-    if x.size < 4 * max_lag:
-        raise InputError(
-            f"series of length {x.size} is too short for max_lag={max_lag} "
-            "(need >= 4*max_lag samples)"
-        )
     if not (np.isfinite(h) and h > 0.0):
         raise InputError("h must be positive and finite")
-    acov = _biased_autocovariance(x, max_lag)
-    if acov[0] <= 0.0:
-        raise DegenerateSeriesError("series has zero variance")
-    return AcfSeries(h=h, values=acov / acov[0], variance=acov[0])
+    return ensemble_acf(PathEnsemble(h=h, paths=x[None, :]), max_lag)[0]
 
 
 def ensemble_acf(ensemble, max_lag):

@@ -1,22 +1,22 @@
 """Special functions needed by every model: Bessel J0/J1, the normalized
 lambda forms built from them, and both real Lambert W branches.
 
-Bessel evaluation is two-branch: the defining power series (accumulated in
-extended precision to absorb cancellation) below ``_SERIES_CUTOFF``, and the
-Hankel large-argument expansion above it.  The branches are required to agree
-at the seam to 1e-9; tests enforce 1e-12 against a brute-force series oracle.
-
 ``neumann_series`` sums the geometric Neumann series
 sum_n a_n [J_2n(x) + J_2n+2(x)] = (2/x) sum_n a_n (2n+1) J_2n+1(x), the stock
 ACF of every theta, by Miller's backward recurrence (Gautschi 1967, SIAM
 Rev. 9:24) normalized by J0 + 2 sum_k J_2k = 1.  Against a direct
-scipy.special.jv sum it agrees to a few 1e-15, and its theta = 1 and 2
-cases reproduce lambda1 and J0 to ~4e-15 out to x = 800.
+scipy.special.jv sum it agrees to a few 1e-15.  J0 (a_n = (-1)^n) and
+lambda1 = 2 J1/x (a_0 = 1 alone) are two of its cases, and every Bessel value
+with |x| <= ``_SERIES_CUTOFF`` comes from it; above the cutoff the Hankel
+large-argument expansion costs O(1) per argument where Miller's costs O(x).
+The two agree at the seam to 1e-15, and J0, J1 and lambda1 are within 2e-15
+of scipy.special on [0, 200].
 
 Lambert W0 uses Halley iteration from branch-appropriate starting points,
 stopping when the step falls below 1e-14 (relative), with a residual
-post-condition |w e^w - x| <= 1e-12 |x|.  The lower branch W-1 is needed
-only as W-1(-e^-z), which ``lambert_wm1_neg_exp`` solves directly.
+post-condition |w e^w - x| <= 1e-12 |x|.  W0(e^z) beyond z = 1 and the
+lower branch, needed only as W-1(-e^-z), solve the log forms w + ln w = z and
+v - ln v = z by one guarded Newton iteration (``_log_root``).
 
 All functions accept scalars or arrays and follow ufunc-style return rules.
 """
@@ -35,24 +35,6 @@ def _return_like(x_in, out):
     if np.ndim(x_in) == 0:
         return float(np.asarray(out).reshape(-1)[0])
     return out
-
-
-def _j_series(x, nu):
-    """Power series for J_nu (nu in {0, 1}); |x| <= ~18 intended.
-
-    Accumulated in longdouble: at the cutoff the series cancels ~5 decimal
-    digits, which extended precision absorbs below the 1e-12 target.
-    """
-    xl = np.atleast_1d(np.asarray(x, dtype=np.longdouble))
-    q = xl * xl / 4.0
-    term = np.ones_like(xl) if nu == 0 else xl / 2.0
-    total = term.copy()
-    for k in range(1, 120):
-        term = term * (-q) / (k * (k + nu))
-        total = total + term
-        if np.all(np.abs(term) <= 1e-24 * (1.0 + np.abs(total))):
-            break
-    return total.astype(float)
 
 
 def _j_asymptotic(x, nu):
@@ -75,19 +57,20 @@ def _j_asymptotic(x, nu):
     return np.sqrt(2.0 / (np.pi * xa)) * (p_sum * np.cos(chi) - q_sum * np.sin(chi))
 
 
-def _bessel_j(x, nu):
+def _even_bessel(x, nu):
+    """J0(x) for nu = 0, lambda1(x) = 2 J1(x)/x for nu = 1: both are even, so
+    evaluated at |x|, as Neumann series up to _SERIES_CUTOFF (a_n = (-1)^n
+    telescopes to J0; a_0 = 1 alone is J0 + J2 = 2 J1/x) and by the Hankel
+    expansion above it."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(xa)):
         raise DomainError("bessel argument must be finite")
     ax = np.abs(xa)
     out = np.empty_like(ax)
     small = ax <= _SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _j_series(ax[small], nu)
-    if np.any(~small):
-        out[~small] = _j_asymptotic(ax[~small], nu)
-    if nu == 1:
-        out = np.where(xa < 0, -out, out)  # J1 is odd, J0 even
+    out[small] = neumann_series(ax[small], 1.0, nu - 1.0)
+    big = ax[~small]
+    out[~small] = _j_asymptotic(big, nu) * (2.0 / big if nu else 1.0)
     return out
 
 
@@ -97,33 +80,27 @@ def bessel_j0(x):
     Parameters
     ----------
     x : float or array_like
-        Real argument(s); intended accuracy range |x| <= 200.
+        Real, finite argument(s); within 2e-15 of scipy.special.j0 on
+        [0, 200].
     """
-    return _return_like(x, _bessel_j(x, 0))
+    return _return_like(x, _even_bessel(x, 0))
 
 
 def bessel_j1(x):
-    """Bessel function of the first kind, order one."""
-    return _return_like(x, _bessel_j(x, 1))
+    """Bessel function of the first kind, order one, as (x/2) lambda1(x)."""
+    xa = np.asarray(x, dtype=float)
+    return _return_like(x, 0.5 * xa * _even_bessel(xa, 1))
 
 
 def lambda1(x):
     """Normalized oscillation 2 J1(x) / x with lambda1(0) = 1.
 
-    A two-term series guards the 0/0 form below x = 1e-4; this is the
-    closed-form market ACF evaluated at x = 2 tau / tau_R.
+    An even function, evaluated at |x|: the Neumann series J0 + J2 up to
+    |x| = 17 (its Taylor polynomial below 1e-3, so x = 0 needs no special
+    case) and the Hankel expansion above.  This is the closed-form market
+    ACF evaluated at x = 2 tau / tau_R.
     """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    ax = np.abs(xa)
-    tiny = ax < 1e-4
-    out = np.empty_like(xa)
-    if np.any(tiny):
-        x2 = xa[tiny] * xa[tiny]
-        out[tiny] = 1.0 - x2 / 8.0 + x2 * x2 / 192.0
-    if np.any(~tiny):
-        xb = xa[~tiny]
-        out[~tiny] = 2.0 * _bessel_j(xb, 1) / xb
-    return _return_like(x, out)
+    return _return_like(x, _even_bessel(x, 1))
 
 
 def lambda0(x):
@@ -132,8 +109,7 @@ def lambda0(x):
     Scaled so the curve plotted against 2 tau / tau_R crosses zero where
     J0(tau / tau_R) does; see the lambda1/lambda0 figure command.
     """
-    xa = np.asarray(x, dtype=float)
-    return _return_like(x, _bessel_j(xa / 2.0, 0))
+    return _return_like(x, _even_bessel(np.asarray(x, dtype=float) / 2.0, 0))
 
 
 # below this argument the Neumann series is its x^4 Taylor polynomial (error
@@ -279,33 +255,40 @@ def lambert_w0(x):
     return _return_like(x, w)
 
 
+def _log_root(z, s):
+    """Root w >= 1 of w + s ln w = z (s = +1 or -1, z >= 1) by guarded Newton.
+
+    Both forms are monotone on w >= 1 (concave for s = +1, convex for
+    s = -1), so Newton from the start z - s ln z + 1/2 stays on the branch;
+    iterates are clamped to w >= 1 and the slope 1 + s/w, which vanishes at
+    w = 1 when s = -1, is floored at 1e-3.  Next to that branch point
+    (s = -1, z - 1 below about 1e-3) the floor makes the steps linear, and
+    the 80-step cap can stop short of the root.
+    """
+    w = z - s * np.log(np.maximum(z, 1.0 + 1e-12)) + 0.5
+    for _ in range(80):
+        f = w + s * np.log(w) - z
+        fp = 1.0 + s / w
+        step = f / np.maximum(fp, 1e-3)
+        w = np.maximum(w - step, 1.0)
+        if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(w))):
+            break
+    return w
+
+
 def lambert_w0_exp(z):
     """Overflow-safe W0(e^z) for real z of any size.
 
     For z <= 1 this is lambert_w0(exp(z)).  Beyond that it solves
-    w + ln w = z directly by Halley steps, never forming e^z.
+    w + ln w = z directly (``_log_root``), never forming e^z.
     """
     za = np.atleast_1d(np.asarray(z, dtype=float))
     if not np.all(np.isfinite(za)):
         raise DomainError("lambert_w0_exp requires finite z")
     out = np.empty_like(za)
     low = za <= 1.0
-    if np.any(low):
-        out[low] = np.atleast_1d(lambert_w0(np.exp(za[low])))
-    high = ~low
-    if np.any(high):
-        zh = za[high]
-        w = zh - np.log(zh) + np.log(zh) / zh  # w + ln w = z asymptotic start
-        w = np.maximum(w, 0.5)
-        for _ in range(60):
-            f = w + np.log(w) - zh
-            fp = 1.0 + 1.0 / w
-            fpp = -1.0 / (w * w)
-            step = f / (fp - 0.5 * f * fpp / fp)
-            w = w - step
-            if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(w))):
-                break
-        out[high] = w
+    out[low] = lambert_w0(np.exp(za[low]))
+    out[~low] = _log_root(za[~low], 1.0)
     return _return_like(z, out)
 
 
@@ -318,13 +301,4 @@ def lambert_wm1_neg_exp(z):
     za = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(za < 1.0 - 1e-12) or not np.all(np.isfinite(za)):
         raise DomainError("lambert_wm1_neg_exp requires z >= 1")
-    # v - ln v = z on v >= 1; Newton from a padded start stays on the branch
-    v = za + np.log(np.maximum(za, 1.0 + 1e-12)) + 0.5
-    for _ in range(80):
-        f = v - np.log(v) - za
-        fp = 1.0 - 1.0 / v
-        step = f / np.maximum(fp, 1e-3)
-        v = np.maximum(v - step, 1.0)
-        if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(v))):
-            break
-    return _return_like(z, -v)
+    return _return_like(z, -_log_root(za, -1.0))

@@ -210,13 +210,20 @@ def integrate_gle(kernel, forcing, r0=0.0):
 
 # image points averaged into one circulant eigenvalue (midpoints of its cell)
 CELL_POINTS = 16
+# fewest midpoints across the band [0, 2/tau_R]: where it spans only a few
+# cells (short grids, small h) each cell takes an integer multiple of
+# CELL_POINTS instead.  The variance is the midpoint rule over the band;
+# with 512 its error over L = 4 .. 2048 and h = 0.01 .. 1 is <= 3e-5 for
+# the self-similar model, 9e-5 for stock theta = 1.5 and 2.6e-3 at 1.9
+BAND_POINTS = 512
 # image points of one folded-spectrum build, 32 L h/(pi tau_R) for a grid
-# of L: a build above the bound is refused before any evaluation (it is
-# about 2 s on a 2-vCPU Xeon; stock theta = 0.01 at h = 0.125 and
-# L = 2048 needs 2.6e5, theta = 1e-4 needs 2.6e7)
+# of L (just over BAND_POINTS where that is fewer): a build above the bound
+# is refused before any evaluation (it is about 2 s on a 2-vCPU Xeon; stock
+# theta = 0.01 at h = 0.125 and L = 2048 needs 2.6e5, theta = 1e-4 needs
+# 2.6e7)
 SPECTRUM_POINT_BOUND = 1.6e7
-# image points per spectral_density call, so a deep fold evaluates in
-# constant memory beside the O(n_steps) cell sums
+# image points per spectral_density call at most, so a deep fold evaluates
+# in constant memory beside the O(n_steps) cell sums
 _SPECTRUM_BLOCK = 2**16
 
 
@@ -232,18 +239,22 @@ def _folded_spectrum(model, h, n):
     Sampling at step h aliases every frequency nu >= 0 onto [0, pi/h]:
     S_h(omega) = sum_m S(|omega + 2 pi m/h|).  The order-2n circulant has
     cells of width d = pi/(n h) centred on omega_k = k d, and the fold
-    period 2 pi/h is exactly 2n cells, so a midpoint nu_j = (j + 1/2) d/CELL_POINTS
-    of the band [0, 2/tau_R] belongs to the cell (j + CELL_POINTS/2) //
-    CELL_POINTS mod 2n, reflected onto 0..n.  Each cell's value is the mean
-    of its CELL_POINTS midpoints; cells 0 and n are their own mirror images,
-    so they count both signs of nu.  Returns the SpectralDensity on
-    omega_k, k = 0..n, that circulant_spectrum reads back point for point.
-    Raises InputError, before any evaluation, above SPECTRUM_POINT_BOUND
-    midpoints.
+    period 2 pi/h is exactly 2n cells.  Each cell takes P midpoints, P the
+    smallest multiple of CELL_POINTS that puts at least BAND_POINTS of them
+    on the band [0, 2/tau_R], so a midpoint nu_j = (j + 1/2) d/P belongs to
+    the cell (j + P/2) // P mod 2n, reflected onto 0..n.  Each cell's value
+    is the mean of its P midpoints; cells 0 and n are their own mirror
+    images, so they count both signs of nu.  The midpoints are evaluated in
+    near-equal blocks of at most _SPECTRUM_BLOCK.  Returns the
+    SpectralDensity on omega_k, k = 0..n, that circulant_spectrum reads back
+    point for point.  Raises InputError, before any evaluation, above
+    SPECTRUM_POINT_BOUND midpoints.
     """
     evaluator = observable_evaluator(model)
     band = 2.0 / model.tau_R
-    step = math.pi / (n * h * CELL_POINTS)
+    cells = band * n * h / math.pi  # band width in cells
+    per_cell = CELL_POINTS * math.ceil(BAND_POINTS / (CELL_POINTS * cells))
+    step = math.pi / (n * h * per_cell)
     count = math.ceil(band / step)
     if count > SPECTRUM_POINT_BOUND:
         raise InputError(
@@ -251,14 +262,15 @@ def _folded_spectrum(model, h, n):
             f"over {n} cells needs {count:.3g} image points (bound {SPECTRUM_POINT_BOUND:.3g})"
         )
     sums = np.zeros(n + 1)
-    for lo in range(0, count, _SPECTRUM_BLOCK):
-        j = np.arange(lo, min(lo + _SPECTRUM_BLOCK, count))
+    blocks = -(-count // _SPECTRUM_BLOCK)  # near-equal blocks, none of one point
+    for b in range(blocks):
+        j = np.arange(b * count // blocks, (b + 1) * count // blocks)
         s = spectral_density(evaluator, (j + 0.5) * step).values
-        cell = (j + CELL_POINTS // 2) // CELL_POINTS % (2 * n)
+        cell = (j + per_cell // 2) // per_cell % (2 * n)
         sums += np.bincount(np.minimum(cell, 2 * n - cell), weights=s, minlength=n + 1)
     sums[[0, n]] *= 2.0
     omega = np.pi * np.arange(n + 1) / (n * h)  # bit for bit circulant_spectrum's grid
-    return SpectralDensity(omega=omega, values=sums / CELL_POINTS)
+    return SpectralDensity(omega=omega, values=sums / per_cell)
 
 
 def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed):

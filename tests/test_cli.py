@@ -392,6 +392,14 @@ class TestSimulate:
         assert time.perf_counter() - start < 5.0
         assert list(tmp_path.iterdir()) == []
 
+    def test_four_step_selfsim_at_small_h_runs(self, tmp_path):
+        # the band then fell inside one cell's 16 midpoints as a single point
+        code, out, _ = run_cli(
+            "simulate", "--out-dir", str(tmp_path), "--model", "selfsim", "--h", "0.01",
+            "--n-steps", "4", "--n-paths", "1", "--seed", "1",
+        )
+        assert code == 0 and "(return rates, 1 paths x 4 samples)" in out
+
     def test_config_supplies_seed_and_presets(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 42\nmodel.tau_R = 0.5\nout_dir = %s\n" % tmp_path)

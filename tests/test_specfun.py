@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath as mp
+from scipy import special as scipy_special
 from scipy.special import lambertw
 
 from glemarket import specfun
@@ -71,12 +73,21 @@ def test_bessel_against_series_oracle_dense():
 
 
 def test_bessel_branch_seam_agreement():
-    # both internal branches evaluated at the crossover must agree to 1e-9
-    x = np.array([specfun._SERIES_CUTOFF])
-    for nu in (0, 1):
-        s = specfun._j_series(x, nu)[0]
-        a = specfun._j_asymptotic(x, nu)[0]
-        assert abs(s - a) <= 1e-9
+    # Miller's recurrence and the Hankel expansion agree at the crossover
+    x = specfun._SERIES_CUTOFF
+    j0 = specfun.neumann_series(x, 1.0, -1.0)
+    j1 = 0.5 * x * specfun.neumann_series(x, 1.0, 0.0)
+    assert abs(j0 - specfun._j_asymptotic(x, 0)[0]) <= 1e-15
+    assert abs(j1 - specfun._j_asymptotic(x, 1)[0]) <= 1e-15
+
+
+def test_bessel_against_scipy_dense():
+    xs = np.linspace(0.0, 200.0, 200001)
+    safe = np.where(xs == 0.0, 1.0, xs)
+    lam = np.where(xs == 0.0, 1.0, 2.0 * scipy_special.j1(xs) / safe)
+    assert np.max(np.abs(specfun.bessel_j0(xs) - scipy_special.j0(xs))) <= 2e-15
+    assert np.max(np.abs(specfun.bessel_j1(xs) - scipy_special.j1(xs))) <= 2e-15
+    assert np.max(np.abs(specfun.lambda1(xs) - lam)) <= 2e-15
 
 
 def test_bessel_parity_and_arrays():
@@ -99,11 +110,11 @@ def test_lambda_normalization_and_zeros():
 
 
 def test_lambda_series_guard_is_smooth():
-    # both sides of the 1e-4 guard agree at the same argument
-    for x in (9.9e-5, 1.01e-4):
-        guard = specfun.lambda1(x)
-        ratio = 2.0 * specfun.bessel_j1(x) / x
-        assert abs(guard - ratio) < 1e-14
+    # both sides of neumann_series' Taylor guard at x = 1e-3 agree
+    seam = specfun._NEUMANN_TAYLOR_BELOW
+    for fn in (specfun.lambda1, specfun.bessel_j0):
+        below, above = fn(np.array([seam * (1.0 - 1e-12), seam]))
+        assert abs(below - above) < 1e-15
     assert specfun.lambda1(1e-6) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -166,6 +177,40 @@ def test_lambert_wm1_neg_exp_matches_branch():
     w = specfun.lambert_wm1_neg_exp(2000.0)  # -e^-z underflows; form survives
     v = -w
     assert abs(v - np.log(v) - 2000.0) <= 1e-10 * 2000.0
+
+
+def test_lambert_w0_exp_relative_accuracy():
+    z = np.linspace(-30.0, 700.0, 20001)
+    ref = lambertw(np.exp(z)).real
+    assert np.max(np.abs(specfun.lambert_w0_exp(z) / ref - 1.0)) <= 1e-15
+    # beyond exp overflow, against a 40-digit reference
+    mp.mp.dps = 40
+    z = np.logspace(np.log10(700.0), 8.0, 25)
+    ref = np.array([float(mp.lambertw(mp.exp(mp.mpf(float(v))))) for v in z])
+    assert np.max(np.abs(specfun.lambert_w0_exp(z) / ref - 1.0)) <= 1e-15
+
+
+# lambert_wm1_neg_exp values frozen before its Newton loop became the shared
+# log-form root iteration; they must not move by a bit
+WM1_NEG_EXP_FROZEN = {
+    1.0: -1.0000258700822255,
+    1.000000001: -1.0000475692268027,
+    1.001: -1.0453904959636906,
+    1.2: -1.7722498296092304,
+    2.0: -3.1461932206205825,
+    5.0: -6.936847407220219,
+    30.0: -33.511900618078094,
+    700.0: -706.5604087026486,
+    2000.0: -2007.6046975976853,
+    100000.0: -100011.51304058875,
+    100000000.0: -100000018.42068093,
+}
+
+
+def test_lambert_wm1_neg_exp_frozen_bits():
+    # one call per z: an array call iterates until its slowest entry converges
+    for z, ref in WM1_NEG_EXP_FROZEN.items():
+        assert specfun.lambert_wm1_neg_exp(z) == ref
 
 
 def test_scalar_array_round_trip():

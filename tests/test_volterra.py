@@ -573,6 +573,41 @@ def test_stationary_ensemble_deep_fold_keeps_the_variance():
     assert abs(out.paths.var() - 1.0) <= 0.03
 
 
+def _circulant_variance(model, h, n):
+    target = _folded_spectrum(model, h, n)
+    request = NoiseRequest(n_steps=n, n_paths=1, seed=0, target_spectrum=target, h=h)
+    return np.fft.irfft(circulant_spectrum(request), 2 * n)[0]  # mean eigenvalue
+
+
+@pytest.mark.parametrize("h", [0.01, 0.125])
+@pytest.mark.parametrize("model", [
+    ModelSpec.linear_self_similar(tau_R=1.0),
+    ModelSpec.stock_theta(tau_r=1.0, theta=0.5),
+    ModelSpec.stock_theta(tau_r=1.0, theta=1.0),
+    ModelSpec.stock_theta(tau_r=1.0, theta=1.5),
+], ids=["selfsim", "stock0.5", "stock1", "stock1.5"])
+def test_short_grid_fold_keeps_the_variance(model, h):
+    # a band spanning a cell or two gets BAND_POINTS midpoints, not 16 per
+    # cell (stock theta = 1.5 at h = 0.01 read 0.854 at L = 16, and the
+    # one-midpoint band at L = 4 was refused by spectral_density)
+    for n in (4, 8, 16, 32, 64, 256):
+        assert abs(_circulant_variance(model, h, n) - 1.0) <= 1e-2, n
+
+
+def test_fold_blocks_split_without_changing_the_sum(monkeypatch):
+    # 65 537 midpoints: blocks of 2^16 used to leave a one-point block,
+    # which spectral_density refuses
+    model = ModelSpec.stock_theta(tau_r=1.0, theta=0.03978843221132672)
+    monkeypatch.setattr(volterra, "_SPECTRUM_BLOCK", 2**20)
+    whole = _folded_spectrum(model, 0.125, 2048).values
+    for block in (2**16, 1000):
+        monkeypatch.setattr(volterra, "_SPECTRUM_BLOCK", block)
+        split = _folded_spectrum(model, 0.125, 2048).values
+        assert np.max(np.abs(split - whole)) <= 1e-15 * np.max(np.abs(whole))
+    out = simulate_stationary_ensemble(model, h=0.125, n_steps=2048, n_paths=2, seed=1)
+    assert out.paths.shape == (2, 2048) and np.all(np.isfinite(out.paths))
+
+
 def test_oversized_fold_refused_before_any_evaluation(monkeypatch):
     def untouchable(*args, **kwargs):
         raise AssertionError("the cost cap must fire before any image evaluation")
