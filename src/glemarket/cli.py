@@ -158,20 +158,40 @@ def load_config(path):
 # -- CSV plumbing ---------------------------------------------------------------
 
 
-def _write_csv(path, header, rows):
+# rows of a column CSV formatted into one string and written with one call
+_CSV_BLOCK = 1024
+
+
+def _write_csv(path, rows, blocks=()):
+    """Write rows through csv.writer, then each preformatted block of lines
+    with one write call."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+            for block in blocks:
+                fh.write(block)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _write_columns(path, header, *columns):
-    """CSV of equal-length float columns.  Python floats format exactly as
-    numpy scalars do (shortest repr), but csv.writer handles them faster."""
-    _write_csv(path, header, zip(*(np.asarray(c).tolist() for c in columns)))
+    """CSV of equal-length numeric columns under a csv.writer header.
+
+    Each cell is the repr of the column's .tolist() value, which is what
+    csv.writer prints for ints, bools and floats (shortest float repr), so
+    the bytes are a csv.writer file's.  The rows go out _CSV_BLOCK at a
+    time, each block formatted as one string and written with one call,
+    so only one block of Python values is alive at once.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n_rows = min((len(c) for c in columns), default=0)
+
+    def blocks():
+        for lo in range(0, n_rows, _CSV_BLOCK):
+            cells = [map(repr, c[lo : lo + _CSV_BLOCK].tolist()) for c in columns]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    _write_csv(path, [header], blocks())
 
 
 def _out_path(args, filename):
@@ -392,7 +412,7 @@ def _summarize_returns(args, ensemble, base):
     writes an empty one."""
     summary_file = _out_path(args, f"{base}_summary.csv")
     if ensemble is None:
-        _write_csv(summary_file, ["lag", "acf_mean", "acf_se"], [])
+        _write_csv(summary_file, [["lag", "acf_mean", "acf_se"]])
         print(f"wrote {summary_file} (deterministic run: zero return variance, ACF omitted)")
         print("variance = 0.0")
         return
@@ -498,7 +518,7 @@ def cmd_estimate(args):
         print("note: objective is flat near the optimum (non-identifiable fit)", file=sys.stderr)
     if args.out is not None:
         path = _out_path(args, args.out)
-        _write_csv(path, [k for k, _ in lines], [[v for _, v in lines]])
+        _write_csv(path, [[k for k, _ in lines], [v for _, v in lines]])
         print(f"wrote {path}")
     return 0
 
@@ -584,7 +604,7 @@ def cmd_audit(args):
         print(",".join(row))
     if args.out is not None:
         path = _out_path(args, args.out)
-        _write_csv(path, ["check", "p_real", "p_imag", "residual", "status"], rows)
+        _write_csv(path, [["check", "p_real", "p_imag", "residual", "status"], *rows])
         print(f"wrote {path}")
     worst = max((float(r[3]) for r in rows if r[3] != "nan"), default=0.0)
     print(f"checked {len(rows)} points, worst residual = {worst!r}, "

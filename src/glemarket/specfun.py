@@ -16,14 +16,15 @@ Lambert W0 uses Halley iteration from branch-appropriate starting points,
 stopping when the step falls below 1e-14 (relative), with a residual
 post-condition |w e^w - x| <= 1e-12 |x|.  W0(e^z) beyond z = 1 and the
 lower branch, needed only as W-1(-e^-z), solve the log forms w + ln w = z and
-v - ln v = z by one guarded Newton iteration (``_log_root``).
+v - ln v = z by one guarded Newton iteration (``_log_root``); next to the
+branch point z = 1 the lower branch is solved in v - 1 (``_branch_root``).
 
 All functions accept scalars or arrays and follow ufunc-style return rules.
 """
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InputError
+from .errors import AccuracyError, DomainError, InputError, SolverError
 
 _SERIES_CUTOFF = 17.0
 _HANKEL_TERMS = 30
@@ -165,7 +166,8 @@ def neumann_series(x, first, ratio):
         if work > NEUMANN_WORK_BOUND:
             raise InputError(
                 f"Neumann series too costly: {xs.size} arguments up to x = {xs[-1]:.6g} "
-                f"need {work:.3g} recurrence steps (bound {NEUMANN_WORK_BOUND:.3g})"
+                f"need {work:.3g} recurrence steps (bound {NEUMANN_WORK_BOUND:.3g}); "
+                f"--route laplace sums no series"
             )
         n = np.arange(top // 2)
         a = first * ratio**n  # |a_n| never grows, so the kept terms are a prefix
@@ -260,20 +262,48 @@ def _log_root(z, s):
 
     Both forms are monotone on w >= 1 (concave for s = +1, convex for
     s = -1), so Newton from the start z - s ln z + 1/2 stays on the branch;
-    iterates are clamped to w >= 1 and the slope 1 + s/w, which vanishes at
-    w = 1 when s = -1, is floored at 1e-3.  Next to that branch point
-    (s = -1, z - 1 below about 1e-3) the floor makes the steps linear, and
-    the 80-step cap can stop short of the root.
+    iterates are clamped to w >= 1.  The slope 1 + s/w vanishes at the
+    branch point w = 1 when s = -1, so there callers keep z >= 1 +
+    _BRANCH_GAP, where it is above 0.04, and solve below it by
+    ``_branch_root``.  Raises SolverError if 80 steps do not converge.
     """
     w = z - s * np.log(np.maximum(z, 1.0 + 1e-12)) + 0.5
     for _ in range(80):
         f = w + s * np.log(w) - z
-        fp = 1.0 + s / w
-        step = f / np.maximum(fp, 1e-3)
+        step = f / (1.0 + s / w)
         w = np.maximum(w - step, 1.0)
         if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(w))):
-            break
-    return w
+            return w
+    raise SolverError("log-form Lambert root: no convergence in 80 Newton steps",
+                      residual=float(np.max(np.abs(step))))
+
+
+# v - ln v = z is solved in d = v - 1 below z = 1 + _BRANCH_GAP
+_BRANCH_GAP = 1e-3
+
+
+def _branch_root(e):
+    """d >= 0 with d - log1p(d) = e (0 <= e < _BRANCH_GAP): v = 1 + d solves
+    v - ln v = 1 + e next to the branch point.
+
+    In v the residual carries a rounding error of about 1e-16 against a
+    slope 1 - 1/v that vanishes at v = 1; in d the residual's terms and the
+    slope d/(1 + d) all scale with d, so Newton keeps full accuracy.  It
+    starts from the branch-point series d = p + p^2/3, p = sqrt(2e), below
+    the root of a convex residual, so from the first step on it falls onto
+    the root from above.  e = 0 gives d = 0 exactly.  Raises SolverError if
+    40 steps do not converge.
+    """
+    p = np.sqrt(2.0 * e)
+    d = p + p * p / 3.0
+    for _ in range(40):
+        residual = (d - np.log1p(d) - e) * (1.0 + d)
+        step = np.divide(residual, d, out=np.zeros_like(d), where=d > 0.0)
+        d = d - step
+        if np.all(np.abs(step) <= 1e-15):  # absolute: v = 1 + d >= 1
+            return d
+    raise SolverError("Lambert branch-point root: no convergence in 40 Newton steps",
+                      residual=float(np.max(np.abs(step))))
 
 
 def lambert_w0_exp(z):
@@ -296,9 +326,14 @@ def lambert_wm1_neg_exp(z):
     """Underflow-safe W-1(-e^-z) for z >= 1, returned as -v with v - ln v = z.
 
     The composed form keeps the differential-model image evaluable at
-    arbitrarily large arguments where -e^-z would round to zero.
+    arbitrarily large arguments where -e^-z would round to zero.  Below
+    z = 1 + _BRANCH_GAP the root is solved in v - 1 (``_branch_root``).
     """
     za = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(za < 1.0 - 1e-12) or not np.all(np.isfinite(za)):
         raise DomainError("lambert_wm1_neg_exp requires z >= 1")
-    return _return_like(z, -_log_root(za, -1.0))
+    v = np.empty_like(za)
+    near = za < 1.0 + _BRANCH_GAP
+    v[near] = 1.0 + _branch_root(np.maximum(za[near] - 1.0, 0.0))
+    v[~near] = _log_root(za[~near], -1.0)
+    return _return_like(z, -v)

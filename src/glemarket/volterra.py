@@ -363,12 +363,20 @@ def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed):
 # lags, sum_{0<i<j} c_i c_{j-i} (and c_i q_{j-i} for the differential
 # model), of series the march itself extends.  _relaxed_lags forms these
 # sums online by divide and conquer: once the left half of a segment is
-# final, its share of the right half's sums is one product per sum (by
-# FFT from DIRECT_BELOW coefficients up), and each step adds only the pairs
-# inside its own leaf by a short inner product.  A level of the tree costs O(n log n), so n
-# steps cost O(n log^2 n) where full-history inner products cost O(n^2).
+# final, its share of the right half's sums is one product per sum (by FFT
+# from DIRECT_BELOW coefficients up).  A level of the tree costs
+# O(n log n), so n steps cost O(n log^2 n) where full-history inner
+# products cost O(n^2).
+#
+# The first RELAXED_LEAF lags are marched one by one with full inner
+# products.  In every later leaf each remaining pair has its other index in
+# the first leaf, so the step is linear in the leaf's unknowns: with M the
+# Toeplitz matrix of the first leaf (_leaf_toeplitz) the in-leaf pairs add
+# 2 (M x) to s1 and (M_q x + M y) to s2, the previous lag is a sub-diagonal
+# shift, and the whole leaf is one lower-triangular solve (_solve_leaf)
+# instead of a Python step per lag.
 
-RELAXED_LEAF = 64    # lags a leaf marches one by one (a power of two)
+RELAXED_LEAF = 64    # lags per leaf (a power of two): the first is stepped, the rest solved
 DIRECT_BELOW = 256   # block products shorter than this convolve directly
 
 
@@ -425,47 +433,65 @@ def _panel_coeffs(variant, hh, c1):
 
 
 def _relaxed_lags(c, q, start):
-    """Online sums s1 = c*c and s2 = c*q for a march that extends c and q.
+    """Leaves of a march that extends c and q, with the sums from outside them.
 
     c and q (None for s1 alone) span one grid of n lags with c[0] = q[0] = 0.
-    This generator yields (j, s1_j, s2_j), s1_j = sum_{0<i<j} c_i c_{j-i} and
-    s2_j = sum_{0<i<j} c_i q_{j-i} (0 without q), for j = max(start + 1, 2),
-    ..., n - 1 in turn; before asking for the next lag the caller must make
-    c[j] and q[j] final.  Entries up to ``start`` are final from the outset.
+    Entries up to ``start`` are final from the outset, and the caller makes
+    the first leaf, c[:RELAXED_LEAF] (and q), final before the first leaf is
+    asked for.  The generator then yields (lo, sums) for each later leaf
+    [lo, lo + m) that holds a lag above ``start``, in turn; sums has one row
+    per sum and m columns, and before asking for the next leaf the caller
+    must make c[lo:lo + m] and q[lo:lo + m] final.  For lag j = lo + J,
+    sums[0, J] is the part of s1_j = sum_{0<i<j} c_i c_{j-i} from pairs whose
+    larger index is below lo, and sums[1, J] the same part of
+    s2_j = sum_{0<i<j} c_i q_{j-i}.  The pairs left out are those with one
+    index in [lo, j) and the other in the first leaf: with x = c[lo:lo + m],
+    y = q[lo:lo + m] and the first leaf's Toeplitz matrices
+    M = _leaf_toeplitz(c), M_q = _leaf_toeplitz(q), they add 2 (M x)[J] to
+    s1_j and (M_q x + M y)[J] to s2_j.
 
     The lags form a power-of-two segment tree whose leaves are RELAXED_LEAF
     lags wide.  Once the left half [lo, mid) of a segment is final, its
     pairs landing in [mid, hi) are added with one product per sum (see
     _spill).  Each boundary lo is the midpoint of exactly one segment, of
-    half-width lo & -lo.  Inside a leaf each lag adds the pairs whose larger
-    index lies in the leaf by an inner product against the first leaf.
-    Every pair is thus counted once, at the segment that splits its larger
-    index from its sum, for O(n log^2 n) work in all.
+    half-width lo & -lo.  Every pair is thus counted once, at the segment
+    that splits its larger index from its sum, for O(n log^2 n) work in all.
     """
     n = c.size
     first = max(start + 1, 2)
     leaf = RELAXED_LEAF
-    for j in range(first, min(leaf, n)):
-        s2 = 0.0 if q is None else c[1:j].dot(q[j - 1 : 0 : -1])
-        yield j, c[1:j].dot(c[j - 1 : 0 : -1]), s2
-    # the first leaf reversed: rc[leaf - 1 - k:] is c[k], ..., c[1]; the
-    # columns of rcq are rc and the same for q
-    rc = c[leaf - 1 : 0 : -1].copy()
-    rcq = None if q is None else np.stack([rc, q[leaf - 1 : 0 : -1]], axis=1)
     acc = np.zeros((1 if q is None else 2, n))  # the sums gathered so far
-    acc1, acc2 = acc[0], acc[-1]  # acc2 is read only with q
     for lo in range(leaf, n, leaf):
         half = lo & -lo
         hi = min(lo + half, n)
         if hi > first:
             _spill(c, q, acc, lo - half, lo, hi)
-        for j in range(max(lo, first), min(lo + leaf, n)):
-            k = leaf - 1 - (j - lo)
-            if q is None:
-                yield j, acc1.item(j) + 2.0 * c[lo:j].dot(rc[k:]), 0.0
-            else:
-                cc, cq = c[lo:j].dot(rcq[k:]).tolist()
-                yield j, acc1.item(j) + 2.0 * cc, acc2.item(j) + cq + q[lo:j].dot(rc[k:])
+        end = min(lo + leaf, n)
+        if end > first:
+            yield lo, acc[:, lo:end]
+
+
+def _leaf_toeplitz(x):
+    """M[r, s] = x[r - s] for r >= s, 0 above, over the first leaf of x.
+
+    With x[0] = 0 the diagonal vanishes, and (M @ v)[J] = sum_{s<J} v_s x_{J-s}:
+    the pairs a later leaf v forms with the first leaf of x.
+    """
+    lag = np.subtract.outer(np.arange(RELAXED_LEAF), np.arange(RELAXED_LEAF))
+    return np.where(lag >= 0, x[np.maximum(lag, 0)], 0.0)
+
+
+def _solve_leaf(x, known, d, coupling, b):
+    """Make x[known:] solve d x = b + coupling x on one leaf, x[:known] given.
+
+    coupling is strictly lower triangular, so the system is too: the lags
+    the Stehfest head already covers move to the right-hand side, and the
+    rest is one solve.
+    """
+    k = known
+    lhs = -coupling[k:, k:]
+    lhs.flat[:: lhs.shape[0] + 1] += d[k:]
+    x[k:] = np.linalg.solve(lhs, b[k:] + coupling[k:, :k] @ x[:k])
 
 
 def _spill(c, q, acc, lo, mid, hi):
@@ -503,31 +529,80 @@ def _spill(c, q, acc, lo, mid, hi):
 
 
 def _boltzmann_march(hh, c, start):
-    """Fill c[start+1:] of t c = (1 - t/2)(c*c); c[:start+1] already known."""
+    """Fill c[start+1:] of t c = (1 - t/2)(c*c); c[:start+1] already known.
+
+    Lag j solves d_j c_j = half_j (hh s1_j + 2 delta0 c_{j-1}), with
+    half = 1 - t/2 and d = t - 2 gamma0 half: stepped through the first
+    leaf, one leaf at a time after it.
+    """
     n = c.size
-    t = (hh * np.arange(n)).tolist()
+    leaf = RELAXED_LEAF
+    t = hh * np.arange(n)
     gamma0, delta0 = map(float, _panel_coeffs(Variant.BOLTZMANN, hh, c[1]))
+    half = 1.0 - 0.5 * t
+    d = t - 2.0 * gamma0 * half
+    first = max(start + 1, 2)
     c[0] = 0.0  # the interior sums exclude lag zero
-    for j, s1, _ in _relaxed_lags(c, None, start):
-        known = hh * s1 + 2.0 * delta0 * c.item(j - 1)
-        half = 1.0 - 0.5 * t[j]
-        c[j] = half * known / (t[j] - 2.0 * gamma0 * half)
+    for j in range(first, min(leaf, n)):
+        known = hh * c[1:j].dot(c[j - 1 : 0 : -1]) + 2.0 * delta0 * c[j - 1]
+        c[j] = half[j] * known / d[j]
+    if n > leaf:
+        # hh s1 + 2 delta0 c_{j-1} inside a leaf: hh (sums + 2 M x) + 2 delta0 (shift x)
+        coupling = 2.0 * hh * _leaf_toeplitz(c) + np.eye(leaf, k=-1) * (2.0 * delta0)
+        for lo, (s1,) in _relaxed_lags(c, None, start):
+            m = s1.size
+            w = half[lo : lo + m]
+            b = hh * s1
+            b[0] += 2.0 * delta0 * c[lo - 1]
+            _solve_leaf(c[lo : lo + m], max(first - lo, 0), d[lo : lo + m],
+                        w[:, None] * coupling[:m, :m], w * b)
     c[0] = 1.0
 
 
 def _differential_march(hh, c, q, start):
-    """Fill c[start+1:] of t c = (c*c) + (c*(c*c)); q holds (c*c) samples."""
+    """Fill c[start+1:] of t c = (c*c) + (c*(c*c)); q holds (c*c) samples.
+
+    With known_j = hh s1_j + 2 delta0 c_{j-1}, lag j solves
+    d_j c_j = (1 + gamma0) known_j + hh s2_j + delta0 q_{j-1}, where
+    d = t - 2 gamma0 (1 + gamma0), and then q_j = 2 gamma0 c_j + known_j:
+    stepped through the first leaf, one leaf at a time after it.
+    """
     n = c.size
-    t = (hh * np.arange(n)).tolist()
+    leaf = RELAXED_LEAF
+    t = hh * np.arange(n)
     gamma0, delta0 = map(float, _panel_coeffs(Variant.DIFFERENTIAL, hh, c[1]))
+    g1 = 1.0 + gamma0
+    d = t - 2.0 * gamma0 * g1
+    first = max(start + 1, 2)
     c[0] = 0.0  # the interior sums exclude lag zero; q[0] is 0 already
-    for j, s1, s2 in _relaxed_lags(c, q, start):
-        known = hh * s1 + 2.0 * delta0 * c.item(j - 1)
-        cj = ((1.0 + gamma0) * known + hh * s2 + delta0 * q.item(j - 1)) / (
-            t[j] - 2.0 * gamma0 * (1.0 + gamma0)
-        )
-        c[j] = cj
-        q[j] = 2.0 * gamma0 * cj + known
+    for j in range(first, min(leaf, n)):
+        known = hh * c[1:j].dot(c[j - 1 : 0 : -1]) + 2.0 * delta0 * c[j - 1]
+        c[j] = (g1 * known + hh * c[1:j].dot(q[j - 1 : 0 : -1]) + delta0 * q[j - 1]) / d[j]
+        q[j] = 2.0 * gamma0 * c[j] + known
+    if n > leaf:
+        # inside a leaf, with x = c and y = q there: known = k0 + kx x, where
+        # k0 holds the sums from outside the leaf and kx = 2 hh M + 2 delta0 shift;
+        # y = 2 gamma0 x + known on the lags marched; and hh s2 + delta0 q_{j-1}
+        # adds hh M_q x + ky y, ky = hh M + delta0 shift
+        m0, shift = _leaf_toeplitz(c), np.eye(leaf, k=-1)
+        kx = 2.0 * hh * m0 + 2.0 * delta0 * shift
+        ky = hh * m0 + delta0 * shift
+        qx = kx + 2.0 * gamma0 * np.eye(leaf)  # y = qx x + k0 where marched
+        direct = g1 * kx + hh * _leaf_toeplitz(q)
+        coupling = direct + ky @ qx
+        for lo, (s1, s2) in _relaxed_lags(c, q, start):
+            m = s1.size
+            k = max(first - lo, 0)
+            k0 = hh * s1
+            k0[0] += 2.0 * delta0 * c[lo - 1]
+            y0 = k0.copy()
+            y0[:k] = q[lo : lo + k]  # the head's own q, not the march relation
+            b = g1 * k0 + hh * s2 + ky[:m, :m] @ y0
+            b[0] += delta0 * q[lo - 1]
+            # the head's lags enter y by value, so only the marched ones substitute
+            leaf_coupling = coupling if k == 0 else direct + ky[:, k:] @ qx[k:]
+            _solve_leaf(c[lo : lo + m], k, d[lo : lo + m], leaf_coupling[:m, :m], b)
+            q[lo + k : lo + m] = qx[k:m, :m] @ c[lo : lo + m] + y0[k:]
     c[0] = 1.0
 
 

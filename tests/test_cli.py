@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -179,6 +180,15 @@ class TestAcf:
         # stock theta = 0.0125 at 8000 lags needs only about 1e5 image points
         assert run_cli("acf", "--out-dir", str(tmp_path), "--model", "stock", "--theta", "0.0125",
                        "--h", "0.05", "--n-points", "8000", "--route", "laplace")[0] == 0
+
+    def test_oversized_neumann_series_exits_2_and_points_to_laplace(self, tmp_path):
+        # theta = 2e-5 at h = 1 needs 6.2e9 recurrence steps, the contours only 0.6 s
+        args = ["acf", "--out-dir", str(tmp_path), "--model", "stock", "--theta", "2e-5",
+                "--h", "1", "--n-points", "16"]
+        code, _, err = run_cli(*args, "--route", "closed")
+        assert code == 2 and "recurrence steps" in err and "--route laplace" in err
+        assert list(tmp_path.iterdir()) == []
+        assert run_cli(*args, "--route", "laplace")[0] == 0
 
     def test_capability_gap_prints_matrix(self, tmp_path):
         code, _, err = run_cli(
@@ -820,6 +830,105 @@ def test_seeded_csvs_write_the_bytes_of_numpy_scalars(tmp_path, monkeypatch):
     assert len(expected) == 6
     for name, digest in expected.items():
         assert file_digest(tmp_path / name) == digest, name
+
+
+def mixed_columns(n_cols, n_rows):
+    """Float columns with every special value, int and bool columns, in turn."""
+    rng = np.random.default_rng(n_cols * 7919 + n_rows)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.225073858507201e-308,
+                         -1e-310, 1e16, 1e-5, 0.1 + 0.2, -1e300, 1.0 / 3.0])
+    columns = []
+    for k in range(n_cols):
+        if k % 3 == 0:
+            col = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows)
+            col[: specials.size] = specials[: n_rows]
+        elif k % 3 == 1:
+            col = rng.integers(-(2**62), 2**62, n_rows)
+        else:
+            col = rng.random(n_rows) < 0.5
+        columns.append(col)
+    return columns
+
+
+BLOCK = cli._CSV_BLOCK
+
+
+@pytest.mark.parametrize("n_cols,n_rows", [
+    (3, 0), (3, BLOCK - 1), (3, BLOCK), (3, BLOCK + 1), (1, BLOCK + 1), (501, BLOCK + 1),
+])
+def test_block_writer_matches_csv_writer(tmp_path, n_cols, n_rows):
+    header = [f"c{k}" for k in range(n_cols)]
+    columns = mixed_columns(n_cols, n_rows)
+    cli._write_columns(tmp_path / "b.csv", header, *columns)
+    assert file_digest(tmp_path / "b.csv") == numpy_scalar_csv_digest(header, columns)
+    text = (tmp_path / "b.csv").read_text(encoding="utf-8")
+    assert text.count("\n") == n_rows + 1
+    if n_rows:
+        assert "nan" in text and "-inf" in text and "5e-324" in text and "-0.0" in text
+    if n_rows and n_cols >= 3:
+        assert "True" in text and "False" in text
+
+
+class HookedFile:
+    """File object wrapper that hands every write to ``hook`` first."""
+
+    def __init__(self, fh, hook):
+        self.fh, self.hook = fh, hook
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def write(self, text):
+        self.hook(text)
+        return self.fh.write(text)
+
+
+def hook_writes(monkeypatch, hook):
+    monkeypatch.setattr(cli, "open", lambda *a, **k: HookedFile(open(*a, **k), hook),
+                        raising=False)
+
+
+def test_block_writer_writes_one_call_per_block(tmp_path, monkeypatch):
+    writes = []
+    hook_writes(monkeypatch, writes.append)
+    n_rows = 3 * BLOCK + 5
+    columns = mixed_columns(3, n_rows)
+    cli._write_columns(tmp_path / "w.csv", ["a", "b", "c"], *columns)
+    assert len(writes) <= 1 + -(-n_rows // BLOCK)
+    assert file_digest(tmp_path / "w.csv") == numpy_scalar_csv_digest(["a", "b", "c"], columns)
+
+
+def test_block_writer_peak_memory_holds_one_block(tmp_path):
+    def peak(n_rows):
+        columns = [np.linspace(0.0, 1.0, n_rows), np.arange(n_rows), np.ones(n_rows)]
+        tracemalloc.start()
+        try:
+            cli._write_columns(tmp_path / "m.csv", ["a", "b", "c"], *columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # .tolist() of the whole table would grow the peak eightfold
+    assert peak(16 * BLOCK) <= 1.1 * peak(2 * BLOCK)
+
+
+def test_block_write_failure_exits_2(tmp_path, monkeypatch):
+    (tmp_path / "acf.csv").mkdir()  # the output path is taken by a directory
+    argv = ["acf", "--model", "selfsim", "--route", "closed", "--h", "0.1",
+            "--n-points", str(3 * BLOCK)]
+    code, _, err = run_cli(*argv, "--out-dir", str(tmp_path))
+    assert code == 2 and "cannot write" in err
+
+    def disk_full_after_header(text):
+        if not text.startswith("lag,"):
+            raise OSError(28, "No space left on device")
+
+    hook_writes(monkeypatch, disk_full_after_header)
+    code, _, err = run_cli(*argv, "--out-dir", str(tmp_path / "sub"))
+    assert code == 2 and "cannot write" in err and "No space left" in err
 
 
 # -- process-level behavior ----------------------------------------------------------

@@ -191,10 +191,12 @@ def test_lambert_w0_exp_relative_accuracy():
 
 
 # lambert_wm1_neg_exp values frozen before its Newton loop became the shared
-# log-form root iteration; they must not move by a bit
+# log-form root iteration; they must not move by a bit.  The two next to the
+# branch point are 40-digit mpmath roots, -1 and
+# -1.000044722028069333028415816074022170693, rounded.
 WM1_NEG_EXP_FROZEN = {
-    1.0: -1.0000258700822255,
-    1.000000001: -1.0000475692268027,
+    1.0: -1.0,
+    1.000000001: -1.0000447220280693,
     1.001: -1.0453904959636906,
     1.2: -1.7722498296092304,
     2.0: -3.1461932206205825,
@@ -211,6 +213,17 @@ def test_lambert_wm1_neg_exp_frozen_bits():
     # one call per z: an array call iterates until its slowest entry converges
     for z, ref in WM1_NEG_EXP_FROZEN.items():
         assert specfun.lambert_wm1_neg_exp(z) == ref
+
+
+def test_lambert_wm1_neg_exp_at_the_branch_point():
+    # v - ln v = z has a double root at z = 1: solved in v - 1 next to it
+    zs = [1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.001]
+    with mp.workdps(60):
+        ref = [float(mp.lambertw(-mp.exp(-mp.mpf(z)), -1).real) for z in zs]
+    got = [specfun.lambert_wm1_neg_exp(z) for z in zs]
+    assert max(abs(g / r - 1.0) for g, r in zip(got, ref)) <= 1e-15
+    together = specfun.lambert_wm1_neg_exp(np.array(zs))
+    assert np.max(np.abs(together / ref - 1.0)) <= 1e-15
 
 
 def test_scalar_array_round_trip():

@@ -367,71 +367,107 @@ def test_relaxed_marches_match_quadratic_oracle(monkeypatch, n, h, tau_R):
 @pytest.mark.parametrize("start", [1, 4, 63, 64, 200])
 @pytest.mark.parametrize("coupled", [False, True])
 def test_relaxed_lags_forms_every_causal_sum(start, coupled):
-    # a nonlinear march of one or two series, checked against full sums
+    # a nonlinear march of one or two series, checked against full sums: each
+    # leaf's outside sums plus its pairs with the first leaf, the Toeplitz
+    # products a leaf solve uses, give every s1 and s2 once
     n = 1000
+    leaf = volterra.RELAXED_LEAF
     rng = np.random.default_rng(7)
     c = np.zeros(n)
     q = np.zeros(n) if coupled else None
     c[1 : start + 1] = rng.uniform(-1.0, 1.0, start)
     if coupled:
         q[1 : start + 1] = rng.uniform(-1.0, 1.0, start)
-    seen = []
-    for j, s1, s2 in volterra._relaxed_lags(c, q, start):
+
+    def step(j, s1, s2):
         assert s1 == pytest.approx(np.dot(c[1:j], c[j - 1 : 0 : -1]), abs=1e-12)
         if coupled:
             assert s2 == pytest.approx(np.dot(c[1:j], q[j - 1 : 0 : -1]), abs=1e-12)
             q[j] = np.cos(s2 - c[j - 1])
-        else:
-            assert s2 == 0.0
         c[j] = np.sin(s1 + j)
-        seen.append(j)
-    assert seen == list(range(max(start + 1, 2), n))
+
+    first = max(start + 1, 2)
+    for j in range(first, leaf):  # the first leaf is the march's own
+        step(j, np.dot(c[1:j], c[j - 1 : 0 : -1]),
+             np.dot(c[1:j], q[j - 1 : 0 : -1]) if coupled else 0.0)
+    m0 = volterra._leaf_toeplitz(c)
+    mq = volterra._leaf_toeplitz(q) if coupled else None
+    seen = []
+    for lo, sums in volterra._relaxed_lags(c, q, start):
+        m = sums.shape[1]
+        assert sums.shape[0] == (2 if coupled else 1)
+        x = c[lo : lo + m]
+        for j in range(max(lo, first), lo + m):
+            r = j - lo
+            s1 = sums[0, r] + 2.0 * m0[r, :m] @ x
+            s2 = sums[1, r] + mq[r, :m] @ x + m0[r, :m] @ q[lo : lo + m] if coupled else 0.0
+            step(j, s1, s2)
+            seen.append(j)
+    assert seen == list(range(max(first, leaf), n))
 
 
-class _SliceLog(np.ndarray):
-    """Array view that logs the length of every 1-d slice taken from it."""
+class _ReadLog(np.ndarray):
+    """Array view that logs the index range of every read taken from it;
+    slices come back as plain arrays, so only reads of the whole grid count."""
 
     log = None
 
     def __getitem__(self, key):
-        if isinstance(key, slice) and _SliceLog.log is not None:
-            _SliceLog.log.append(len(range(*key.indices(self.shape[0]))))
-        return super().__getitem__(key)
+        out = super().__getitem__(key)
+        if _ReadLog.log is not None:
+            n = self.shape[0]
+            span = range(*key.indices(n)) if isinstance(key, slice) else np.ravel(key) % n
+            if len(span):
+                _ReadLog.log.append((int(min(span)), int(max(span))))
+        return np.asarray(out) if isinstance(out, np.ndarray) else out
 
 
 @pytest.mark.parametrize("make,acf", [(m[0], m[1]) for m in LAMBERT_MARCHES])
 def test_no_march_step_reaches_over_the_history(monkeypatch, make, acf):
-    # not a timing: every lag's inner products stay inside one leaf, and the
-    # block products sum to one pass over the lags per tree level
+    # not a timing: outside the block products, every read of the history
+    # lies in the first leaf or in the current leaf and the lag before it,
+    # and the block products sum to one pass over the lags per tree level
     n = 4096
     leaf = volterra.RELAXED_LEAF
-    step_reads, spill_widths, lags = [], [], []
+    name = next(m[2] for m in LAMBERT_MARCHES if m[1] is acf)
+    reads, spill_widths, leaves = [], [], []
+    real_march = getattr(volterra, name)
     real_lags, real_spill = volterra._relaxed_lags, volterra._spill
 
     def logged_spill(c, q, acc, lo, mid, hi):
         spill_widths.append(hi - lo)
-        _SliceLog.log = None
-        real_spill(c, q, acc, lo, mid, hi)
-        _SliceLog.log = step_reads
+        _ReadLog.log = None
+        real_spill(np.asarray(c), None if q is None else np.asarray(q), acc, lo, mid, hi)
+        _ReadLog.log = reads
 
     def logged_lags(c, q, start):
-        views = [None if x is None else x.view(_SliceLog) for x in (c, q)]
-        _SliceLog.log = step_reads
-        try:
-            for step in real_lags(*views, start):
-                lags.append(step[0])
-                yield step
-        finally:
-            _SliceLog.log = None
+        for lo, sums in real_lags(c, q, start):
+            leaves.append((lo, lo + sums.shape[1]))
+            reads.append(None)  # reads after this marker belong to this leaf
+            yield lo, sums
 
+    def logged_march(hh, *series):
+        _ReadLog.log = reads
+        try:
+            real_march(hh, *(x.view(_ReadLog) for x in series[:-1]), series[-1])
+        finally:
+            _ReadLog.log = None
+
+    monkeypatch.setattr(volterra, name, logged_march)
     monkeypatch.setattr(volterra, "_relaxed_lags", logged_lags)
     monkeypatch.setattr(volterra, "_spill", logged_spill)
-    h = 0.01
-    values = acf(make(tau_R=1.0), h, n).values
+    values = acf(make(tau_R=1.0), 0.01, n).values
     assert np.all(np.isfinite(values))
-    head = int(np.ceil(volterra.STARTUP_SPAN / h))
-    assert lags == list(range(head + 1, n))
-    assert step_reads and max(step_reads) <= leaf
+    assert leaves == [(lo, lo + leaf) for lo in range(leaf, n, leaf)]
+    assert sum(1 for read in reads if read and read[0] >= leaf) >= len(leaves)
+    current = (0, leaf)  # before the first solved leaf: the stepped first leaf
+    marks = iter(leaves)
+    for read in reads:
+        if read is None:
+            current = next(marks)
+            continue
+        lo, hi = read
+        assert hi < leaf or current[0] - 1 <= lo <= hi < current[1], (read, current)
     levels = int(np.log2(n // leaf))
     assert sum(spill_widths) <= n * levels
 
