@@ -20,6 +20,7 @@ Conventions shared by every subcommand:
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -723,9 +724,15 @@ def _build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: parsing never changes it, and
+    help text reads the terminal width when it is printed, not here."""
+    return _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.config = load_config(args.config) if args.config else RunConfig()
         return args.func(args)

@@ -3,13 +3,20 @@
 The forward theory maps (tau_r, theta) to an observable ACF; this module
 goes the other way.  sample_acf/ensemble_acf estimate a normalized ACF from
 return-rate series with the biased (divide-by-N) estimator, which keeps the
-estimate positive semidefinite as a sequence.  fit_theta then least-squares
-matches the estimate against the two-relaxation-time stock family, scanning
-a coarse (tau_r, theta) grid and refining by coordinate descent.  The model
-curves are the exact stock ACF (``closed_form_acf``: closed forms at
-theta = 0, 1, 2 and a Bessel-Neumann series elsewhere) on a unit-time grid,
-cached per theta; a cold curve costs about a millisecond at theta = 1 and
-grows as 1/theta below it.  The cache is a read-mostly dict, safe under
+estimate positive semidefinite as a sequence.  ensemble_acf transforms the
+paths in blocks of _ACF_BLOCK, one batched rfft/irfft per block, so its
+transient memory does not grow with the path count; the FFT length is the
+smallest 5-smooth L >= n + max_lag, the shortest at which the circular
+correlation wraps no product into a lag <= max_lag.  fit_theta then
+least-squares matches the estimate against the two-relaxation-time stock
+family, scanning a coarse (tau_r, theta) grid and refining by coordinate
+descent.  Each tau_r scan is one interpolation over every (tau_r, lag)
+pair, and its values equal the scalar objective's bit for bit, so the
+search takes the same path as a point-by-point scan.  The model curves are
+the exact stock ACF (``closed_form_acf``: closed forms at theta = 0, 1, 2
+and a Bessel-Neumann series elsewhere) on a unit-time grid, cached per
+theta; a cold curve costs about a millisecond at theta = 1 and grows as
+1/theta below it.  The cache is a read-mostly dict, safe under
 concurrent fits because entries are write-once.
 """
 
@@ -23,6 +30,7 @@ from .errors import DegenerateSeriesError, InputError
 from .laplace import invert_at  # noqa: F401
 from .models import ModelSpec, StockClass, classify_theta, closed_form_acf
 from .series import AcfSeries, PathEnsemble
+from .volterra import _five_smooth
 
 # unit-tau_r lag grid for cached model curves; fits are restricted to
 # lag/tau_r <= _U_MAX so interpolation never extrapolates
@@ -32,6 +40,9 @@ _THETA_KEY_DECIMALS = 6
 # all fitted thetas live on this lattice so the curve cache is shared
 # across fits
 _THETA_STEP = 0.0125
+# paths per batched FFT in ensemble_acf: its transient memory is
+# O(_ACF_BLOCK * L) whatever the path count
+_ACF_BLOCK = 128
 
 _model_curve_cache = {}
 
@@ -57,15 +68,6 @@ def _as_clean_series(series):
     if not np.all(np.isfinite(x)):
         raise InputError("series contains non-finite values")
     return x
-
-
-def _biased_autocovariance(x, max_lag):
-    """FFT autocovariance sum_{n} x_n x_{n+k} / N for k = 0..max_lag."""
-    n = x.size
-    size = 1 << int(np.ceil(np.log2(2 * n)))
-    spec = np.fft.rfft(x, size)
-    acov = np.fft.irfft(spec * np.conj(spec), size)[: max_lag + 1]
-    return acov / n
 
 
 def sample_acf(series, max_lag, h=1.0):
@@ -94,9 +96,15 @@ def ensemble_acf(ensemble, max_lag):
             f"paths of length {ensemble.n_steps} are too short for "
             f"max_lag={max_lag} (need >= 4*max_lag samples)"
         )
-    rows = np.stack(
-        [_biased_autocovariance(path, max_lag) for path in ensemble.paths]
-    )
+    # a circular correlation of length L >= n + max_lag wraps no product
+    # into lags <= max_lag
+    n = ensemble.n_steps
+    size = _five_smooth(n + max_lag)
+    rows = np.empty((ensemble.n_paths, max_lag + 1))
+    for lo in range(0, ensemble.n_paths, _ACF_BLOCK):
+        spec = np.fft.rfft(ensemble.paths[lo : lo + _ACF_BLOCK], size, axis=1)
+        acov = np.fft.irfft(spec * np.conj(spec), size, axis=1)
+        rows[lo : lo + _ACF_BLOCK] = acov[:, : max_lag + 1] / n
     mean = rows.mean(axis=0)
     if mean[0] <= 0.0:
         raise DegenerateSeriesError("ensemble has zero variance")
@@ -120,34 +128,43 @@ def model_curve(theta):
     return entry
 
 
-def _objective(lags, data, tau_r, theta):
+def _objective(lags, data, tau_r, model):
+    """Mean squared misfit at tau_r of ``model``, a ``model_curve`` entry."""
     u = lags / tau_r
     if u[-1] > _U_MAX:
         return np.inf
-    grid, curve = model_curve(theta)
-    fit = np.interp(u, grid, curve)
-    diff = data - fit
+    diff = data - np.interp(u, *model)
     return float(diff @ diff) / lags.size
 
 
-def _refine_tau(lags, data, theta, lo, hi, iters=40):
+def _scan_tau(lags, data, taus, model):
+    """_objective at each of ``taus``, bit for bit, from one interpolation."""
+    u = lags / taus[:, None]
+    vals = np.full(taus.size, np.inf)
+    ok = u[:, -1] <= _U_MAX
+    diffs = data - np.interp(u[ok], *model)
+    vals[ok] = [float(r @ r) / lags.size for r in diffs]
+    return vals
+
+
+def _refine_tau(lags, data, model, lo, hi, iters=40):
     """Golden-section minimum of the tau_r slice on a log interval."""
     phi = 0.5 * (np.sqrt(5.0) - 1.0)
     a, b = np.log(lo), np.log(hi)
     c, d = b - phi * (b - a), a + phi * (b - a)
-    fc = _objective(lags, data, np.exp(c), theta)
-    fd = _objective(lags, data, np.exp(d), theta)
+    fc = _objective(lags, data, np.exp(c), model)
+    fd = _objective(lags, data, np.exp(d), model)
     for _ in range(iters):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = _objective(lags, data, np.exp(c), theta)
+            fc = _objective(lags, data, np.exp(c), model)
         else:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = _objective(lags, data, np.exp(d), theta)
+            fd = _objective(lags, data, np.exp(d), model)
     mid = np.exp(0.5 * (a + b))
-    return mid, _objective(lags, data, mid, theta)
+    return mid, _objective(lags, data, mid, model)
 
 
 def _profile_tau(lags, data, theta, tau_hint, span=0.15, points=13):
@@ -157,11 +174,11 @@ def _profile_tau(lags, data, theta, tau_hint, span=0.15, points=13):
     The tau_r slice can be multimodal for oscillatory ACFs, so the golden
     section is only trusted inside the bracket found by the scan.
     """
+    model = model_curve(theta)
     taus = tau_hint * np.logspace(-span, span, points)
-    vals = [_objective(lags, data, tau, theta) for tau in taus]
-    j = int(np.argmin(vals))
+    j = int(np.argmin(_scan_tau(lags, data, taus, model)))
     ratio = taus[1] / taus[0]
-    return _refine_tau(lags, data, theta, taus[j] / ratio, taus[j] * ratio)
+    return _refine_tau(lags, data, model, taus[j] / ratio, taus[j] * ratio)
 
 
 def _refine_profiled(lags, data, theta, tau, f):
@@ -230,8 +247,8 @@ def fit_theta(acf, lag_window):
 
     # flat-objective diagnostic along theta
     probe = 0.1
-    f_plus = _objective(lags, data, tau_best, theta_best + probe)
-    f_minus = _objective(lags, data, tau_best, max(theta_best - probe, 0.0))
+    f_plus = _objective(lags, data, tau_best, model_curve(theta_best + probe))
+    f_minus = _objective(lags, data, tau_best, model_curve(max(theta_best - probe, 0.0)))
     curvature = abs(f_plus + f_minus - 2.0 * f_best)
     # the floor keeps curve-cache roundoff (~1e-16 per sample, ~1e-32 in the
     # MSE) from masking a genuinely flat objective when f_best is exactly 0

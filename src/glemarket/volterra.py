@@ -461,11 +461,12 @@ def _relaxed_lags(c, q, start):
     first = max(start + 1, 2)
     leaf = RELAXED_LEAF
     acc = np.zeros((1 if q is None else 2, n))  # the sums gathered so far
+    spectra = {}  # FFTs of the final prefixes c[:w] (and q[:w]), by (w, size)
     for lo in range(leaf, n, leaf):
         half = lo & -lo
         hi = min(lo + half, n)
         if hi > first:
-            _spill(c, q, acc, lo - half, lo, hi)
+            _spill(c, q, acc, spectra, lo - half, lo, hi)
         end = min(lo + leaf, n)
         if end > first:
             yield lo, acc[:, lo:end]
@@ -494,7 +495,7 @@ def _solve_leaf(x, known, d, coupling, b):
     x[k:] = np.linalg.solve(lhs, b[k:] + coupling[k:, :k] @ x[:k])
 
 
-def _spill(c, q, acc, lo, mid, hi):
+def _spill(c, q, acc, spectra, lo, mid, hi):
     """Add the pairs whose larger index lies in [lo, mid) to acc[:, mid:hi].
 
     For lo = 0 these are c[:mid] c[:mid] (and c[:mid] q[:mid]).  Otherwise
@@ -502,7 +503,8 @@ def _spill(c, q, acc, lo, mid, hi):
     [lo, mid) and the other below w = hi - lo, already final:
     2 c[lo:mid] c[:w] (and c[lo:mid] q[:w] + q[lo:mid] c[:w]).  Products
     shorter than DIRECT_BELOW convolve directly; longer ones share one FFT
-    of each operand slice.
+    of each operand slice.  Being final, the early factors' FFTs are kept in
+    ``spectra`` for every later segment of the same width in one march.
     """
     w = hi - lo
     reach = mid if lo == 0 else w  # length of the early factor
@@ -516,7 +518,12 @@ def _spill(c, q, acc, lo, mid, hi):
         product = np.multiply
         size = _five_smooth(mid - lo + reach - 1)
         seg = [np.fft.rfft(x[lo:mid], size) for x in ops]
-        early = seg if lo == 0 else [np.fft.rfft(x[:reach], size) for x in ops]
+        if lo == 0:
+            early = seg
+        elif (w, size) in spectra:
+            early = spectra[w, size]
+        else:
+            early = spectra[w, size] = [np.fft.rfft(x[:w], size) for x in ops]
     rows = [product(seg[0], early[0])]
     if q is not None:
         rows.append(product(seg[0], early[1]))

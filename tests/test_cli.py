@@ -965,6 +965,30 @@ def test_console_help_via_module():
     assert "capability matrix" in proc.stdout
 
 
+def test_main_reuses_one_parser_that_parses_and_helps_alike(monkeypatch):
+    build = cli._build_parser
+    cli._parser()
+
+    def refuse():
+        raise AssertionError("main must not build a second parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    argv = ["simulate", "--model", "stock", "--n-paths", "2", "--n-steps", "64", "--h", "0.1"]
+
+    def helped(parser, command):
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit):
+            parser([*command, "--help"])
+        return out.getvalue()
+
+    first = cli._parser().parse_args(argv)
+    with redirect_stderr(io.StringIO()), pytest.raises(SystemExit):
+        main(["acf", "--model", "stock", "--route", "bogus", "--h", "0.1"])
+    assert cli._parser().parse_args(argv) == first == build().parse_args(argv)
+    for command in ([], ["fig1"], ["acf"], ["simulate"], ["estimate"], ["audit"]):
+        assert helped(main, command) == helped(build().parse_args, command)
+
+
 def test_unknown_subcommand_is_input_error():
     proc = subprocess.run(
         [sys.executable, "-m", "glemarket", "frobnicate"],

@@ -1,5 +1,6 @@
 """Tests for the ACF estimators and the (tau_r, theta) least-squares fit."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -113,15 +114,56 @@ class TestEnsembleAcf:
         _, se = ensemble_acf(twin, 32)
         assert np.abs(se).max() < 1e-15
 
-    def test_matches_per_path_average(self):
-        out = simulate_white_returns(1.0, 1.0, 512, 0.1, 6, seed=9)
-        acf, _ = ensemble_acf(out, 32)
+    @staticmethod
+    def assert_matches_naive(out, max_lag):
+        acf, se = ensemble_acf(out, max_lag)
         rows = np.stack(
-            [naive_biased_autocovariance(p, 32) for p in out.paths]
+            [naive_biased_autocovariance(p, max_lag) for p in out.paths]
         )
         mean = rows.mean(axis=0)
         assert np.abs(acf.values - mean / mean[0]).max() < 1e-10
         assert acf.variance == pytest.approx(mean[0], rel=1e-12)
+        if out.n_paths > 1:
+            ref_se = rows.std(axis=0, ddof=1) / np.sqrt(out.n_paths) / mean[0]
+            assert np.abs(se - ref_se).max() < 1e-10
+
+    def test_matches_per_path_average(self):
+        self.assert_matches_naive(simulate_white_returns(1.0, 1.0, 512, 0.1, 6, seed=9), 32)
+
+    @pytest.mark.parametrize(
+        "n_steps,max_lag,n_paths",
+        [
+            # n + max_lag one above the 5-smooth lengths 16, 640, 1000 and
+            # 2025: an FFT one sample shorter wraps a product into max_lag
+            (14, 3, 3),
+            (513, 128, 3),
+            (801, 200, 3),
+            (1621, 405, 2),
+            # around the FFT block of paths
+            (64, 16, 1),
+            (64, 16, estimate._ACF_BLOCK - 1),
+            (64, 16, estimate._ACF_BLOCK),
+            (64, 16, estimate._ACF_BLOCK + 1),
+        ],
+    )
+    def test_fft_length_and_blocks_match_per_path_average(self, n_steps, max_lag, n_paths):
+        out = simulate_white_returns(1.0, 1.0, n_steps, 0.1, n_paths, seed=9)
+        self.assert_matches_naive(out, max_lag)
+
+    def test_peak_memory_holds_one_block_of_paths(self):
+        def peak(n_paths):
+            paths = np.random.default_rng(2).standard_normal((n_paths, 1024))
+            ensemble = PathEnsemble(h=0.1, paths=paths, kind="return-rate")
+            tracemalloc.start()
+            try:
+                ensemble_acf(ensemble, 8)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # transforming every path at once would grow the peak eightfold
+        block = estimate._ACF_BLOCK
+        assert peak(16 * block) <= 1.1 * peak(2 * block)
 
     def test_validation(self):
         out = simulate_white_returns(1.0, 1.0, 64, 0.1, 2, seed=1)
@@ -231,6 +273,42 @@ class TestFitTheta:
         rep = fit_theta(acf, lag_window=6.0)
         assert not rep.window_ok
         assert rep.tau_r == pytest.approx(5.0, rel=0.05)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.3, 3.0])
+    def test_batched_scan_matches_objective_bit_for_bit(self, theta):
+        x = simulate_white_returns(1.0, 1.0, 4000, 0.1, 1, seed=6).paths[0]
+        acf = sample_acf(x, 100, h=0.1)
+        lags, data = acf.h * np.arange(101), acf.values
+        model = model_curve(theta)
+        # the smallest tau_r puts lags[-1] / tau_r above _U_MAX: the inf entries
+        taus = 0.6 * np.logspace(-1.2, 1.2, 97)
+        scan = estimate._scan_tau(lags, data, taus, model)
+        ref = [estimate._objective(lags, data, tau, model) for tau in taus]
+        assert np.isinf(scan).sum() == np.isinf(ref).sum() > 0
+        assert scan.tolist() == ref
+
+    @pytest.mark.parametrize(
+        "theta,seed,want_theta,want_tau",
+        [
+            (0.5, 1, 0.5, 0.9954002662317718),
+            (1.0, 1, 1.0, 0.998080861242889),
+            (1.5, 1, 1.5000000000000002, 0.9983623996241042),
+            (3.0, 1, 2.8375000000000004, 1.0412116033755954),
+            (0.5, 2, 0.5, 0.9963326348743023),
+            (1.0, 2, 1.0, 0.9975531030290642),
+            (1.5, 2, 1.475, 1.014157181444677),
+            (3.0, 2, 2.9, 1.024859664579099),
+        ],
+    )
+    def test_seeded_ensemble_fits_are_frozen(self, theta, seed, want_theta, want_tau):
+        # the fits of the per-path FFT and per-point scan implementation:
+        # theta exactly, tau_r up to the golden section's ulp-level path
+        model = ModelSpec.stock_theta(tau_r=1.0, theta=theta)
+        out = simulate_stationary_ensemble(model, h=0.125, n_steps=2048, n_paths=500, seed=seed)
+        acf, _ = ensemble_acf(out, max_lag=320)
+        rep = fit_theta(acf, lag_window=40.0)
+        assert rep.theta == want_theta
+        assert rep.tau_r == pytest.approx(want_tau, rel=1e-8)
 
     def test_lags_used_counts_fitted_samples(self):
         lags = 0.1 * np.arange(101)

@@ -434,10 +434,10 @@ def test_no_march_step_reaches_over_the_history(monkeypatch, make, acf):
     real_march = getattr(volterra, name)
     real_lags, real_spill = volterra._relaxed_lags, volterra._spill
 
-    def logged_spill(c, q, acc, lo, mid, hi):
+    def logged_spill(c, q, acc, spectra, lo, mid, hi):
         spill_widths.append(hi - lo)
         _ReadLog.log = None
-        real_spill(np.asarray(c), None if q is None else np.asarray(q), acc, lo, mid, hi)
+        real_spill(np.asarray(c), None if q is None else np.asarray(q), acc, spectra, lo, mid, hi)
         _ReadLog.log = reads
 
     def logged_lags(c, q, start):
@@ -470,6 +470,33 @@ def test_no_march_step_reaches_over_the_history(monkeypatch, make, acf):
         assert hi < leaf or current[0] - 1 <= lo <= hi < current[1], (read, current)
     levels = int(np.log2(n // leaf))
     assert sum(spill_widths) <= n * levels
+
+
+@pytest.mark.parametrize("make,acf", [(m[0], m[1]) for m in LAMBERT_MARCHES])
+def test_spill_reuses_early_factor_spectra_exactly(monkeypatch, make, acf):
+    # the early factors c[:w] (and q[:w]) are final, so reusing their FFTs
+    # across segments of one width must give the march bit for bit
+    real_fft, real_spill = np.fft.rfft, volterra._spill
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_fft(*args, **kwargs)
+
+    def march():
+        calls.clear()
+        values = acf(make(tau_R=1.0), 0.01, 8000).values
+        return values, len(calls)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    reused, reused_calls = march()
+    monkeypatch.setattr(volterra, "_spill", lambda c, q, acc, spectra, *seg:
+                        real_spill(c, q, acc, {}, *seg))
+    fresh, fresh_calls = march()
+    assert np.array_equal(reused, fresh)
+    ops = 1 if acf is boltzmann_acf else 2
+    # 48 of the early-factor transforms per operand repeat a width
+    assert fresh_calls - reused_calls == 48 * ops
 
 # -- stationary ensembles ------------------------------------------------------
 
