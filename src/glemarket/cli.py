@@ -159,8 +159,10 @@ def load_config(path):
 # -- CSV plumbing ---------------------------------------------------------------
 
 
-# rows of a column CSV formatted into one string and written with one call
+# rows of a column CSV formatted into one string and written with one call,
+# at most _CSV_BLOCK of them and at most _CSV_CELLS cells
 _CSV_BLOCK = 1024
+_CSV_CELLS = 16384
 
 
 def _write_csv(path, rows, blocks=()):
@@ -180,16 +182,18 @@ def _write_columns(path, header, *columns):
 
     Each cell is the repr of the column's .tolist() value, which is what
     csv.writer prints for ints, bools and floats (shortest float repr), so
-    the bytes are a csv.writer file's.  The rows go out _CSV_BLOCK at a
-    time, each block formatted as one string and written with one call,
-    so only one block of Python values is alive at once.
+    the bytes are a csv.writer file's.  The rows go out in blocks of at
+    most _CSV_BLOCK rows and _CSV_CELLS cells (one row at the least), each
+    formatted as one string and written with one call, so only one block
+    of Python values is alive at once, however wide the file.
     """
     columns = [np.asarray(c) for c in columns]
     n_rows = min((len(c) for c in columns), default=0)
+    rows = max(1, min(_CSV_BLOCK, _CSV_CELLS // max(1, len(columns))))
 
     def blocks():
-        for lo in range(0, n_rows, _CSV_BLOCK):
-            cells = [map(repr, c[lo : lo + _CSV_BLOCK].tolist()) for c in columns]
+        for lo in range(0, n_rows, rows):
+            cells = [map(repr, c[lo : lo + rows].tolist()) for c in columns]
             yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
     _write_csv(path, [header], blocks())

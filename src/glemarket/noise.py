@@ -6,10 +6,13 @@ target is a one-sided spectral density S(omega); sampled at step h over
 n_steps = L points, the circulant covariance of order m = 2L has the
 eigenvalues lambda_k = S(omega_k)/h on omega_k = pi k / (L h), k = 0..L,
 mirrored for k > L, and zero beyond the spectrum's last frequency.  Each
-path is synthesized Hermitian-symmetrically from m real normals: xi_0 and
-xi_L are real N(0, 1), and xi_k = (a_k + i b_k)/sqrt(2) for 0 < k < L, so
-one real inverse FFT of sqrt(lambda_k m) xi_k yields a path whose
-covariance is that circulant's, exactly, in distribution.  Small negative
+path is synthesized Hermitian-symmetrically: xi_0 and xi_L are real
+N(0, 1), and xi_k = (a_k + i b_k)/sqrt(2) for 0 < k < L, so one real
+inverse FFT of sqrt(lambda_k m) xi_k yields a path whose covariance is
+that circulant's, exactly, in distribution.  Only the normals that meet a
+nonzero eigenvalue are drawn: with K the last k whose lambda_k > 0, a path
+draws 2K + 1 normals (a_1, b_1, ..., a_K, b_K and xi_0), or all m when
+K = L (b_L then stands for xi_0 and a_L is xi_L).  Small negative
 eigenvalues (within EIGENVALUE_CLAMP of the largest) are clamped to zero;
 larger ones raise a spectral-positivity error naming the worst eigenvalue.
 
@@ -110,7 +113,12 @@ def circulant_spectrum(request):
 def generate_colored(request):
     """Synthesize Gaussian paths with the request's target spectrum.
 
-    Returns a PathEnsemble of kind "force" with full seed lineage.
+    Path i fills the interleaved spectrum (re_1, im_1, re_2, ...) with
+    min(2K + 1, m) normals of ``path_stream(seed, "colored-force", i)``, K
+    the last nonzero eigenvalue, and moves the last of them to re_0, the DC
+    term; every other slot stays zero.  A full band (K = L) so takes all m
+    normals and its last, im_L, becomes the DC term.  Returns a
+    PathEnsemble of kind "force" with full seed lineage.
     """
     if not isinstance(request, NoiseRequest):
         raise InputError("request must be a NoiseRequest")
@@ -120,18 +128,22 @@ def generate_colored(request):
     # extension; Y_k = sqrt(lambda_k m) xi_k reproduces the circulant covariance
     weight = np.sqrt(circulant_spectrum(request) * m)
     weight[1:n] *= np.sqrt(0.5)
+    last = int(np.flatnonzero(weight)[-1])  # K, the last nonzero weight
+    draws = min(2 * last + 1, m)
     paths = np.empty((request.n_paths, n))
     for start in range(0, request.n_paths, _SYNTHESIS_BLOCK):
         stop = min(start + _SYNTHESIS_BLOCK, request.n_paths)
-        spec = np.empty((stop - start, n + 1), dtype=complex)
-        # interleaved (re_0, im_0, re_1, ..., re_m/2, im_m/2): the m normals
-        # fill from re_1 on, the last moves to re_0, and im_0 = im_m/2 = 0
+        spec = np.zeros((stop - start, n + 1), dtype=complex)
+        # interleaved (re_0, im_0, re_1, ..., re_n, im_n): the normals fill
+        # from re_1 through re_K+1 (im_n at most), the last moves to re_0,
+        # and im_0 and every slot past re_K+1 stay zero
         flat = spec.view(float)
         for row, i in enumerate(range(start, stop)):
-            path_stream(request.seed, "colored-force", i).standard_normal(out=flat[row, 2:])
-        flat[:, 0] = flat[:, -1]
-        flat[:, 1] = flat[:, -1] = 0.0
-        spec *= weight
+            stream = path_stream(request.seed, "colored-force", i)
+            stream.standard_normal(out=flat[row, 2 : 2 + draws])
+        flat[:, 0] = flat[:, draws + 1]
+        flat[:, draws + 1] = 0.0
+        spec[:, : last + 1] *= weight[: last + 1]
         paths[start:stop] = np.fft.irfft(spec, m)[:, :n]
     return PathEnsemble(
         h=request.h,

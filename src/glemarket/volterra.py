@@ -284,8 +284,11 @@ def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed):
     folded onto [0, pi/h] and averaged over the circulant's cells
     (``_folded_spectrum``), on the even 5-smooth grid L >= ``n_steps``; no
     force is synthesized, no memory equation is marched, and the sample is
-    stationary from its first point.  The line is added directly, with
-    stationary Gaussian cos/sin amplitudes on the ``spectral-line`` lane.
+    stationary from its first point.  The draw takes normals only for the
+    cells inside the folded band (2K + 1 per path, K the band's last cell),
+    all 2L once the band folds over the whole of [0, pi/h].  The line is
+    added in place (``_add_spectral_line``), with stationary Gaussian
+    cos/sin amplitudes on the ``spectral-line`` lane.
 
     Accuracy: the draw's covariance is exactly the circulant's, which
     differs from the model's ACF in two deterministic ways.  The circulant
@@ -321,18 +324,7 @@ def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed):
     r = generate_colored(
         NoiseRequest(n_steps=n, n_paths=n_paths, seed=seed, target_spectrum=target, h=h)
     ).paths[:, :n_steps]
-
-    atom = spectral_atom(model)
-    if atom is not None:
-        omega_line, weight = atom
-        t = h * np.arange(n_steps)
-        basis = np.stack([np.cos(omega_line * t), np.sin(omega_line * t)])
-        amp = np.sqrt(2.0 * weight * model.variance)
-        phases = np.array(
-            [path_stream(seed, "spectral-line", i).standard_normal(2) for i in range(n_paths)]
-        )
-        r = r + amp * (phases @ basis)
-
+    _add_spectral_line(r, model, h, seed)
     return PathEnsemble(
         h=h,
         paths=np.ascontiguousarray(r),
@@ -340,6 +332,25 @@ def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed):
         master_seed=seed,
         stream_indices=tuple(range(n_paths)),
     )
+
+
+def _add_spectral_line(r, model, h, seed):
+    """Add the ultra-light stock's spectral line to the paths r in place:
+    stationary Gaussian cos/sin amplitudes, path i's pair drawn on the
+    ``spectral-line`` lane.  No-op for a model without a line."""
+    atom = spectral_atom(model)
+    if atom is None:
+        return
+    omega_line, weight = atom
+    t = h * np.arange(r.shape[1])
+    basis = np.stack([np.cos(omega_line * t), np.sin(omega_line * t)])
+    amp = np.sqrt(2.0 * weight * model.variance)
+    phases = np.array(
+        [path_stream(seed, "spectral-line", i).standard_normal(2) for i in range(r.shape[0])]
+    )
+    line = phases @ basis
+    line *= amp
+    r += line
 
 
 # -- Lambert-type models: causal convolution identities -----------------------

@@ -9,12 +9,19 @@ special-function outputs are computed first and frozen as literals in the
 test modules; the functions stay here so the frozen numbers can be
 regenerated.  The marches and the inverter are cheap enough to run live
 against the fast production routes.
+
+The reference circulant sampler at the end is the one exception: it draws
+its normals from the package's own per-path streams (``noise.path_stream``),
+so that its paths can be compared with the production sampler draw for
+draw.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+
+from glemarket import noise, volterra
 
 mp.mp.dps = 60
 
@@ -224,6 +231,54 @@ def euler_invert_at(shape, scale, freq_scale, times, a=23.0, base=30, avg=12):
         terms[0] *= 0.5
         out.append((np.cumsum(terms)[n0:] @ weights) * np.exp(0.5 * a) / t)
     return np.array(out)
+
+
+# -- the full-draw circulant sampler ----------------------------------------------
+# Every path draws all m = 2n normals of its order-m circulant, zero
+# eigenvalues included, one inverse real FFT per path: the reference for
+# noise.generate_colored, which draws only the normals that meet a nonzero
+# eigenvalue.
+
+
+def colored_full_draw(lam, n_paths, seed):
+    """Paths of n = lam.size - 1 samples with circulant half-spectrum lam.
+
+    Path i fills (re_1, im_1, ..., re_n, im_n) with the m normals of
+    ``noise.path_stream(seed, "colored-force", i)``, moves the last one to
+    re_0, zeroes im_0 and im_n, scales by sqrt(lam m) (sqrt(lam m / 2) for
+    0 < k < n) and takes the inverse real FFT of order m.
+    """
+    n = lam.size - 1
+    m = 2 * n
+    weight = np.sqrt(lam * m)
+    weight[1:n] *= np.sqrt(0.5)
+    paths = np.empty((n_paths, n))
+    for i in range(n_paths):
+        spec = np.empty(n + 1, dtype=complex)
+        flat = spec.view(float)
+        noise.path_stream(seed, "colored-force", i).standard_normal(out=flat[2:])
+        flat[0] = flat[-1]
+        flat[1] = flat[-1] = 0.0
+        spec *= weight
+        paths[i] = np.fft.irfft(spec, m)[:n]
+    return paths
+
+
+def stationary_ensemble_full_draw(model, h, n_steps, n_paths, seed):
+    """volterra.simulate_stationary_ensemble's paths with the full draw:
+    the production folded spectrum and spectral line, the reference draw."""
+    n = volterra._circulant_length(n_steps)
+    request = noise.NoiseRequest(
+        n_steps=n,
+        n_paths=n_paths,
+        seed=seed,
+        target_spectrum=volterra._folded_spectrum(model, h, n),
+        h=h,
+    )
+    r = colored_full_draw(noise.circulant_spectrum(request), n_paths, seed)[:, :n_steps]
+    volterra._add_spectral_line(r, model, h, seed)
+    return np.ascontiguousarray(r)
+
 
 if __name__ == "__main__":
     print("J0(1)       =", mp.nstr(j0_series(1), 17))

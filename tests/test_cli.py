@@ -263,6 +263,27 @@ class TestSimulate:
         with open(tmp_path / "simulate_summary.csv") as fh:
             assert fh.read() == "lag,acf_mean,acf_se\n"
 
+    @pytest.mark.parametrize("argv,n_paths,n_steps", [
+        (["--model", "selfsim", "--emit-prices"], 600, 1024),
+        (["--model", "white"], 400, 1024),
+        (["--model", "stock", "--theta", "1"], 300, 512),
+    ])
+    def test_peak_memory_stays_within_the_size_bound(self, tmp_path, argv, n_paths, n_steps):
+        # _simulate_size's bound: eight float64 arrays per path and two
+        # shared, over the grid (these lengths are their own circulant grid)
+        assert cli._circulant_length(n_steps) == n_steps
+        bound = 64 * (n_paths + 2) * n_steps
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli("simulate", "--out-dir", str(tmp_path), "--h", "0.125",
+                                 "--seed", "3", "--n-paths", str(n_paths),
+                                 "--n-steps", str(n_steps), *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= bound
+
     def test_seeded_rerun_is_byte_identical(self, tmp_path):
         args = ["simulate", "--out-dir", str(tmp_path), "--model", "stock",
                 "--theta", "2.5", "--n-paths", "3", "--n-steps", "128",

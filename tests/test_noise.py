@@ -20,9 +20,12 @@ from glemarket.noise import (
     circulant_spectrum,
     generate_colored,
     generate_wiener_increments,
+    path_stream,
 )
 from glemarket.series import AcfSeries, SpectralDensity
 from glemarket.specfun import lambda1
+from glemarket.volterra import simulate_stationary_ensemble
+from oracles import colored_full_draw, stationary_ensemble_full_draw
 
 
 def flat_target(h, level=1.0):
@@ -36,6 +39,11 @@ def lorentz_target(h, tau, variance=1.0):
     sampled through Nyquist."""
     omega = np.linspace(0.0, 2.0 * np.pi / h, 4001)
     return SpectralDensity(omega=omega, values=2.0 * variance * tau / (1.0 + (omega * tau) ** 2))
+
+
+def triangle_target(top, level):
+    """Band-limited spectrum level (1 - omega/top) on [0, top], zero beyond."""
+    return SpectralDensity(omega=np.array([0.0, top]), values=np.array([level, 0.0]))
 
 
 def sample_acf_per_path(paths, max_lag):
@@ -167,26 +175,32 @@ class TestColoredGeneration:
 
     @pytest.mark.parametrize("n", [6, 10])
     def test_synthesis_covariance_is_exact(self, n, monkeypatch):
-        # the synthesis is linear in its m = 2n normals: feeding path j the
-        # unit vector e_j makes path j column j of the map M, and M M^T must
-        # be the Toeplitz matrix of the circulant's autocovariance, which is
-        # the inverse real FFT of its half-spectrum
+        # the synthesis is linear in the normals it draws (at most m = 2n):
+        # feeding path j the unit vector e_j, or zeros once j is past the
+        # draw, makes path j column j of the map M, and M M^T must be the
+        # Toeplitz matrix of the circulant's autocovariance, which is the
+        # inverse real FFT of its half-spectrum
         class UnitDraw:
             def __init__(self, j):
                 self.j = j
 
             def standard_normal(self, out):
                 out[:] = 0.0
-                out[self.j] = 1.0
+                if self.j < out.size:
+                    out[self.j] = 1.0
 
         monkeypatch.setattr(noise, "path_stream", lambda seed, lane, i: UnitDraw(i))
         h = 0.2
-        req = NoiseRequest(n_steps=n, n_paths=2 * n, seed=1, target_spectrum=lorentz_target(h, 0.5, 1.7), h=h)
-        cols = generate_colored(req).paths
-        rho = np.fft.irfft(circulant_spectrum(req), 2 * n)[:n]
-        toeplitz = rho[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
-        assert rho[0] > 1.0  # a colored target, not a degenerate one
-        assert np.abs(cols.T @ cols - toeplitz).max() < 1e-12
+        # a full band, and a triangle ending near n/2 of the n + 1 eigenvalues
+        targets = ((lorentz_target(h, 0.5, 1.7), False), (triangle_target(8.0, 2.0), True))
+        for target, band_limited in targets:
+            req = NoiseRequest(n_steps=n, n_paths=2 * n, seed=1, target_spectrum=target, h=h)
+            assert (circulant_spectrum(req) == 0.0).any() == band_limited
+            cols = generate_colored(req).paths
+            rho = np.fft.irfft(circulant_spectrum(req), 2 * n)[:n]
+            toeplitz = rho[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+            assert rho[0] > 1.0  # a colored target, not a degenerate one
+            assert np.abs(cols.T @ cols - toeplitz).max() < 1e-12
 
     def test_delta_target_gives_iid_noise(self):
         # S = 2h on [0, pi/h] is the spectrum of a delta autocovariance of
@@ -224,6 +238,66 @@ class TestColoredGeneration:
         grid = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
         outside = grid > 2.4 / model.tau_R
         assert power[outside].mean() < 1e-3 * power.max()
+
+
+class TestReferenceSampler:
+    """The production sampler against the full-draw reference, which draws
+    all m = 2n normals of every path: the same normals meet the nonzero
+    eigenvalues, and only the DC term's normal may differ."""
+
+    @pytest.mark.parametrize(
+        "n,h,target",
+        [
+            (256, 0.1, lorentz_target(0.1, 0.5)),
+            (90, 0.1, lorentz_target(0.1, 0.7)),
+            (256, 0.2, flat_target(0.2, 1.5)),
+        ],
+    )
+    def test_full_band_target_is_bit_identical(self, n, h, target):
+        # 130 paths span three synthesis blocks
+        req = NoiseRequest(n_steps=n, n_paths=130, seed=12, target_spectrum=target, h=h)
+        assert circulant_spectrum(req)[-1] > 0.0
+        ref = colored_full_draw(circulant_spectrum(req), 130, 12)
+        assert np.array_equal(generate_colored(req).paths, ref)
+
+    @pytest.mark.parametrize(
+        "model",
+        [ModelSpec.linear_self_similar(tau_R=1.0)]
+        + [ModelSpec.stock_theta(tau_r=1.0, theta=theta) for theta in (0.5, 1.0, 3.0)],
+        ids=["selfsim", "stock-0.5", "stock-1", "stock-3"],
+    )
+    def test_band_limited_paths_move_by_one_constant(self, model):
+        out = simulate_stationary_ensemble(model, h=0.125, n_steps=512, n_paths=70, seed=4)
+        diff = out.paths - stationary_ensemble_full_draw(model, 0.125, 512, 70, 4)
+        assert np.abs(diff - diff.mean(axis=1, keepdims=True)).max() <= 1e-14
+
+    def test_folded_large_step_is_full_band(self):
+        # at h = 2 the band [0, 2] folds over all of [0, pi/h]: every
+        # eigenvalue is positive, so every normal is drawn, as in the reference
+        model = ModelSpec.stock_theta(tau_r=1.0, theta=1.0)
+        out = simulate_stationary_ensemble(model, h=2.0, n_steps=512, n_paths=70, seed=4)
+        assert np.array_equal(out.paths, stationary_ensemble_full_draw(model, 2.0, 512, 70, 4))
+
+    @pytest.mark.parametrize("top,want", [(10.0, 2 * 81 + 1), (100.0, 512)])
+    def test_each_path_draws_only_the_band(self, top, want, monkeypatch):
+        # eigenvalue k sits at omega_k = pi k / (n h) = 0.1227 k: a band
+        # ending at 10 has its last nonzero eigenvalue at K = 81 and costs
+        # 2K + 1 normals per path (re_1, im_1, ..., im_K and the DC term's);
+        # a band past Nyquist (31.4) costs all m = 2n = 512
+        counts = {}
+
+        class CountingDraw:
+            def __init__(self, seed, lane, i):
+                self.i, self.rng = i, path_stream(seed, lane, i)
+
+            def standard_normal(self, out):
+                counts[self.i] = counts.get(self.i, 0) + out.size
+                self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(noise, "path_stream", CountingDraw)
+        req = NoiseRequest(n_steps=256, n_paths=3, seed=2, target_spectrum=triangle_target(top, 1.0), h=0.1)
+        generate_colored(req)
+        assert counts == dict.fromkeys(range(3), want)
 
 
 class TestPositivityFailure:
