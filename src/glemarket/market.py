@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .noise import _check_counts, _check_seed, path_stream
+from .noise import _check_counts, _check_seed, path_streams
 from .series import PathEnsemble
 
 
@@ -178,8 +178,8 @@ def simulate_white_returns(tau_R, variance_R, n_steps, h, n_paths, seed):
     # draw per path so stream i is a fixed function of (seed, i), then run
     # the recursion time-major and vectorized across paths
     z = np.empty((n_paths, n_steps))
-    for i in range(n_paths):
-        z[i] = path_stream(seed, "white-return", i).standard_normal(n_steps)
+    for row, stream in zip(z, path_streams(seed, "white-return", 0, n_paths)):
+        stream.standard_normal(out=row)
     paths = np.empty((n_paths, n_steps))
     paths[:, 0] = np.sqrt(variance_R) * z[:, 0]
     z *= scale

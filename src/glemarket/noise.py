@@ -17,14 +17,18 @@ eigenvalues (within EIGENVALUE_CLAMP of the largest) are clamped to zero;
 larger ones raise a spectral-positivity error naming the worst eigenvalue.
 
 Reproducibility: every path is drawn from its own counter-based substream,
-``path_stream(master_seed, lane, path_index)``, that is
+the PCG64 generator of
 ``SeedSequence(master_seed, spawn_key=(LANES[lane], path_index))``, so the
 same request always reproduces the same ensemble bit for bit, any subset of
 paths can be regenerated in isolation, and parallel generation cannot
-reorder results.  ``LANES`` is the one table of lane numbers: each kind of
-draw in the package (colored force, Wiener increments, white returns,
-spectral-line phases) has its own lane, so no two kinds share a stream
-even under one master seed.
+reorder results.  ``path_streams(master_seed, lane, start, stop)`` yields
+those generators for a range of paths: one SeedSequence hashes the seed and
+lane words, and its hash is continued over all the path indices as one
+array, so a stream costs a few microseconds, not a SeedSequence of its own.
+``LANES`` is the one table of lane numbers: each kind of draw in the
+package (colored force, Wiener increments, white returns, spectral-line
+phases) has its own lane, so no two kinds share a stream even under one
+master seed.
 """
 
 from dataclasses import dataclass
@@ -42,9 +46,64 @@ _SYNTHESIS_BLOCK = 64
 _MAX_SEED = 2**64 - 1
 
 
-def path_stream(seed, lane, i):
-    """Random generator of path ``i`` on the named seed lane."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(LANES[lane], i)))
+# numpy's SeedSequence hash, continued from the pool of four uint32 words
+# it holds after the seed and lane words so that the last entropy word, the
+# path index, is hashed for a range of paths as one array
+_MASK32 = 0xFFFFFFFF
+_MASK128 = 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# hash constants: hashmix call j xors INIT_A MULT_A^j and multiplies by
+# INIT_A MULT_A^(j+1); the seed and lane words took calls 0-19, the path
+# index takes 20-23.  generate_state's output word j does the same with B.
+_HASH_A = np.array(
+    [0x43B0D7E5 * pow(0x931E8875, j, 2**32) & _MASK32 for j in range(20, 25)], np.uint64
+)
+_HASH_B = np.array([0x8B51F9DD * pow(0x58F38DED, j, 2**32) & _MASK32 for j in range(9)], np.uint64)
+
+
+def _hashmix(value, xor, mul):
+    value = ((value ^ xor) * mul) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+def path_streams(seed, lane, start, stop):
+    """Random generators of paths ``start`` to ``stop - 1`` on the named
+    seed lane, in order.  Path i's generator is
+    ``default_rng(SeedSequence(seed, spawn_key=(LANES[lane], i)))`` bit for
+    bit; the seed and lane words are hashed once, and the path indices
+    together as one array.  One generator is reseeded for every path, so
+    each one yielded is valid until the next is requested.
+    """
+    if not 0 <= start <= stop <= 2**32:  # a path index is one entropy word
+        raise InputError("path indices must lie in [0, 2**32)")
+    lane_seed = np.random.SeedSequence(seed, spawn_key=(LANES[lane],))
+    index = np.arange(start, stop, dtype=np.uint64)[:, None]
+    with np.errstate(over="ignore"):  # _mix's difference wraps before its mask
+        pool = _mix(lane_seed.pool.astype(np.uint64), _hashmix(index, _HASH_A[:-1], _HASH_A[1:]))
+        # generate_state(4, uint64): eight words cycled from the pool
+        words = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B[:-1], _HASH_B[1:])
+    stream = np.random.default_rng(lane_seed)
+    bit_generator = stream.bit_generator
+    # the eight words pair little-endian into four uint64 seed words; PCG64
+    # takes initstate = (w0 << 64) | w1 and initseq = (w2 << 64) | w3, sets
+    # inc = 2 initseq + 1 and steps the LCG from 0, adding initstate between
+    # its two steps
+    for s_hi, s_lo, q_hi, q_lo in (words[:, 0::2] | (words[:, 1::2] << np.uint64(32))).tolist():
+        inc = (((q_hi << 64) | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield stream
 
 
 def _check_seed(seed):
@@ -114,7 +173,7 @@ def generate_colored(request):
     """Synthesize Gaussian paths with the request's target spectrum.
 
     Path i fills the interleaved spectrum (re_1, im_1, re_2, ...) with
-    min(2K + 1, m) normals of ``path_stream(seed, "colored-force", i)``, K
+    min(2K + 1, m) normals of its stream on the "colored-force" lane, K
     the last nonzero eigenvalue, and moves the last of them to re_0, the DC
     term; every other slot stays zero.  A full band (K = L) so takes all m
     normals and its last, im_L, becomes the DC term.  Returns a
@@ -131,6 +190,7 @@ def generate_colored(request):
     last = int(np.flatnonzero(weight)[-1])  # K, the last nonzero weight
     draws = min(2 * last + 1, m)
     paths = np.empty((request.n_paths, n))
+    streams = path_streams(request.seed, "colored-force", 0, request.n_paths)
     for start in range(0, request.n_paths, _SYNTHESIS_BLOCK):
         stop = min(start + _SYNTHESIS_BLOCK, request.n_paths)
         spec = np.zeros((stop - start, n + 1), dtype=complex)
@@ -138,9 +198,8 @@ def generate_colored(request):
         # from re_1 through re_K+1 (im_n at most), the last moves to re_0,
         # and im_0 and every slot past re_K+1 stay zero
         flat = spec.view(float)
-        for row, i in enumerate(range(start, stop)):
-            stream = path_stream(request.seed, "colored-force", i)
-            stream.standard_normal(out=flat[row, 2 : 2 + draws])
+        for row in flat:
+            next(streams).standard_normal(out=row[2 : 2 + draws])
         flat[:, 0] = flat[:, draws + 1]
         flat[:, draws + 1] = 0.0
         spec[:, : last + 1] *= weight[: last + 1]
@@ -160,10 +219,10 @@ def generate_wiener_increments(n_steps, h, n_paths, seed):
     seed = _check_seed(seed)
     if not (np.isfinite(h) and h > 0):
         raise InputError("h must be positive and finite")
-    root_h = np.sqrt(h)
     paths = np.empty((n_paths, n_steps))
-    for i in range(n_paths):
-        paths[i] = root_h * path_stream(seed, "wiener", i).standard_normal(n_steps)
+    for row, stream in zip(paths, path_streams(seed, "wiener", 0, n_paths)):
+        stream.standard_normal(out=row)
+    paths *= np.sqrt(h)
     return PathEnsemble(
         h=h,
         paths=paths,

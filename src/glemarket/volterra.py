@@ -71,7 +71,7 @@ import numpy as np
 from .errors import CapabilityError, InputError
 from .laplace import spectral_density
 from .models import Variant, observable_evaluator, observable_shape, spectral_atom
-from .noise import NoiseRequest, _check_counts, _check_seed, generate_colored, path_stream
+from .noise import NoiseRequest, _check_counts, _check_seed, generate_colored, path_streams
 from .series import AcfSeries, KernelSeries, PathEnsemble, SpectralDensity
 from .specfun import lambda1
 
@@ -345,9 +345,9 @@ def _add_spectral_line(r, model, h, seed):
     t = h * np.arange(r.shape[1])
     basis = np.stack([np.cos(omega_line * t), np.sin(omega_line * t)])
     amp = np.sqrt(2.0 * weight * model.variance)
-    phases = np.array(
-        [path_stream(seed, "spectral-line", i).standard_normal(2) for i in range(r.shape[0])]
-    )
+    phases = np.empty((r.shape[0], 2))
+    for row, stream in zip(phases, path_streams(seed, "spectral-line", 0, r.shape[0])):
+        stream.standard_normal(out=row)
     line = phases @ basis
     line *= amp
     r += line

@@ -10,10 +10,11 @@ test modules; the functions stay here so the frozen numbers can be
 regenerated.  The marches and the inverter are cheap enough to run live
 against the fast production routes.
 
-The reference circulant sampler at the end is the one exception: it draws
-its normals from the package's own per-path streams (``noise.path_stream``),
-so that its paths can be compared with the production sampler draw for
-draw.
+The reference circulant sampler at the end shares the package's seed-lane
+table (``noise.LANES``) and the contract it stands for: path i of a lane
+draws from ``default_rng(SeedSequence(seed, spawn_key=(lane, i)))``, built
+here by numpy itself (``path_stream``) while the package hashes whole
+ranges of paths at once, so the two samplers can be compared draw for draw.
 """
 
 import math
@@ -21,7 +22,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from glemarket import noise, volterra
+from glemarket import models, noise, volterra
 
 mp.mp.dps = 60
 
@@ -240,11 +241,36 @@ def euler_invert_at(shape, scale, freq_scale, times, a=23.0, base=30, avg=12):
 # eigenvalue.
 
 
+def path_stream(seed, lane, i):
+    """Random generator of path ``i`` on the named seed lane, one
+    SeedSequence per path."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(noise.LANES[lane], i)))
+
+
+def spectral_line(model, h, n_steps, n_paths, seed):
+    """The ultra-light stock's spectral line on each of ``n_paths`` paths
+    (zeros for a model without one): path i's cos/sin amplitudes are the two
+    normals of ``path_stream(seed, "spectral-line", i)``, scaled by
+    sqrt(2 weight variance)."""
+    line = np.zeros((n_paths, n_steps))
+    atom = models.spectral_atom(model)
+    if atom is not None:
+        omega_line, weight = atom
+        t = h * np.arange(n_steps)
+        basis = np.stack([np.cos(omega_line * t), np.sin(omega_line * t)])
+        phases = np.array(
+            [path_stream(seed, "spectral-line", i).standard_normal(2) for i in range(n_paths)]
+        )
+        line = phases @ basis
+        line *= np.sqrt(2.0 * weight * model.variance)
+    return line
+
+
 def colored_full_draw(lam, n_paths, seed):
     """Paths of n = lam.size - 1 samples with circulant half-spectrum lam.
 
     Path i fills (re_1, im_1, ..., re_n, im_n) with the m normals of
-    ``noise.path_stream(seed, "colored-force", i)``, moves the last one to
+    ``path_stream(seed, "colored-force", i)``, moves the last one to
     re_0, zeroes im_0 and im_n, scales by sqrt(lam m) (sqrt(lam m / 2) for
     0 < k < n) and takes the inverse real FFT of order m.
     """
@@ -256,7 +282,7 @@ def colored_full_draw(lam, n_paths, seed):
     for i in range(n_paths):
         spec = np.empty(n + 1, dtype=complex)
         flat = spec.view(float)
-        noise.path_stream(seed, "colored-force", i).standard_normal(out=flat[2:])
+        path_stream(seed, "colored-force", i).standard_normal(out=flat[2:])
         flat[0] = flat[-1]
         flat[1] = flat[-1] = 0.0
         spec *= weight
@@ -266,7 +292,7 @@ def colored_full_draw(lam, n_paths, seed):
 
 def stationary_ensemble_full_draw(model, h, n_steps, n_paths, seed):
     """volterra.simulate_stationary_ensemble's paths with the full draw:
-    the production folded spectrum and spectral line, the reference draw."""
+    the production folded spectrum, the reference draw and spectral line."""
     n = volterra._circulant_length(n_steps)
     request = noise.NoiseRequest(
         n_steps=n,
@@ -276,7 +302,7 @@ def stationary_ensemble_full_draw(model, h, n_steps, n_paths, seed):
         h=h,
     )
     r = colored_full_draw(noise.circulant_spectrum(request), n_paths, seed)[:, :n_steps]
-    volterra._add_spectral_line(r, model, h, seed)
+    r += spectral_line(model, h, n_steps, n_paths, seed)
     return np.ascontiguousarray(r)
 
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glemarket import noise
 from glemarket.errors import InputError, SpectralPositivityError
@@ -20,12 +22,12 @@ from glemarket.noise import (
     circulant_spectrum,
     generate_colored,
     generate_wiener_increments,
-    path_stream,
+    path_streams,
 )
 from glemarket.series import AcfSeries, SpectralDensity
 from glemarket.specfun import lambda1
-from glemarket.volterra import simulate_stationary_ensemble
-from oracles import colored_full_draw, stationary_ensemble_full_draw
+from glemarket.volterra import _add_spectral_line, simulate_stationary_ensemble
+from oracles import colored_full_draw, path_stream, spectral_line, stationary_ensemble_full_draw
 
 
 def flat_target(h, level=1.0):
@@ -189,7 +191,9 @@ class TestColoredGeneration:
                 if self.j < out.size:
                     out[self.j] = 1.0
 
-        monkeypatch.setattr(noise, "path_stream", lambda seed, lane, i: UnitDraw(i))
+        monkeypatch.setattr(
+            noise, "path_streams", lambda seed, lane, start, stop: map(UnitDraw, range(start, stop))
+        )
         h = 0.2
         # a full band, and a triangle ending near n/2 of the n + 1 eigenvalues
         targets = ((lorentz_target(h, 0.5, 1.7), False), (triangle_target(8.0, 2.0), True))
@@ -294,7 +298,11 @@ class TestReferenceSampler:
                 counts[self.i] = counts.get(self.i, 0) + out.size
                 self.rng.standard_normal(out=out)
 
-        monkeypatch.setattr(noise, "path_stream", CountingDraw)
+        monkeypatch.setattr(
+            noise,
+            "path_streams",
+            lambda seed, lane, start, stop: (CountingDraw(seed, lane, i) for i in range(start, stop)),
+        )
         req = NoiseRequest(n_steps=256, n_paths=3, seed=2, target_spectrum=triangle_target(top, 1.0), h=0.1)
         generate_colored(req)
         assert counts == dict.fromkeys(range(3), want)
@@ -392,9 +400,56 @@ def test_lanes_are_distinct():
 
 
 def test_streams_are_seeded_only_in_noise():
-    # every per-path stream goes through noise.path_stream and its lane table
+    # every per-path stream goes through noise.path_streams and its lane table
     src = Path(__file__).resolve().parents[1] / "src" / "glemarket"
     seeding = sorted(
         p.name for p in src.glob("*.py") if "SeedSequence(" in p.read_text(encoding="utf-8")
     )
     assert seeding == ["noise.py"]
+
+
+class TestPathStreams:
+    """noise.path_streams hashes SeedSequence's words itself; each stream
+    must be the reference's, one SeedSequence per path, bit for bit."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 17, 2**64 - 1, np.int64(2**63 - 1), np.uint64(2**64 - 1)]
+
+    @staticmethod
+    def assert_reference_streams(seed, lane, start, stop):
+        n = 0
+        for i, stream in zip(range(start, stop), path_streams(seed, lane, start, stop)):
+            ref = path_stream(seed, lane, i)
+            assert stream.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(stream.standard_normal(3), ref.standard_normal(3))
+            n += 1
+        assert n == stop - start
+
+    @pytest.mark.parametrize("lane", sorted(LANES))
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"{type(s).__name__}-{s}")
+    @pytest.mark.parametrize("start,stop", [(0, 1), (0, 65), (63, 130)])
+    def test_streams_match_reference(self, lane, seed, start, stop):
+        # 65 and [63, 130) cross the synthesis blocks' edge at 64, and a
+        # nonzero start needs no earlier path
+        self.assert_reference_streams(seed, lane, start, stop)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        lane=st.sampled_from(sorted(LANES)),
+        start=st.integers(min_value=0, max_value=2**32 - 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_seed_and_index_match_reference(self, seed, lane, start):
+        self.assert_reference_streams(seed, lane, start, start + 2)
+
+    def test_empty_range_and_index_bound(self):
+        assert list(path_streams(1, "wiener", 5, 5)) == []
+        with pytest.raises(InputError):
+            next(path_streams(1, "wiener", 0, 2**32 + 1))
+
+    def test_spectral_line_matches_reference(self):
+        # the theta = 3 stock's line, drawn on its own lane over three blocks
+        model = ModelSpec.stock_theta(tau_r=1.0, theta=3.0)
+        r = np.zeros((130, 256))
+        _add_spectral_line(r, model, 0.125, 2**40 + 3)
+        assert np.abs(r).max() > 0.0
+        assert np.array_equal(r, spectral_line(model, 0.125, 256, 130, 2**40 + 3))
