@@ -533,6 +533,29 @@ def spectral_atom(model):
     return omega, weight
 
 
+def band_variance(model, omega):
+    """Variance (1/pi) int_0^omega S of the band's continuum, for the
+    self-similar model and stocks of theta > 0 (others: CapabilityError).
+
+    omega = (2/tau_R) sin phi makes S d omega rational in e^(i phi); with
+    e = theta - 1 (0 for the self-similar model and within _THETA_SNAP)
+
+        V / variance = [2 phi + (1 - e) atan2(e sin 2 phi, 1 + e cos 2 phi)/e] / pi,
+
+    whose e -> 0 limit is (2 phi + sin 2 phi)/pi.  At and past the band edge
+    2/tau_R, V is 1, or 1 - 2 R for theta > 2 (R the ``spectral_atom`` line).
+    """
+    v = model.variant
+    if v not in (Variant.LINEAR_SELF_SIMILAR, Variant.STOCK_THETA) or model.memoryless:
+        raise CapabilityError(f"no band-limited spectrum for {v.value}")
+    phi2 = 2.0 * np.arcsin(np.minimum(np.asarray(omega, dtype=float) / (2.0 / model.tau_R), 1.0))
+    e = 0.0 if v is Variant.LINEAR_SELF_SIMILAR else model.theta - 1.0
+    if abs(e) <= _THETA_SNAP:
+        return model.variance / np.pi * (phi2 + np.sin(phi2))
+    atan = np.arctan2(e * np.sin(phi2), 1.0 + e * np.cos(phi2))
+    return model.variance / np.pi * (phi2 + (1.0 - e) * atan / e)
+
+
 # -- shape evaluators for transform work --------------------------------------
 
 

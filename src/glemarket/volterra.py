@@ -69,8 +69,8 @@ import math
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .laplace import spectral_density
-from .models import Variant, observable_evaluator, observable_shape, spectral_atom
+from .laplace import spectral_density  # noqa: F401  perfbench's tracer patches this name here
+from .models import Variant, band_variance, observable_shape, spectral_atom
 from .noise import NoiseRequest, _check_counts, _check_seed, generate_colored, path_streams
 from .series import AcfSeries, KernelSeries, PathEnsemble, SpectralDensity
 from .specfun import lambda1
@@ -208,23 +208,10 @@ def integrate_gle(kernel, forcing, r0=0.0):
     )
 
 
-# image points averaged into one circulant eigenvalue (midpoints of its cell)
-CELL_POINTS = 16
-# fewest midpoints across the band [0, 2/tau_R]: where it spans only a few
-# cells (short grids, small h) each cell takes an integer multiple of
-# CELL_POINTS instead.  The variance is the midpoint rule over the band;
-# with 512 its error over L = 4 .. 2048 and h = 0.01 .. 1 is <= 3e-5 for
-# the self-similar model, 9e-5 for stock theta = 1.5 and 2.6e-3 at 1.9
-BAND_POINTS = 512
-# image points of one folded-spectrum build, 32 L h/(pi tau_R) for a grid
-# of L (just over BAND_POINTS where that is fewer): a build above the bound
-# is refused before any evaluation (it is about 2 s on a 2-vCPU Xeon; stock
-# theta = 0.01 at h = 0.125 and L = 2048 needs 2.6e5, theta = 1e-4 needs
-# 2.6e7)
-SPECTRUM_POINT_BOUND = 1.6e7
-# image points per spectral_density call at most, so a deep fold evaluates
-# in constant memory beside the O(n_steps) cell sums
-_SPECTRUM_BLOCK = 2**16
+# band cells 2 L h/(pi tau_R) of a fold on a grid of L, refused above the
+# bound before any evaluation (stock theta = 0.01 at h = 0.125 and L = 2048
+# spans 1.6e4 cells, built in about 1 ms; theta = 2e-4 spans 8.1e5, 0.07 s)
+SPECTRUM_CELL_BOUND = 1e6
 
 
 def _circulant_length(n_steps):
@@ -239,38 +226,29 @@ def _folded_spectrum(model, h, n):
     Sampling at step h aliases every frequency nu >= 0 onto [0, pi/h]:
     S_h(omega) = sum_m S(|omega + 2 pi m/h|).  The order-2n circulant has
     cells of width d = pi/(n h) centred on omega_k = k d, and the fold
-    period 2 pi/h is exactly 2n cells.  Each cell takes P midpoints, P the
-    smallest multiple of CELL_POINTS that puts at least BAND_POINTS of them
-    on the band [0, 2/tau_R], so a midpoint nu_j = (j + 1/2) d/P belongs to
-    the cell (j + P/2) // P mod 2n, reflected onto 0..n.  Each cell's value
-    is the mean of its P midpoints; cells 0 and n are their own mirror
-    images, so they count both signs of nu.  The midpoints are evaluated in
-    near-equal blocks of at most _SPECTRUM_BLOCK.  Returns the
-    SpectralDensity on omega_k, k = 0..n, that circulant_spectrum reads back
-    point for point.  Raises InputError, before any evaluation, above
-    SPECTRUM_POINT_BOUND midpoints.
+    period 2 pi/h is exactly 2n cells, so unfolded cell j, [(j - 1/2) d,
+    (j + 1/2) d] clipped to the band [0, 2/tau_R], lands on cell j mod 2n
+    reflected onto 0..n.  Its mass, the difference of ``band_variance`` at
+    its edges, makes each value the exact mean of S_h over its cell; cells
+    0 and n are their own mirror images, so they count both signs of nu.
+    Returns the SpectralDensity on omega_k, k = 0..n, that
+    circulant_spectrum reads back point for point.  Raises InputError,
+    before any evaluation, when the band spans over SPECTRUM_CELL_BOUND cells.
     """
-    evaluator = observable_evaluator(model)
     band = 2.0 / model.tau_R
-    cells = band * n * h / math.pi  # band width in cells
-    per_cell = CELL_POINTS * math.ceil(BAND_POINTS / (CELL_POINTS * cells))
-    step = math.pi / (n * h * per_cell)
-    count = math.ceil(band / step)
-    if count > SPECTRUM_POINT_BOUND:
+    d = math.pi / (n * h)
+    cells = band / d
+    if cells > SPECTRUM_CELL_BOUND:
         raise InputError(
-            f"folded spectrum too costly: a band of {band:.6g} sampled at h = {h:.6g} "
-            f"over {n} cells needs {count:.3g} image points (bound {SPECTRUM_POINT_BOUND:.3g})"
-        )
-    sums = np.zeros(n + 1)
-    blocks = -(-count // _SPECTRUM_BLOCK)  # near-equal blocks, none of one point
-    for b in range(blocks):
-        j = np.arange(b * count // blocks, (b + 1) * count // blocks)
-        s = spectral_density(evaluator, (j + 0.5) * step).values
-        cell = (j + per_cell // 2) // per_cell % (2 * n)
-        sums += np.bincount(np.minimum(cell, 2 * n - cell), weights=s, minlength=n + 1)
+            f"folded spectrum too costly: a band of {band:.6g} spans {cells:.3g} band cells "
+            f"at h = {h:.6g} on {n} points (bound {SPECTRUM_CELL_BOUND:.3g})")
+    edges = np.clip((np.arange(math.ceil(cells + 0.5) + 1) - 0.5) * d, 0.0, band)
+    mass = np.diff(band_variance(model, edges))
+    cell = np.arange(mass.size) % (2 * n)
+    sums = np.bincount(np.minimum(cell, 2 * n - cell), weights=mass, minlength=n + 1)
     sums[[0, n]] *= 2.0
     omega = np.pi * np.arange(n + 1) / (n * h)  # bit for bit circulant_spectrum's grid
-    return SpectralDensity(omega=omega, values=sums / per_cell)
+    return SpectralDensity(omega=omega, values=sums * (math.pi / d))
 
 
 def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed):
@@ -281,7 +259,7 @@ def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed):
     (plus, for an ultra-light stock, theta > 2, the spectral line just
     above the band).  Each path is one exact circulant draw
     (``generate_colored``, streams keyed by ``seed``) of that spectrum
-    folded onto [0, pi/h] and averaged over the circulant's cells
+    folded onto [0, pi/h] and integrated exactly over the circulant's cells
     (``_folded_spectrum``), on the even 5-smooth grid L >= ``n_steps``; no
     force is synthesized, no memory equation is marched, and the sample is
     stationary from its first point.  The draw takes normals only for the
@@ -293,22 +271,20 @@ def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed):
     Accuracy: the draw's covariance is exactly the circulant's, which
     differs from the model's ACF in two deterministic ways.  The circulant
     periodises the lag, so lag k also picks up the ACF near lag 2L - k;
-    light tails decay slowest.  Averaging over cells of width pi/(L h)
+    light tails decay slowest.  Integrating over cells of width pi/(L h)
     tapers lag k by about sinc(pi k/(2L)) (1% at k = 320 for L = 2048),
-    and in exchange damps the periodic images and resolves the
-    near-singular band edge at theta ~ 2.  Against closed_form_acf on lags
-    <= 320 with L = 2048 the circulant covariance is within 3e-4 for the
-    self-similar model and stocks theta in {0.5, 1, 1.5, 3} at
-    h = 0.125 .. 4 (the worst is theta = 3 at h = 0.125), within 1.6e-2 at
-    theta = 2, 2.2e-3 at 1.9 and 1.1e-2 at 2.01.  Sampling the folded
-    spectrum at the cell centres instead errs by up to 3.5e-2 at theta = 2,
-    2.1e-2 at 1.9 and 9.9e-2 at 2.01.
+    and in exchange damps the periodic images, keeps the variance exact and
+    resolves the near-singular band edge at theta ~ 2.  Against
+    closed_form_acf on lags <= 320 with L = 2048 the circulant covariance is
+    within 3e-4 for the self-similar model and stocks theta in
+    {0.5, 1, 1.5, 3} at h = 0.125 .. 4, within 8.8e-3 at theta = 2 (5.0e-4
+    at L = 8192), 1.7e-3 at 1.9, 4.7e-3 at 1.99 and 2.6e-3 at 2.01; cell
+    centre samples err by up to 3.5e-2 at theta = 2.
 
-    Memoryless cases (white noise, theta = 0) have exact one-step updates
-    in the market module instead.  Raises InputError, before any
-    evaluation, when the fold needs more than SPECTRUM_POINT_BOUND image
-    points (stock theta -> 0 at large h).  Returns a PathEnsemble of kind
-    "return-rate" with ``n_steps`` samples per path.
+    Memoryless cases (white noise, theta = 0) have exact one-step updates in
+    the market module instead.  A band over SPECTRUM_CELL_BOUND cells (stock
+    theta -> 0 at large h) raises InputError before any evaluation.  Returns
+    a PathEnsemble of kind "return-rate" with ``n_steps`` samples per path.
     """
     _check_grid(h, n_steps)
     _check_counts(n_steps, n_paths)

@@ -15,6 +15,8 @@ table (``noise.LANES``) and the contract it stands for: path i of a lane
 draws from ``default_rng(SeedSequence(seed, spawn_key=(lane, i)))``, built
 here by numpy itself (``path_stream``) while the package hashes whole
 ranges of paths at once, so the two samplers can be compared draw for draw.
+Its spectrum is either the package's closed-form fold or the midpoint-rule
+fold (``midpoint_folded_spectrum``) the package used before it.
 """
 
 import math
@@ -22,7 +24,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from glemarket import models, noise, volterra
+from glemarket import laplace, models, noise, volterra
+from glemarket.series import SpectralDensity
 
 mp.mp.dps = 60
 
@@ -290,15 +293,33 @@ def colored_full_draw(lam, n_paths, seed):
     return paths
 
 
-def stationary_ensemble_full_draw(model, h, n_steps, n_paths, seed):
+def midpoint_folded_spectrum(model, h, n, per_cell=16):
+    """volterra._folded_spectrum by the midpoint rule: each circulant cell's
+    value is the mean of the model's spectral density at ``per_cell`` (even)
+    midpoints of the cell, not its exact integral.  Cell j of width
+    d = pi/(n h) takes the midpoints nu in [(j - 1/2) d, (j + 1/2) d), folded
+    onto 0..n like the package's cells, with cells 0 and n doubled."""
+    band = 2.0 / model.tau_R
+    step = math.pi / (n * h * per_cell)
+    j = np.arange(math.ceil(band / step))
+    s = laplace.spectral_density(models.observable_evaluator(model), (j + 0.5) * step).values
+    cell = (j + per_cell // 2) // per_cell % (2 * n)
+    sums = np.bincount(np.minimum(cell, 2 * n - cell), weights=s, minlength=n + 1)
+    sums[[0, n]] *= 2.0
+    omega = np.pi * np.arange(n + 1) / (n * h)
+    return SpectralDensity(omega=omega, values=sums / per_cell)
+
+
+def stationary_ensemble_full_draw(model, h, n_steps, n_paths, seed, fold=volterra._folded_spectrum):
     """volterra.simulate_stationary_ensemble's paths with the full draw:
-    the production folded spectrum, the reference draw and spectral line."""
+    the folded spectrum ``fold(model, h, L)`` (the production fold unless
+    given), the reference draw and spectral line."""
     n = volterra._circulant_length(n_steps)
     request = noise.NoiseRequest(
         n_steps=n,
         n_paths=n_paths,
         seed=seed,
-        target_spectrum=volterra._folded_spectrum(model, h, n),
+        target_spectrum=fold(model, h, n),
         h=h,
     )
     r = colored_full_draw(noise.circulant_spectrum(request), n_paths, seed)[:, :n_steps]

@@ -412,14 +412,14 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == []
 
     def test_oversized_fold_exits_2_before_writing(self, tmp_path):
-        # theta = 1e-5 folds a band of 2e5 onto [0, 8 pi]: 1.27e8 image points
+        # theta = 1e-5 folds a band of 2e5 onto [0, 8 pi]: 7.96e6 band cells
         start = time.perf_counter()
         code, _, err = run_cli(
             "simulate", "--out-dir", str(tmp_path), "--model", "stock", "--theta", "1e-5",
             "--n-paths", "1", "--n-steps", "1000", "--h", "0.125", "--seed", "1",
         )
         assert code == 2
-        assert "folded spectrum too costly" in err and "1.27e+08 image points" in err
+        assert "folded spectrum too costly" in err and "7.96e+06 band cells" in err
         assert time.perf_counter() - start < 5.0
         assert list(tmp_path.iterdir()) == []
 

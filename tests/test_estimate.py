@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import stationary_ensemble_full_draw
+from oracles import midpoint_folded_spectrum, stationary_ensemble_full_draw
 from scipy.linalg import toeplitz
 
 from glemarket import estimate, laplace
@@ -304,10 +304,13 @@ class TestFitTheta:
     def test_seeded_ensemble_fits_are_frozen(self, theta, seed, want_theta, want_tau):
         # the fits of the per-path FFT and per-point scan implementation:
         # theta exactly, tau_r up to the golden section's ulp-level path.
-        # The ensembles come from the full-draw reference sampler, the bits
-        # these fits were frozen on, so only the estimator is under test
+        # The ensembles come from the full-draw reference sampler with the
+        # midpoint fold, the bits these fits were frozen on, so only the
+        # estimator is under test
         model = ModelSpec.stock_theta(tau_r=1.0, theta=theta)
-        paths = stationary_ensemble_full_draw(model, h=0.125, n_steps=2048, n_paths=500, seed=seed)
+        paths = stationary_ensemble_full_draw(
+            model, h=0.125, n_steps=2048, n_paths=500, seed=seed, fold=midpoint_folded_spectrum
+        )
         out = PathEnsemble(h=0.125, paths=paths, kind="return-rate")
         acf, _ = ensemble_acf(out, max_lag=320)
         rep = fit_theta(acf, lag_window=40.0)

@@ -16,6 +16,7 @@ from scipy.special import jv
 
 from glemarket import estimate
 from glemarket.errors import CapabilityError, DomainError, InputError
+from glemarket.laplace import spectral_density
 from glemarket.models import (
     CATALOG,
     ModelSpec,
@@ -30,6 +31,7 @@ from glemarket.models import (
     observable_evaluator,
     observable_shape,
     render_catalog,
+    band_variance,
     solve_functional_shape,
     spectral_atom,
 )
@@ -455,6 +457,56 @@ def test_spectral_atom_is_a_pole_of_the_return_image():
         p = 1e-5 / tau_r + 1j * om
         residue = (p - 1j * om) * observable_shape(m, p) * tau_r
         assert abs(residue - w) < 3e-5
+
+
+@pytest.mark.parametrize("model", [
+    ModelSpec.linear_self_similar(tau_R=1.3, variance=2.0),
+    ModelSpec.stock_theta(tau_r=0.7, theta=0.05, variance=2.0),
+    ModelSpec.stock_theta(tau_r=0.7, theta=0.5, variance=2.0),
+    ModelSpec.stock_theta(tau_r=0.7, theta=1.5, variance=2.0),
+    ModelSpec.stock_theta(tau_r=0.7, theta=3.0, variance=2.0),
+], ids=["selfsim", "stock0.05", "stock0.5", "stock1.5", "stock3"])
+def test_band_variance_integrates_the_spectral_density(model):
+    # (1/pi) times the midpoint sum of the sampled density, 2e5 points
+    band, n = 2.0 / model.tau_R, 200_000
+    w = (np.arange(n) + 0.5) * (band / n)
+    s = spectral_density(observable_evaluator(model), w).values
+    running = np.cumsum(s)[999::1000] * (band / n) / np.pi
+    edges = band * np.arange(1000, n + 1, 1000) / n
+    assert np.max(np.abs(band_variance(model, edges) - running)) <= 5e-8
+
+
+def test_band_variance_at_the_band_edge():
+    # the continuum holds the whole variance up to theta = 2, and beyond it
+    # all but the spectral line's 2 R
+    for theta in (0.5, 1.0, 1.5, 2.0):
+        m = ModelSpec.stock_theta(tau_r=0.7, theta=theta, variance=1.5)
+        assert band_variance(m, 2.0 / m.tau_R) == pytest.approx(1.5, abs=1e-15)
+        assert band_variance(m, [0.0, 1e3 / m.tau_R]).tolist() == [0.0, band_variance(m, 2.0 / m.tau_R)]
+    for theta in (2.01, 2.5, 3.0, 10.0):
+        m = ModelSpec.stock_theta(tau_r=0.7, theta=theta, variance=1.0)
+        assert abs(band_variance(m, 2.0 / m.tau_R) + 2.0 * spectral_atom(m)[1] - 1.0) <= 1e-14
+
+
+def test_band_variance_is_continuous_through_theta_one():
+    # the atan2 form keeps its digits as theta - 1 -> 0, where a complex-log
+    # antiderivative with a 1/(theta - 1) factor cancels (1e-4 off at 1e-12)
+    w = np.linspace(0.0, 2.0, 10001)
+    exact = band_variance(ModelSpec.stock_theta(tau_r=1.0, tau_R=1.0), w)
+    for eps in (1e-13, 1e-11, 1e-9, -1e-13, -1e-11, -1e-9):
+        m = ModelSpec.stock_theta(tau_r=1.0 / (1.0 + eps), tau_R=1.0)
+        assert np.max(np.abs(band_variance(m, w) - exact)) <= 1e-9, eps
+
+
+def test_band_variance_refuses_models_without_a_band():
+    for bad in (
+        ModelSpec.white_noise(1.0),
+        ModelSpec.stock_theta(tau_r=1.0, theta=0.0),
+        ModelSpec.boltzmann(1.0),
+        ModelSpec.scaling(tau_r=1.0, theta=3.0),
+    ):
+        with pytest.raises(CapabilityError, match="no band-limited spectrum"):
+            band_variance(bad, [0.0, 1.0])
 
 
 @given(st.floats(min_value=2.0, max_value=50.0, exclude_min=True))

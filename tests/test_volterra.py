@@ -23,7 +23,12 @@ from glemarket.volterra import (
     propagate_acf,
     simulate_stationary_ensemble,
 )
-from oracles import boltzmann_march_direct, differential_march_direct, integrate_gle_direct
+from oracles import (
+    boltzmann_march_direct,
+    differential_march_direct,
+    integrate_gle_direct,
+    midpoint_folded_spectrum,
+)
 
 # High-precision inversion references for the Lambert-type ACFs
 # (real-axis Gaver-Stehfest at 120+ digits, degree 28-40 cross-checked;
@@ -590,6 +595,18 @@ def test_stationary_ensemble_peak_memory_within_simulate_estimate():
     assert peak <= 64 * (200 + 2) * n_gen
 
 
+def _circulant_covariance(model, h, n, lags):
+    """Exact covariance of the circulant the sampler draws from, plus its line."""
+    t = h * np.arange(lags)
+    target = _folded_spectrum(model, h, n)
+    request = NoiseRequest(n_steps=n, n_paths=1, seed=0, target_spectrum=target, h=h)
+    c = np.fft.irfft(circulant_spectrum(request), 2 * n)[:lags]
+    atom = spectral_atom(model)
+    if atom is not None:
+        c = c + 2.0 * atom[1] * model.variance * np.cos(atom[0] * t)
+    return c
+
+
 @pytest.mark.parametrize("h", [0.125, 0.5, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("model,bound", [
     (ModelSpec.linear_self_similar(tau_R=1.0), 1e-3),
@@ -597,23 +614,26 @@ def test_stationary_ensemble_peak_memory_within_simulate_estimate():
     (ModelSpec.stock_theta(tau_r=1.0, theta=1.0), 1e-3),
     (ModelSpec.stock_theta(tau_r=1.0, theta=1.5), 1e-3),
     (ModelSpec.stock_theta(tau_r=1.0, theta=3.0), 1e-3),
-    # near-singular spectrum at the band edge, measured <= 1.6e-2, 2.2e-3
-    # and 1.1e-2; cell-centre samples err by up to 3.5e-2, 2.1e-2 and 9.9e-2
-    (ModelSpec.stock_theta(tau_r=1.0, theta=2.0), 3e-2),
-    (ModelSpec.stock_theta(tau_r=1.0, theta=1.9), 5e-3),
-    (ModelSpec.stock_theta(tau_r=1.0, theta=2.01), 1.5e-2),
-], ids=["selfsim", "stock0.5", "stock1", "stock1.5", "stock3", "stock2", "stock1.9", "stock2.01"])
+    # near-singular spectrum at the band edge, measured <= 8.8e-3, 1.7e-3,
+    # 4.7e-3 and 2.6e-3
+    (ModelSpec.stock_theta(tau_r=1.0, theta=2.0), 1e-2),
+    (ModelSpec.stock_theta(tau_r=1.0, theta=1.9), 2e-3),
+    (ModelSpec.stock_theta(tau_r=1.0, theta=1.99), 6e-3),
+    (ModelSpec.stock_theta(tau_r=1.0, theta=2.01), 4e-3),
+], ids=["selfsim", "stock0.5", "stock1", "stock1.5", "stock3", "stock2", "stock1.9", "stock1.99",
+        "stock2.01"])
 def test_circulant_covariance_matches_closed_forms(model, bound, h):
-    # deterministic: the exact covariance of the circulant the sampler draws
-    # from, plus its line (measured <= 3e-4 away from theta = 2)
-    n, t = 2048, h * np.arange(321)
-    target = _folded_spectrum(model, h, n)
-    request = NoiseRequest(n_steps=n, n_paths=1, seed=0, target_spectrum=target, h=h)
-    c = np.fft.irfft(circulant_spectrum(request), 2 * n)[: t.size]
-    atom = spectral_atom(model)
-    if atom is not None:
-        c = c + 2.0 * atom[1] * model.variance * np.cos(atom[0] * t)
-    assert np.max(np.abs(c - closed_form_acf(model, t))) <= bound
+    # deterministic, on lags <= 320 (measured <= 3e-4 away from theta = 2)
+    c = _circulant_covariance(model, h, 2048, 321)
+    assert np.max(np.abs(c - closed_form_acf(model, h * np.arange(321)))) <= bound
+
+
+def test_theta_2_covariance_converges_with_the_grid():
+    # the band-edge error is the cells' taper, so it falls with L: measured
+    # 5.0e-4 at L = 8192
+    model = ModelSpec.stock_theta(tau_r=1.0, theta=2.0)
+    c = _circulant_covariance(model, 0.125, 8192, 321)
+    assert np.max(np.abs(c - closed_form_acf(model, 0.125 * np.arange(321)))) <= 1e-3
 
 
 def test_stationary_ensemble_variance_holds_at_large_h(monkeypatch):
@@ -634,12 +654,10 @@ def test_stationary_ensemble_deep_fold_keeps_the_variance():
     model = ModelSpec.stock_theta(tau_r=1.0, theta=0.01)
     out = simulate_stationary_ensemble(model, h=0.125, n_steps=2048, n_paths=100, seed=5)
     assert abs(out.paths.var() - 1.0) <= 0.03
-
-
-def _circulant_variance(model, h, n):
-    target = _folded_spectrum(model, h, n)
-    request = NoiseRequest(n_steps=n, n_paths=1, seed=0, target_spectrum=target, h=h)
-    return np.fft.irfft(circulant_spectrum(request), 2 * n)[0]  # mean eigenvalue
+    # a band of exactly 4096 cells
+    model = ModelSpec.stock_theta(tau_r=1.0, theta=0.03978843221132672)
+    out = simulate_stationary_ensemble(model, h=0.125, n_steps=2048, n_paths=2, seed=1)
+    assert out.paths.shape == (2, 2048) and np.all(np.isfinite(out.paths))
 
 
 @pytest.mark.parametrize("h", [0.01, 0.125])
@@ -648,38 +666,42 @@ def _circulant_variance(model, h, n):
     ModelSpec.stock_theta(tau_r=1.0, theta=0.5),
     ModelSpec.stock_theta(tau_r=1.0, theta=1.0),
     ModelSpec.stock_theta(tau_r=1.0, theta=1.5),
-], ids=["selfsim", "stock0.5", "stock1", "stock1.5"])
+    ModelSpec.stock_theta(tau_r=1.0, theta=1.9),
+    ModelSpec.stock_theta(tau_r=1.0, theta=2.0),
+    ModelSpec.stock_theta(tau_r=1.0, theta=2.01),
+    ModelSpec.stock_theta(tau_r=1.0, theta=3.0),
+], ids=["selfsim", "stock0.5", "stock1", "stock1.5", "stock1.9", "stock2", "stock2.01", "stock3"])
 def test_short_grid_fold_keeps_the_variance(model, h):
-    # a band spanning a cell or two gets BAND_POINTS midpoints, not 16 per
-    # cell (stock theta = 1.5 at h = 0.01 read 0.854 at L = 16, and the
-    # one-midpoint band at L = 4 was refused by spectral_density)
+    # the cells' masses telescope to the band's variance on any grid, down
+    # to a band inside one cell; beyond theta = 2 the line holds the rest
     for n in (4, 8, 16, 32, 64, 256):
-        assert abs(_circulant_variance(model, h, n) - 1.0) <= 1e-2, n
+        assert abs(_circulant_covariance(model, h, n, 1)[0] - 1.0) <= 1e-12, n
 
 
-def test_fold_blocks_split_without_changing_the_sum(monkeypatch):
-    # 65 537 midpoints: blocks of 2^16 used to leave a one-point block,
-    # which spectral_density refuses
-    model = ModelSpec.stock_theta(tau_r=1.0, theta=0.03978843221132672)
-    monkeypatch.setattr(volterra, "_SPECTRUM_BLOCK", 2**20)
-    whole = _folded_spectrum(model, 0.125, 2048).values
-    for block in (2**16, 1000):
-        monkeypatch.setattr(volterra, "_SPECTRUM_BLOCK", block)
-        split = _folded_spectrum(model, 0.125, 2048).values
-        assert np.max(np.abs(split - whole)) <= 1e-15 * np.max(np.abs(whole))
-    out = simulate_stationary_ensemble(model, h=0.125, n_steps=2048, n_paths=2, seed=1)
-    assert out.paths.shape == (2, 2048) and np.all(np.isfinite(out.paths))
+@pytest.mark.parametrize("h", [0.125, 2.0])
+@pytest.mark.parametrize("model", [
+    ModelSpec.linear_self_similar(tau_R=1.0),
+    ModelSpec.stock_theta(tau_r=1.0, theta=0.5),
+    ModelSpec.stock_theta(tau_r=1.0, theta=1.0),
+    ModelSpec.stock_theta(tau_r=1.0, theta=1.5),
+    ModelSpec.stock_theta(tau_r=1.0, theta=3.0),
+], ids=["selfsim", "stock0.5", "stock1", "stock1.5", "stock3"])
+def test_fold_is_the_limit_of_cell_midpoints(model, h):
+    # the exact cell means against 1024 midpoints per cell (measured <= 2.8e-6)
+    exact = _folded_spectrum(model, h, 256).values
+    midpoints = midpoint_folded_spectrum(model, h, 256, per_cell=1024).values
+    assert np.max(np.abs(midpoints - exact)) <= 1e-5 * np.max(exact)
 
 
 def test_oversized_fold_refused_before_any_evaluation(monkeypatch):
     def untouchable(*args, **kwargs):
-        raise AssertionError("the cost cap must fire before any image evaluation")
+        raise AssertionError("the cost cap must fire before any spectrum evaluation")
 
-    monkeypatch.setattr(volterra, "spectral_density", untouchable)
+    monkeypatch.setattr(volterra, "band_variance", untouchable)
     model = ModelSpec.stock_theta(tau_r=1.0, theta=1e-5)
-    with pytest.raises(InputError, match="image points") as err:
+    with pytest.raises(InputError, match="band cells") as err:
         simulate_stationary_ensemble(model, h=0.125, n_steps=2048, n_paths=2, seed=1)
-    assert "2.61e+08" in str(err.value)
+    assert "1.63e+07" in str(err.value)
 
 
 def test_stationary_ensemble_refusals():
