@@ -5,12 +5,19 @@ so it makes a sharp cross-check of the two numerical routes: inverting the
 Laplace image on the lag grid, and propagating the memory-kernel
 convolution equation step by step.  All three must agree to solver
 accuracy everywhere on [0, 10 correlation times].
+
+The Boltzmann closure has no closed form, but two routes reach it: the
+same Laplace inversion of its Lambert-type image, and the causal march of
+its convolution identity t c = (1 - t/2)(c*c), which forces an exact zero
+at lag 2 tau_R.  The inversion must hit that zero to roundoff, and the
+march must agree with it to its own O(h^2) accuracy.
 """
 
 import numpy as np
 
 from glemarket import (
     ModelSpec,
+    boltzmann_acf,
     closed_form_acf,
     invert,
     memory_kernel,
@@ -34,6 +41,17 @@ def main():
     print(f"closed vs inverted:   max |diff| = {np.abs(closed - inverted).max():.3e}")
     print(f"closed vs propagated: max |diff| = {np.abs(closed - propagated).max():.3e}")
     print(f"inverted vs propagated: max |diff| = {np.abs(inverted - propagated).max():.3e}")
+
+    boltzmann = ModelSpec.boltzmann(tau_R=tau_R)
+    boltzmann_inverted = invert(observable_evaluator(boltzmann), h, n).values
+    boltzmann_marched = boltzmann_acf(boltzmann, h, n).values
+    zero = 400  # lag 2 tau_R
+    march_gap = np.abs(boltzmann_inverted - boltzmann_marched).max()
+    print(f"boltzmann inverted vs marched: max |diff| = {march_gap:.3e}")
+    print(f"boltzmann at lag 2 tau_R: inverted {boltzmann_inverted[zero]:.1e}, "
+          f"marched {boltzmann_marched[zero]:.1e}")
+    if abs(boltzmann_inverted[zero]) > 1e-12 or march_gap > 1e-3:
+        raise SystemExit("boltzmann routes disagree beyond their accuracy")
 
     try:
         import matplotlib

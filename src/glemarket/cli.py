@@ -8,9 +8,10 @@ Conventions shared by every subcommand:
   repr, the shortest round-tripping form, so output is locale-independent
   and byte-identical across reruns.
 * Config file: flat ``key = value`` lines (``#`` comments and blank lines
-  allowed).  Recognized keys: ``time_unit``, ``seed``, ``out_dir``,
-  ``tolerance``, and model parameter presets ``model.<name>``.  Flags
-  override config values, which override built-in defaults.
+  allowed).  Recognized keys: ``seed``, ``out_dir``, ``tolerance``, and
+  model parameter presets ``model.<name>``; any other key is a ParseError
+  with its line number.  Flags override config values, which override
+  built-in defaults.
 * Exit codes: 0 success, 2 bad input (including parse and degenerate-data
   errors), 3 capability gap (the combination is not defined), 4 accuracy
   or convergence failure.
@@ -77,15 +78,12 @@ CAPABILITY_MATRIX = (
 class RunConfig:
     """Flat run configuration; parses from and serializes to key=value text."""
 
-    time_unit: str = "unit"
     seed: int | None = None
     out_dir: str = "."
     tolerance: float | None = None  # None: each command's own default
     presets: tuple = ()
 
     def __post_init__(self):
-        if not self.time_unit or any(c in self.time_unit for c in "=\n"):
-            raise InputError("time_unit must be a nonempty single-line label")
         if self.seed is not None and not (
             isinstance(self.seed, int) and 0 <= self.seed < 2**64
         ):
@@ -117,12 +115,10 @@ def parse_config(text):
         key, value = key.strip(), value.strip()
         if key in fields or key in presets:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
-        if key not in ("time_unit", "seed", "out_dir", "tolerance") and key not in _PRESET_KEYS:
+        if key not in ("seed", "out_dir", "tolerance") and key not in _PRESET_KEYS:
             raise ParseError(f"unknown config key {key!r}", line=lineno)
         try:
-            if key == "time_unit":
-                fields[key] = value
-            elif key == "seed":
+            if key == "seed":
                 fields[key] = int(value)
             elif key == "out_dir":
                 fields[key] = value
@@ -139,9 +135,9 @@ def parse_config(text):
 
 def serialize_config(config):
     """Canonical text form; parse_config(serialize_config(c)) == c."""
-    lines = [f"time_unit = {config.time_unit}", f"out_dir = {config.out_dir}"]
+    lines = [f"out_dir = {config.out_dir}"]
     if config.seed is not None:
-        lines.insert(1, f"seed = {config.seed}")
+        lines.insert(0, f"seed = {config.seed}")
     if config.tolerance is not None:
         lines.append(f"tolerance = {config.tolerance!r}")
     lines.extend(f"{key} = {value!r}" for key, value in config.presets)

@@ -29,9 +29,12 @@ O(n log n) operations and O(freq_scale t_max + (MIN_TERMS + M) log n) image
 points.  At arbitrary times each octave sums its series directly, which
 costs the octave's times x its image points.
 
-Only models whose shapes extend off the real axis can be inverted here;
-the Lambert-type and functional-equation models are real-axis only and get
-their ACFs from the time-domain evolution routines in ``volterra``.
+Only models whose shapes extend off the real axis can be inverted here.
+That includes the Lambert-type models, whose log-form Lambert roots take
+complex arguments (``specfun._log_root``); the marches in ``volterra`` fill
+their startup windows from this inverter.  The functional-equation models
+(scaling, fractional) are solved on the real axis only, where ``audit``
+checks them.
 """
 
 import math
@@ -60,8 +63,8 @@ def _require_invertible(evaluator):
         raise InputError("evaluator must be a ShapeEvaluator")
     if not evaluator.complex_capable:
         raise CapabilityError(
-            f"{evaluator.model.variant.value} images are defined on the real axis "
-            "only; compute this ACF with the volterra evolution routines instead"
+            f"{evaluator.model.variant.value} images are solved on the real axis only, "
+            "so no ACF route serves them; the real-axis audit checks them"
         )
     if evaluator.transform_scale is None:
         raise CapabilityError(

@@ -205,11 +205,11 @@ CATALOG = {
         ModelSpec.fractional, "stock", False, "y(p)^theta",
         "no", "no (real axis)", "no (shape-level)", "no", "real axis"),
     Variant.BOLTZMANN: CatalogRow(
-        ModelSpec.boltzmann, "market", False, "1 + ln y",
-        "no", "no (real axis)", "yes", "no", "real axis"),
+        ModelSpec.boltzmann, "market", True, "1 + ln y",
+        "no", "yes", "yes", "no", "complex p"),
     Variant.DIFFERENTIAL: CatalogRow(
-        ModelSpec.differential, "market", False, "dg/du = y",
-        "no", "no (real axis)", "yes", "no", "real + dg/du"),
+        ModelSpec.differential, "market", True, "dg/du = y",
+        "no", "yes", "yes", "no", "complex p + dg/du"),
 }
 
 

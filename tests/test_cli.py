@@ -41,7 +41,6 @@ class TestRunConfig:
     def test_round_trip_identity(self):
         text = (
             "# desk defaults\n"
-            "time_unit = day\n"
             "seed = 99\n"
             "out_dir = results\n"
             "tolerance = 1e-09\n"
@@ -49,7 +48,7 @@ class TestRunConfig:
             "model.theta = 2.0\n"
         )
         cfg = parse_config(text)
-        assert cfg.time_unit == "day" and cfg.seed == 99
+        assert cfg.seed == 99 and cfg.out_dir == "results"
         assert cfg.preset("tau_r") == 0.5 and cfg.preset("theta") == 2.0
         canon = serialize_config(cfg)
         assert parse_config(canon) == cfg
@@ -78,13 +77,21 @@ class TestRunConfig:
         assert fragment in str(err.value)
         assert "line" in str(err.value)
 
+    def test_time_unit_is_not_a_config_key(self, tmp_path):
+        # no command ever read it: naming it is an unknown key, exit 2
+        with pytest.raises(ParseError, match="line 2: unknown config key 'time_unit'"):
+            parse_config("seed = 1\ntime_unit = day\n")
+        config = tmp_path / "old.cfg"
+        config.write_text("# desk defaults\ntime_unit = day\n", encoding="utf-8")
+        code, _, err = run_cli("fig1", "--config", str(config), "--out-dir", str(tmp_path))
+        assert code == 2 and "line 2" in err and "time_unit" in err
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_field_validation(self):
         with pytest.raises(InputError):
             RunConfig(seed=-1)
         with pytest.raises(InputError):
             RunConfig(tolerance=0.0)
-        with pytest.raises(InputError):
-            RunConfig(time_unit="")
         with pytest.raises(InputError):
             RunConfig(presets=(("model.gamma", 1.0),))
 
@@ -200,15 +207,26 @@ class TestAcf:
 
     @pytest.mark.parametrize(
         "model,route",
-        [("white", "volterra"), ("scaling", "laplace"), ("boltzmann", "laplace")],
+        [("white", "volterra"), ("scaling", "laplace"), ("fractional", "laplace")],
     )
     def test_unsupported_combinations(self, tmp_path, model, route):
-        extra = ["--theta", "1.0"] if model == "scaling" else []
+        extra = ["--theta", "1.0"] if model in ("scaling", "fractional") else []
         code, _, _ = run_cli(
             "acf", "--out-dir", str(tmp_path), "--model", model, *extra,
             "--route", route, "--h", "0.1", "--n-points", "16",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("model", ["scaling", "fractional"])
+    def test_real_axis_refusal_names_what_serves_the_model(self, tmp_path, model):
+        # no ACF route serves these models, volterra included: the refusal
+        # names the real-axis audit, which does
+        argv = ["acf", "--out-dir", str(tmp_path), "--model", model, "--theta", "1.5",
+                "--h", "0.1", "--n-points", "16"]
+        code, _, err = run_cli(*argv, "--route", "laplace")
+        message = err.split("\n\n")[0]
+        assert code == 3 and "real-axis audit" in message and "volterra" not in message
+        assert run_cli(*argv, "--route", "volterra")[0] == 3
 
     def test_help_lists_capability_matrix(self):
         for command in ("acf", "simulate", "audit"):
@@ -683,12 +701,23 @@ class TestAudit:
         )
         assert code == 2 and "seed" in err
 
+    @pytest.mark.parametrize("model", ["boltzmann", "differential"])
+    def test_lambert_models_pass_on_the_complex_grid(self, model):
+        # closure rows at 1e-10 on 200 seeded right-half-plane points;
+        # differential's derivative rows keep their own fd-step threshold
+        code, out, _ = run_cli("audit", "--model", model, "--tau-R", "2.5", "--n-real", "40",
+                               "--n-complex", "200", "--seed", "9")
+        assert code == 0 and "failures = 0" in out and "tolerance = 1e-10" in out
+        rows = [line.split(",") for line in out.splitlines() if line.startswith("closure,")]
+        assert sum(float(row[2]) != 0.0 for row in rows) == 200
+
     def test_real_axis_only_models_refuse_complex_grid(self):
-        code, _, err = run_cli("audit", "--model", "boltzmann",
-                               "--n-complex", "5", "--seed", "1")
-        assert code == 3 and "real axis" in err
-        code, _, _ = run_cli("audit", "--model", "boltzmann", "--n-real", "20")
-        assert code == 0
+        for model in ("scaling", "fractional"):
+            code, _, err = run_cli("audit", "--model", model, "--theta", "1.5",
+                                   "--n-complex", "5", "--seed", "1")
+            assert code == 3 and "real axis" in err
+            code, _, _ = run_cli("audit", "--model", model, "--theta", "1.5", "--n-real", "20")
+            assert code == 0
 
     def test_differential_emits_derivative_rows(self):
         code, out, _ = run_cli("audit", "--model", "differential", "--n-real", "12")

@@ -161,7 +161,9 @@ def test_small_theta_grid_inverts_and_matches_the_euler_oracle():
     ModelSpec.linear_self_similar(tau_R=1.0),
     ModelSpec.stock_theta(tau_r=1.0, theta=0.5),
     ModelSpec.stock_theta(tau_r=1.0, theta=3.0),
-], ids=["selfsim", "stock0.5", "stock3"])
+    ModelSpec.boltzmann(tau_R=1.0),
+    ModelSpec.differential(tau_R=1.0),
+], ids=["selfsim", "stock0.5", "stock3", "boltzmann", "differential"])
 def test_fft_and_direct_sums_match_the_euler_oracle(model):
     ev = observable_evaluator(model)
     acf = invert(ev, h=0.05, n_lags=1200)
@@ -199,10 +201,20 @@ def test_oversized_inversion_refused_before_any_evaluation():
     assert points > CONTOUR_POINT_BOUND
 
 
+def test_boltzmann_inversion_hits_the_exact_zero():
+    # the Boltzmann identity t c = (1 - t/2)(c*c) forces c(2 tau_R) = 0; the
+    # inversion of the complex-plane image knows nothing of the identity
+    acf = invert(observable_evaluator(ModelSpec.boltzmann(tau_R=1.5)), h=0.01, n_lags=1001)
+    assert abs(acf.values[300]) <= 1e-12
+    assert acf.values[290] > 0.0 > acf.values[310]
+
+
 def test_capability_refusals():
-    with pytest.raises(CapabilityError):
-        invert(observable_evaluator(ModelSpec.boltzmann(1.0)), h=0.1, n_lags=10)
-    with pytest.raises(CapabilityError):
+    # the functional-equation models are solved on the real axis only, and
+    # the refusal names what does serve them
+    with pytest.raises(CapabilityError, match="real-axis audit"):
+        invert(observable_evaluator(ModelSpec.fractional(tau_r=1.0, theta=1.5)), h=0.1, n_lags=10)
+    with pytest.raises(CapabilityError, match="real-axis audit"):
         invert(observable_evaluator(ModelSpec.scaling(tau_r=1.0, theta=0.5)), h=0.1, n_lags=10)
     # white force ACF is a delta, not an invertible function
     with pytest.raises(CapabilityError):

@@ -380,9 +380,11 @@ def test_readme_catalog_table_is_the_rendered_catalog():
 
 
 def test_domain_and_capability_errors():
-    m = ModelSpec.boltzmann(1.0)
+    m = ModelSpec.fractional(tau_r=1.0, theta=1.5)
     with pytest.raises(CapabilityError):
         observable_shape(m, 1.0 + 1.0j)
+    with pytest.raises(CapabilityError):
+        force_shape(ModelSpec.scaling(tau_r=1.0, theta=1.5), 1.0 + 1.0j)
     with pytest.raises(DomainError):
         observable_shape(m, -0.5)
     with pytest.raises(DomainError):

@@ -226,6 +226,72 @@ def test_lambert_wm1_neg_exp_at_the_branch_point():
     assert np.max(np.abs(together / ref - 1.0)) <= 1e-15
 
 
+# lambert_w0_exp values frozen before the log-form root took complex z; the
+# real path must not move by a bit
+W0_EXP_FROZEN = {
+    1.5: 1.2649597201255005,
+    2.0: 1.5571455989976115,
+    5.0: 3.6934413589606496,
+    30.0: 26.714782920381055,
+    700.0: 693.4583088790255,
+    100000.0: 99988.48718966976,
+    100000000.0: 99999981.57931945,
+}
+
+
+def test_lambert_w0_exp_frozen_bits():
+    for z, ref in W0_EXP_FROZEN.items():
+        assert specfun.lambert_w0_exp(z) == ref
+
+
+def test_lambert_w0_exp_complex_is_the_wright_omega_function():
+    # w + ln w = z on Re z >= 1 with the principal log: the Boltzmann image
+    # at tau_R p = z - 1 for Re p >= 0, out to |Im p| = 1e4
+    re = np.concatenate([1.0 + np.linspace(0.0, 4.0, 41), np.logspace(0.7, 3.0, 20)])
+    im = np.concatenate([np.linspace(-10.0, 10.0, 81), np.logspace(1.0, 4.0, 40),
+                         -np.logspace(1.0, 4.0, 40)])
+    z = (re[:, None] + 1j * im[None, :]).ravel()
+    w = specfun.lambert_w0_exp(z)
+    ref = scipy_special.wrightomega(z)
+    assert np.max(np.abs(w / ref - 1.0)) <= 1e-15
+    # exactly conjugate-symmetric, and a Python complex for a scalar
+    assert np.array_equal(specfun.lambert_w0_exp(np.conj(z)), np.conj(w))
+    assert isinstance(specfun.lambert_w0_exp(2.0 + 1.0j), complex)
+
+
+def test_lambert_wm1_neg_exp_complex_continues_the_real_branch():
+    # v - ln v = z (the differential image at z = 2 - ln 2 + tau_R p) for
+    # Re z >= 1: a small residual, exact conjugate symmetry, and no jump along
+    # rays that leave the real axis, so the root is the real branch v >= 1
+    # continued analytically
+    re = np.concatenate([1.0 + np.logspace(-3.0, 0.0, 13), np.logspace(0.4, 3.0, 20)])
+    im = np.concatenate([np.logspace(-8.0, 4.0, 49), -np.logspace(-8.0, 4.0, 49)])
+    z = (re[:, None] + 1j * im[None, :]).ravel()
+    v = -specfun.lambert_wm1_neg_exp(z)
+    assert np.max(np.abs(v - np.log(v) - z) / np.abs(z)) <= 1e-15
+    assert np.array_equal(-specfun.lambert_wm1_neg_exp(np.conj(z)), np.conj(v))
+    assert np.all(v.real >= 1.0)
+    r = np.logspace(-10.0, 4.0, 2001)
+    for z0 in (1.01, 2.0 - np.log(2.0), 3.0, 40.0):
+        for angle in (np.pi / 6.0, np.pi / 2.0, -np.pi / 3.0):
+            ray = z0 + r * np.exp(1j * angle)
+            v = -specfun.lambert_wm1_neg_exp(ray)
+            # dv/dz = v/(v - 1): each step moves v by at most its slope bound
+            slope = np.abs(v / (v - 1.0))
+            steps = np.abs(np.diff(v))
+            assert np.all(steps <= 1.01 * np.maximum(slope[1:], slope[:-1]) * np.abs(np.diff(ray)))
+            real = -specfun.lambert_wm1_neg_exp(z0)
+            assert abs(v[0] - real) <= 2.0 * slope[0] * r[0] + 1e-15 * real
+
+
+def test_log_forms_refuse_complex_z_left_of_one():
+    for fn in (specfun.lambert_w0_exp, specfun.lambert_wm1_neg_exp):
+        with pytest.raises(DomainError):
+            fn(0.5 + 1.0j)
+        with pytest.raises(DomainError):
+            fn(np.array([2.0 + 0.0j, complex(np.nan, 1.0)]))
+
+
 def test_scalar_array_round_trip():
     assert isinstance(specfun.bessel_j0(1.0), float)
     arr = specfun.lambda1(np.array([0.0, 1.0, 2.0]))

@@ -8,7 +8,9 @@ import pytest
 
 from glemarket import volterra
 from glemarket.errors import CapabilityError, InputError
-from glemarket.models import ModelSpec, closed_form_acf, observable_shape, spectral_atom
+from glemarket.laplace import invert, invert_at
+from glemarket.models import (ModelSpec, closed_form_acf, observable_evaluator, observable_shape,
+                              spectral_atom)
 from glemarket.noise import NoiseRequest, circulant_spectrum
 from glemarket.series import KernelSeries, PathEnsemble
 from glemarket.specfun import bessel_j0, lambda1
@@ -332,12 +334,42 @@ def test_marched_transform_matches_model_image():
 
 
 def test_march_scales_with_tau_R():
-    # tau_R only rescales the lag axis; agreement is limited by the float64
-    # noise floor of the Gaver-Stehfest startup (~1e-7), not by h
+    # tau_R only rescales the lag axis: the inverted head sums the same
+    # contours in units of tau_R, and the march sees the same dimensionless
+    # grid, so the curves agree to roundoff (measured 5.8e-12 and 5.6e-12)
     h = 1.0 / 100
-    a1 = boltzmann_acf(ModelSpec.boltzmann(tau_R=1.0), h, 201)
-    a3 = boltzmann_acf(ModelSpec.boltzmann(tau_R=3.0), 3.0 * h, 201)
-    assert np.max(np.abs(a1.values - a3.values)) < 1e-5
+    for make, acf in [(ModelSpec.boltzmann, boltzmann_acf),
+                      (ModelSpec.differential, differential_acf)]:
+        a1 = acf(make(tau_R=1.0), h, 201)
+        a3 = acf(make(tau_R=3.0), 3.0 * h, 201)
+        assert np.max(np.abs(a1.values - a3.values)) < 1e-10
+
+
+@pytest.mark.parametrize("make,acf", [(ModelSpec.boltzmann, boltzmann_acf),
+                                      (ModelSpec.differential, differential_acf)])
+def test_march_head_is_the_laplace_inversion(make, acf):
+    # the startup window [0, STARTUP_SPAN tau_R] holds invert_at's values
+    m = make(tau_R=1.0)
+    h = 1.0 / 64  # head: 0.25 tau_R is exactly 16 lags
+    head = h * np.arange(1, 17)
+    values = acf(m, h, 200).values
+    assert np.array_equal(values[1:17], invert_at(observable_evaluator(m), head))
+
+
+@pytest.mark.parametrize("make,acf,ratio", [(ModelSpec.boltzmann, boltzmann_acf, 3.0),
+                                            (ModelSpec.differential, differential_acf, 2.5)])
+def test_march_converges_to_the_laplace_route(make, acf, ratio):
+    # the two routes share nothing past the head: the march's distance from
+    # the inverted image falls like h^2 ln h per halving of h (Boltzmann
+    # measured 3.52 and 3.56, differential 2.73 and 3.10)
+    m = make(tau_R=1.0)
+    gaps = []
+    for h in (0.01, 0.005, 0.0025):
+        n = int(round(20.0 / h)) + 1
+        inverted = invert(observable_evaluator(m), h, n).values
+        gaps.append(np.max(np.abs(acf(m, h, n).values - inverted)))
+    assert gaps[0] < 5e-4
+    assert gaps[0] / gaps[1] >= ratio and gaps[1] / gaps[2] >= ratio
 
 
 def test_march_variant_guard():
