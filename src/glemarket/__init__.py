@@ -5,8 +5,8 @@ generalized Langevin equation whose memory kernel and correlation
 function are linked through their Laplace images.  The package provides
 
 * ``specfun``  -- the special functions the closed-form solutions need
-  (Bessel, the Bessel-Neumann series of the stock ACF, Lambert W in direct
-  and log-argument forms);
+  (Bessel, the Bessel-Neumann series of the stock ACF, both Lambert W
+  branches in log-argument form);
 * ``models``   -- the model catalog: memory-kernel variants, their Laplace
   shapes, closed-form autocorrelations, and the self-consistency audit;
 * ``laplace``  -- numerical inversion of Laplace images and one-sided
@@ -60,7 +60,7 @@ from .models import (
 )
 from .noise import NoiseRequest, circulant_spectrum, generate_colored, generate_wiener_increments
 from .series import AcfSeries, KernelSeries, PathEnsemble, SpectralDensity
-from .specfun import bessel_j0, bessel_j1, lambda0, lambda1, lambert_w0, lambert_w0_exp
+from .specfun import bessel_j0, bessel_j1, lambda0, lambda1, lambert_w0_exp
 from .volterra import (
     boltzmann_acf,
     differential_acf,
@@ -111,7 +111,6 @@ __all__ = [
     "invert_at",
     "lambda0",
     "lambda1",
-    "lambert_w0",
     "lambert_w0_exp",
     "memory_kernel",
     "model_curve",

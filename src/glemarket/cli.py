@@ -40,7 +40,7 @@ from .errors import (
 )
 from .estimate import ensemble_acf, fit_theta, sample_acf
 from .laplace import invert
-from .market import MarketParams, price_from_returns, returns_from_prices, simulate_gbm, simulate_white_returns
+from .market import MarketParams, price_from_returns, returns_from_prices, simulate_gbm
 from .models import (
     CATALOG,
     ROUTES,
@@ -266,8 +266,6 @@ def _add_model_arguments(parser, models):
 def cmd_fig1(args):
     if args.n_points < 2:
         raise InputError("--n-points must be >= 2")
-    if not (np.isfinite(args.tau_R) and args.tau_R > 0):
-        raise InputError("--tau-R must be positive")
     if not (np.isfinite(args.max_lag_ratio) and args.max_lag_ratio > 0):
         raise InputError("--max-lag-ratio must be positive")
     ratio = np.linspace(0.0, args.max_lag_ratio, args.n_points)
@@ -315,14 +313,6 @@ def cmd_acf(args):
 
 
 _LANE_LEGEND = "seed lanes: " + ", ".join(f"{name}={lane}" for name, lane in LANES.items())
-
-
-def _simulate_ensemble(args, model, seed):
-    h, n_steps, n_paths = args.h, args.n_steps, args.n_paths
-    if model.memoryless:
-        # the exact one-step sampler, not the circulant route
-        return simulate_white_returns(model.corr_time, model.variance, n_steps, h, n_paths, seed)
-    return simulate_stationary_ensemble(model, h, n_steps, n_paths, seed)
 
 
 def _write_paths_csv(path, times, paths, prices=False):
@@ -390,7 +380,7 @@ def _run_simulate(args, model, seed):
         # exactly the drift, and there is no ACF to summarize
         returns = returns_from_prices(prices) if params.sigma > 0.0 else None
     else:
-        returns = _simulate_ensemble(args, model, seed)
+        returns = simulate_stationary_ensemble(model, args.h, args.n_steps, args.n_paths, seed)
         if args.emit_prices:  # built first: it validates --mu and --M0 before any write
             mu = _param(args, "mu", 0.0)
             M0 = _param(args, "M0", 1.0)
@@ -640,7 +630,6 @@ def _build_parser():
         description="CSV columns: lag_ratio (tau/tau_R), lambda1(2 tau/tau_R), lambda0(2 tau/tau_R); the first row is (0, 1, 1).",
     )
     common(p)
-    p.add_argument("--tau-R", type=float, default=1.0, dest="tau_R", help="memory time the lag ratios refer to")
     p.add_argument("--max-lag-ratio", type=float, default=12.0)
     p.add_argument("--n-points", type=int, default=481)
     p.add_argument("--out", default="fig1.csv")

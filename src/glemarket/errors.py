@@ -57,7 +57,8 @@ class SolverError(AccuracyError):
 class SpectralPositivityError(GleMarketError):
     """Target spectrum is not positive semidefinite beyond tolerance.
 
-    ``worst`` holds the most negative eigenvalue found.
+    ``worst`` holds the most negative eigenvalue, or spectral density
+    value, found.
     """
 
     def __init__(self, message, worst=None):

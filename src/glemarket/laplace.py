@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, CapabilityError, InputError
+from .errors import AccuracyError, CapabilityError, InputError, SpectralPositivityError
 from .models import ShapeEvaluator
 from .series import AcfSeries, SpectralDensity
 
@@ -223,8 +223,10 @@ def spectral_density(evaluator, omega):
 
     Normalized so the equal-time variance is (1/pi) * integral of S over
     [0, inf).  Tiny negative excursions (below 1e-8 of the peak) are
-    clamped to zero; anything larger raises AccuracyError since the shape
-    should be positive-real on the imaginary axis.
+    clamped to zero.  Anything larger is the model's, not roundoff: its
+    shape is not positive-real on the imaginary axis, so its ACF is not
+    positive definite (the Boltzmann image has Re y(5i/tau_R) = -0.019),
+    and SpectralPositivityError names the most negative omega and value.
     """
     _require_invertible(evaluator)
     w = np.asarray(omega, dtype=float)
@@ -239,9 +241,11 @@ def spectral_density(evaluator, omega):
     vals = np.where(np.isfinite(vals), vals, 0.0)
     peak = float(np.max(np.abs(vals))) if vals.size else 0.0
     floor = -1e-8 * peak
-    if np.any(vals < floor):
-        raise AccuracyError(
-            "spectral density came out negative beyond roundoff",
-            achieved=float(-np.min(vals)),
+    worst = int(np.argmin(vals))
+    if vals[worst] < floor:
+        raise SpectralPositivityError(
+            f"spectral density is negative beyond roundoff at omega = {w[worst]:.6g}, "
+            f"so the {evaluator.kind} ACF of {evaluator.model.variant.value} is not positive definite",
+            worst=float(vals[worst]),
         )
     return SpectralDensity(omega=w, values=np.maximum(vals, 0.0))

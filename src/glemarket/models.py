@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, InputError, SolverError
 from .specfun import (
+    _return_like,
     bessel_j0,
     lambda1,
     lambert_w0_exp,
@@ -237,10 +238,8 @@ def _resolve_tau_R(tau_r, theta, tau_R):
 
 
 def _validate_p(model, p):
-    """Common p validation; returns (array, was_scalar)."""
-    arr = np.asarray(p)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    """Common p validation; returns p as a 1-d float or complex array."""
+    arr = np.atleast_1d(np.asarray(p))
     if np.iscomplexobj(arr):
         if np.any(arr.imag != 0):
             if not model.complex_capable:
@@ -251,21 +250,14 @@ def _validate_p(model, p):
                 raise DomainError("shapes are defined for Re p >= 0")
             if not np.all(np.isfinite(arr)):
                 raise DomainError("p must be finite")
-            return arr.astype(complex), scalar
+            return arr.astype(complex)
         arr = arr.real
     arr = arr.astype(float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("p must be finite")
     if np.any(arr < 0):
         raise DomainError("shapes are defined for Re p >= 0")
-    return arr, scalar
-
-
-def _out(scalar, values):
-    if scalar:
-        v = np.asarray(values).reshape(-1)[0]
-        return complex(v) if np.iscomplexobj(values) else float(v)
-    return values
+    return arr
 
 
 def _selfsim_shape(tau_R, p):
@@ -279,7 +271,7 @@ def _selfsim_shape(tau_R, p):
 
 def observable_shape(model, p):
     """Normalized observable image y(p), with y(0) = 1 exactly."""
-    arr, scalar = _validate_p(model, p)
+    arr = _validate_p(model, p)
     v = model.variant
     if v is Variant.WHITE_NOISE:
         y = 1.0 / (1.0 + model.tau_R * arr)
@@ -295,12 +287,12 @@ def observable_shape(model, p):
         y[arr == 0] = 1.0
     else:
         y = solve_functional_shape(model, arr)
-    return _out(scalar, y)
+    return _return_like(p, y)
 
 
 def force_shape(model, p):
     """Normalized force image g(p), with g(0) = 1 exactly."""
-    arr, scalar = _validate_p(model, p)
+    arr = _validate_p(model, p)
     v = model.variant
     if v is Variant.WHITE_NOISE:
         g = np.ones_like(arr)
@@ -322,7 +314,7 @@ def force_shape(model, p):
     else:  # fractional
         theta = model.theta
         g = solve_functional_shape(model, arr) ** theta if theta > 0 else np.ones_like(arr)
-    return _out(scalar, g)
+    return _return_like(p, g)
 
 
 def _differential_v(tau_R, arr):
@@ -357,7 +349,6 @@ def solve_functional_shape(model, p):
     if model.variant not in (Variant.SCALING, Variant.FRACTIONAL):
         raise CapabilityError("functional solver applies to scaling/fractional models")
     arr0 = np.asarray(p)
-    scalar = arr0.ndim == 0
     arr = np.atleast_1d(arr0).astype(float)
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise DomainError("functional solver requires finite real p >= 0")
@@ -373,7 +364,7 @@ def solve_functional_shape(model, p):
     worst = float(np.max(resid))
     if worst > RESIDUAL_LIMIT:
         raise SolverError("functional shape residual above 1e-10", residual=worst)
-    return _out(scalar, y)
+    return _return_like(p, y)
 
 
 def _solve_fractional(tau_r, theta, arr):
@@ -459,9 +450,7 @@ def closed_form_acf(model, tau):
     specfun.NEUMANN_WORK_BOUND (small theta at long lags) raises InputError.
     The other models raise CapabilityError.
     """
-    t = np.asarray(tau)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t).astype(float)
+    t = np.atleast_1d(np.asarray(tau)).astype(float)
     if np.any(t < 0) or not np.all(np.isfinite(t)):
         raise DomainError("lags must be finite and >= 0")
     v = model.variant
@@ -481,7 +470,7 @@ def closed_form_acf(model, tau):
             c = _stock_series_acf(model, t)
     else:
         raise CapabilityError(f"no closed ACF for {v.value}")
-    return _out(scalar, np.atleast_1d(c))
+    return _return_like(tau, c)
 
 
 def _stock_series_acf(model, t):
@@ -501,7 +490,7 @@ def identity_residual(model, p):
     y = observable_shape(model, p)
     g = force_shape(model, p)
     r = np.abs(y * (model.corr_time * np.asarray(p) + g) - 1.0)
-    return _out(np.ndim(p) == 0, np.atleast_1d(r))
+    return _return_like(p, r)
 
 
 def spectral_atom(model):

@@ -12,31 +12,30 @@ large-argument expansion costs O(1) per argument where Miller's costs O(x).
 The two agree at the seam to 1e-15, and J0, J1 and lambda1 are within 2e-15
 of scipy.special on [0, 200].
 
-Lambert W0 uses Halley iteration from branch-appropriate starting points,
-stopping when the step falls below 1e-14 (relative), with a residual
-post-condition |w e^w - x| <= 1e-12 |x|.  W0(e^z) beyond z = 1 and the
-lower branch, needed only as W-1(-e^-z), solve the log forms w + ln w = z and
+The models need the Lambert branches only as W0(e^z) and W-1(-e^-z) with
+Re z >= 1, so both are solved in their log forms w + ln w = z and
 v - ln v = z by one guarded Newton iteration (``_log_root``); next to the
 branch point z = 1 the lower branch is solved in v - 1 (``_branch_root``).
-The log forms also take complex z with Re z >= 1, where the same iteration
-serves the Lambert-type images on Re p >= 0: it took at most 5 steps on a
-grid of tau_R p out to 1e6 along and 1e8 across the real axis, and W0(e^z)
-matches scipy.special.wrightomega to 5e-16 out to |Im z| = 1e4.
+The log forms take real z >= 1 and complex z with Re z >= 1, where the same
+iteration serves the Lambert-type images on Re p >= 0: it took at most 5
+steps on a grid of tau_R p out to 1e6 along and 1e8 across the real axis,
+and W0(e^z) matches scipy.special.wrightomega to 5e-16 out to
+|Im z| = 1e4.
 
 All functions accept scalars or arrays and follow ufunc-style return rules.
 """
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InputError, SolverError
+from .errors import DomainError, InputError, SolverError
 
 _SERIES_CUTOFF = 17.0
 _HANKEL_TERMS = 30
-# branch values frozen so the lag-0 normalization of downstream ACFs is exact
-_INV_E = np.exp(-1.0)
 
 
 def _return_like(x_in, out):
+    """``out`` for an array input; its one value as a Python float or
+    complex for a scalar ``x_in``."""
     if np.ndim(x_in) == 0:
         return np.asarray(out).reshape(-1)[0].item()  # a float, or a complex
     return out
@@ -207,60 +206,6 @@ def neumann_series(x, first, ratio):
     return _return_like(x, result.reshape(xa.shape))
 
 
-def _halley_we(w, x, iters=60):
-    """Halley iteration on f(w) = w e^w - x; returns converged w."""
-    for _ in range(iters):
-        ew = np.exp(w)
-        f = w * ew - x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-            step = f / denom
-        # at the branch point w = -1 the update degenerates to 0/0; the
-        # start values put us there only when the root itself is -1
-        step = np.where(np.isfinite(step), step, 0.0)
-        w = w - step
-        if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(w))):
-            break
-    return w
-
-
-def _check_residual(w, x):
-    resid = np.abs(w * np.exp(w) - x)
-    bad = resid > 1e-12 * np.maximum(np.abs(x), 1e-300)
-    if np.any(bad):
-        raise AccuracyError("Lambert W residual above 1e-12", achieved=float(np.max(resid)))
-
-
-def lambert_w0(x):
-    """Principal Lambert branch W0 on x >= -1/e.
-
-    Halley iteration from a branch-point series near -1/e, log(1+x) in the
-    midrange, and the two-term asymptotic beyond e.
-    """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xa < -_INV_E - 1e-14) or not np.all(np.isfinite(xa)):
-        raise DomainError("lambert_w0 requires x >= -1/e")
-    w = np.empty_like(xa)
-    near = xa < -_INV_E + 0.05
-    if np.any(near):
-        p = np.sqrt(np.maximum(2.0 * (np.e * xa[near] + 1.0), 0.0))
-        w[near] = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-    mid = ~near & (xa < np.e)
-    if np.any(mid):
-        w[mid] = np.log1p(xa[mid])
-    big = xa >= np.e
-    if np.any(big):
-        l1 = np.log(xa[big])
-        l2 = np.log(l1)
-        w[big] = l1 - l2 + l2 / l1
-    w = _halley_we(w, xa)
-    exact = xa == 0.0
-    if np.any(exact):
-        w[exact] = 0.0
-    _check_residual(w, xa)
-    return _return_like(x, w)
-
-
 def _log_root(z, s):
     """Root w of w + s ln w = z (s = +1 or -1) by guarded Newton, for real
     z >= 1 (w >= 1) or complex z with Re z >= 1.
@@ -322,24 +267,20 @@ def _complex_right_of_one(za, name):
 
 
 def lambert_w0_exp(z):
-    """Overflow-safe W0(e^z) for real z of any size and complex z with Re z >= 1.
+    """Overflow-safe W0(e^z) for real z >= 1 and complex z with Re z >= 1.
 
-    For real z <= 1 this is lambert_w0(exp(z)).  Beyond that, and for every
-    complex z, it solves w + ln w = z directly (``_log_root``), never
-    forming e^z; the complex root is the Wright omega function (Corless &
-    Jeffrey 2002), which on Re z >= 1 is W0(e^z) continued off the real axis.
+    Solves w + ln w = z (``_log_root``), never forming e^z; the complex root
+    is the Wright omega function (Corless & Jeffrey 2002), which on
+    Re z >= 1 is W0(e^z) continued off the real axis.  z = 1 gives 1
+    exactly; real z < 1 raise DomainError.
     """
     za = np.atleast_1d(np.asarray(z))
     if np.iscomplexobj(za):
         return _return_like(z, _log_root(_complex_right_of_one(za, "lambert_w0_exp"), 1.0))
     za = za.astype(float)
-    if not np.all(np.isfinite(za)):
-        raise DomainError("lambert_w0_exp requires finite z")
-    out = np.empty_like(za)
-    low = za <= 1.0
-    out[low] = lambert_w0(np.exp(za[low]))
-    out[~low] = _log_root(za[~low], 1.0)
-    return _return_like(z, out)
+    if not (np.all(np.isfinite(za)) and np.all(za >= 1.0)):
+        raise DomainError("lambert_w0_exp requires finite z >= 1")
+    return _return_like(z, _log_root(za, 1.0))
 
 
 def lambert_wm1_neg_exp(z):

@@ -70,6 +70,7 @@ import numpy as np
 from .errors import CapabilityError, InputError
 from .laplace import invert_at
 from .laplace import spectral_density  # noqa: F401  perfbench's tracer patches this name here
+from .market import simulate_white_returns
 from .models import Variant, band_variance, observable_evaluator, spectral_atom
 from .noise import NoiseRequest, _check_counts, _check_seed, generate_colored, path_streams
 from .series import AcfSeries, KernelSeries, PathEnsemble, SpectralDensity
@@ -251,12 +252,12 @@ def _folded_spectrum(model, h, n):
 
 
 def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed):
-    """Stationary return-rate ensemble of the self-similar or a stock model.
+    """Stationary return-rate ensemble of a white, self-similar or stock model.
 
     The model is a stationary Gaussian process, so its ACF is its whole law,
-    and both models have a band-limited observable spectrum on [0, 2/tau_R]
-    (plus, for an ultra-light stock, theta > 2, the spectral line just
-    above the band).  Each path is one exact circulant draw
+    and the self-similar and stock models have a band-limited observable
+    spectrum on [0, 2/tau_R] (plus, for an ultra-light stock, theta > 2,
+    the spectral line just above the band).  Each path is one exact circulant draw
     (``generate_colored``, streams keyed by ``seed``) of that spectrum
     folded onto [0, pi/h] and integrated exactly over the circulant's cells
     (``_folded_spectrum``), on the even 5-smooth grid L >= ``n_steps``; no
@@ -280,18 +281,18 @@ def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed):
     at L = 8192), 1.7e-3 at 1.9, 4.7e-3 at 1.99 and 2.6e-3 at 2.01; cell
     centre samples err by up to 3.5e-2 at theta = 2.
 
-    Memoryless cases (white noise, theta = 0) have exact one-step updates in
-    the market module instead.  A band over SPECTRUM_CELL_BOUND cells (stock
-    theta -> 0 at large h) raises InputError before any evaluation.  Returns
-    a PathEnsemble of kind "return-rate" with ``n_steps`` samples per path.
+    Memoryless models (white noise, a theta = 0 stock) have an exponential
+    ACF and take its exact one-step recursion instead,
+    ``market.simulate_white_returns`` at the model's correlation time and
+    variance.  A band over SPECTRUM_CELL_BOUND cells (stock theta -> 0 at
+    large h) raises InputError before any evaluation.  Returns a
+    PathEnsemble of kind "return-rate" with ``n_steps`` samples per path.
     """
     _check_grid(h, n_steps)
     _check_counts(n_steps, n_paths)
     _check_seed(seed)
     if model.memoryless:
-        raise CapabilityError(
-            "memoryless force: use simulate_white_returns for exact sampling"
-        )
+        return simulate_white_returns(model.corr_time, model.variance, n_steps, h, n_paths, seed)
     if model.variant not in (Variant.LINEAR_SELF_SIMILAR, Variant.STOCK_THETA):
         raise CapabilityError(f"no band-limited spectrum to sample for {model.variant.value}")
     n = _circulant_length(n_steps)

@@ -121,6 +121,14 @@ class TestFig1:
         code, _, err = run_cli("fig1", "--out-dir", str(tmp_path), "--n-points", "1")
         assert code == 2 and "n-points" in err
 
+    def test_removed_tau_R_flag_refused_before_writing(self, tmp_path, capsys):
+        # the curves are functions of the lag ratio alone: no memory time enters
+        with pytest.raises(SystemExit) as exc:
+            main(["fig1", "--out-dir", str(tmp_path), "--tau-R", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tau-R" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("x")
@@ -471,8 +479,7 @@ class TestSimulate:
         def untouchable(*args, **kwargs):
             raise AssertionError("the size guard must fire before any sampler runs")
 
-        for name in ("simulate_stationary_ensemble", "simulate_white_returns",
-                     "generate_wiener_increments"):
+        for name in ("simulate_stationary_ensemble", "generate_wiener_increments"):
             monkeypatch.setattr(cli, name, untouchable)
         code, _, err = run_cli(
             "simulate", "--out-dir", str(tmp_path), "--model", model,

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from glemarket.errors import AccuracyError, CapabilityError, InputError
+from glemarket.errors import AccuracyError, CapabilityError, InputError, SpectralPositivityError
 from glemarket.laplace import (CONTOUR_POINT_BOUND, DIRECT_TERM_BOUND, EPSILON_TERMS, MIN_TERMS,
                                _wynn, invert, invert_at, spectral_density)
 from glemarket.models import (ModelSpec, ShapeEvaluator, closed_form_acf, force_evaluator,
@@ -276,6 +276,24 @@ def test_ultra_light_spectrum_has_interior_peak():
     assert peak == pytest.approx(w_star, abs=2e-3)
     # beyond the force band the continuous part vanishes
     assert np.all(s.values[w > 2.0 / theta + 1e-9] == 0.0)
+
+
+def test_negative_spectrum_is_named_as_the_models():
+    # the Boltzmann image has Re y(i omega) < 0 around omega tau_R = 5 to 6, so
+    # its ACF is not positive definite: no roundoff, and no accuracy to gain
+    ev = observable_evaluator(ModelSpec.boltzmann(tau_R=1.0))
+    w = np.linspace(0.0, 200.0, 2001)
+    with pytest.raises(SpectralPositivityError) as err:
+        spectral_density(ev, w)
+    vals = 2.0 * ev.image_zero * np.real(ev(1j * w))
+    worst = int(np.argmin(vals))
+    assert err.value.worst == vals[worst] < -0.04
+    assert f"omega = {w[worst]:.6g}," in str(err.value)
+    assert "ACF of boltzmann is not positive definite" in str(err.value)
+    # the differential spectrum is positive: it comes back clamped at >= 0
+    s = spectral_density(observable_evaluator(ModelSpec.differential(tau_R=1.0)),
+                         np.linspace(0.0, 2000.0, 20001))
+    assert s.values.min() >= 0.0 and s.values[0] > 0.0
 
 
 def test_spectrum_input_validation():

@@ -48,9 +48,6 @@ J1_TABLE = {
 }
 J0_FIRST_ZERO = 2.404825557695773
 J1_FIRST_ZERO = 3.831705970207512
-W0_AT_ONE = 0.5671432904097839
-W0_AT_HALF = 0.35173371124919583
-W0_AT_MINUS_QUARTER = -0.3574029561813889
 W0_EXP_11 = 8.822674899385971
 
 
@@ -138,30 +135,35 @@ def test_lambda1_tail_envelope():
 
 
 def test_lambert_frozen_values():
-    assert specfun.lambert_w0(1.0) == pytest.approx(W0_AT_ONE, abs=1e-14)
-    assert specfun.lambert_w0(0.5) == pytest.approx(W0_AT_HALF, abs=1e-14)
-    assert specfun.lambert_w0(-0.25) == pytest.approx(W0_AT_MINUS_QUARTER, abs=1e-14)
-    assert specfun.lambert_w0(np.e) == pytest.approx(1.0, abs=1e-14)
-    assert specfun.lambert_w0(0.0) == 0.0
+    # W0(e) = 1: the Boltzmann image's lag-0 anchor, exact in and out of arrays
+    assert specfun.lambert_w0_exp(1.0) == 1.0
+    assert specfun.lambert_w0_exp(np.array([3.0, 1.0]))[1] == 1.0
+    assert specfun.lambert_w0_exp(11.0) == pytest.approx(W0_EXP_11, rel=1e-13)
 
 
 def test_lambert_domains():
-    with pytest.raises(DomainError):
-        specfun.lambert_w0(-0.5)
+    # the models pass z = 1 + tau_R p >= 1; the real iteration clamps w >= 1,
+    # so a real z below 1 is refused, not solved on the wrong side
+    for z in (1.0 - 1e-13, 0.5, -5.0, np.nan):
+        with pytest.raises(DomainError):
+            specfun.lambert_w0_exp(z)
+        with pytest.raises(DomainError):
+            specfun.lambert_w0_exp(np.array([2.0, z]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=-0.36, max_value=1e6))
-def test_lambert_w0_residual_property(x):
-    w = specfun.lambert_w0(x)
-    assert abs(w * np.exp(w) - x) <= 1e-12 * max(abs(x), 1e-10)
+@given(st.floats(min_value=1.0, max_value=1e6))
+def test_lambert_w0_residual_property(z):
+    w = specfun.lambert_w0_exp(z)
+    assert abs(w + np.log(w) - z) <= 1e-15 * z
+    if z <= 700.0:
+        assert abs(w * np.exp(w) / np.exp(z) - 1.0) <= 1e-12
 
 
 def test_lambert_w0_exp_matches_composition_and_oracle():
-    for z in (-5.0, 0.0, 1.0, 3.0, 11.0):
-        direct = specfun.lambert_w0(np.exp(z))
-        composed = specfun.lambert_w0_exp(z)
-        assert composed == pytest.approx(direct, rel=1e-13)
+    for z in (1.0, 3.0, 11.0):
+        composed = lambertw(np.exp(z)).real
+        assert specfun.lambert_w0_exp(z) == pytest.approx(composed, rel=1e-13)
     assert specfun.lambert_w0_exp(11.0) == pytest.approx(W0_EXP_11, rel=1e-13)
     # far beyond exp overflow: residual check in the w + ln w = z form
     for z in (800.0, 5e4):
@@ -180,7 +182,7 @@ def test_lambert_wm1_neg_exp_matches_branch():
 
 
 def test_lambert_w0_exp_relative_accuracy():
-    z = np.linspace(-30.0, 700.0, 20001)
+    z = np.linspace(1.0, 700.0, 20001)
     ref = lambertw(np.exp(z)).real
     assert np.max(np.abs(specfun.lambert_w0_exp(z) / ref - 1.0)) <= 1e-15
     # beyond exp overflow, against a 40-digit reference
@@ -296,7 +298,8 @@ def test_scalar_array_round_trip():
     assert isinstance(specfun.bessel_j0(1.0), float)
     arr = specfun.lambda1(np.array([0.0, 1.0, 2.0]))
     assert arr.shape == (3,)
-    assert isinstance(specfun.lambert_w0(np.array([0.1, 0.2])), np.ndarray)
+    assert isinstance(specfun.lambert_w0_exp(1.5), float)
+    assert isinstance(specfun.lambert_w0_exp(np.array([1.1, 2.0])), np.ndarray)
 
 
 # --- Neumann series ------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from glemarket import volterra
 from glemarket.errors import CapabilityError, InputError
 from glemarket.laplace import invert, invert_at
+from glemarket.market import simulate_white_returns
 from glemarket.models import (ModelSpec, closed_form_acf, observable_evaluator, observable_shape,
                               spectral_atom)
 from glemarket.noise import NoiseRequest, circulant_spectrum
@@ -736,18 +737,28 @@ def test_oversized_fold_refused_before_any_evaluation(monkeypatch):
     assert "1.63e+07" in str(err.value)
 
 
+@pytest.mark.parametrize("model", [
+    ModelSpec.white_noise(tau_R=0.7, variance=1.3),
+    ModelSpec.stock_theta(tau_r=0.7, theta=0.0, variance=1.3),
+], ids=["white", "stock0"])
+def test_memoryless_models_take_the_exact_one_step_recursion(model):
+    # the exponential ACF's own recursion, not the circulant: bit for bit
+    # simulate_white_returns at the model's correlation time and variance
+    got = simulate_stationary_ensemble(model, h=0.05, n_steps=300, n_paths=3, seed=41)
+    want = simulate_white_returns(0.7, 1.3, 300, 0.05, 3, 41)
+    assert np.array_equal(got.paths, want.paths)
+    assert (got.h, got.kind, got.master_seed, got.stream_indices) == (
+        want.h, want.kind, want.master_seed, want.stream_indices)
+
+
 def test_stationary_ensemble_refusals():
-    white = ModelSpec.white_noise(1.0)
-    memoryless = ModelSpec.stock_theta(tau_r=1.0, theta=0.0, variance=1.0)
-    for bad in (white, memoryless):
-        with pytest.raises(CapabilityError, match="simulate_white_returns"):
-            simulate_stationary_ensemble(bad, h=0.1, n_steps=64, n_paths=2, seed=1)
     with pytest.raises(CapabilityError):
         simulate_stationary_ensemble(
             ModelSpec.boltzmann(1.0), h=0.1, n_steps=64, n_paths=2, seed=1
         )
-    good = ModelSpec.stock_theta(tau_r=1.0, theta=1.0, variance=1.0)
-    with pytest.raises(InputError):
-        simulate_stationary_ensemble(good, h=-0.1, n_steps=64, n_paths=2, seed=1)
-    with pytest.raises(InputError):
-        simulate_stationary_ensemble(good, h=0.1, n_steps=64, n_paths=2, seed=-1)
+    for good in (ModelSpec.stock_theta(tau_r=1.0, theta=1.0, variance=1.0),
+                 ModelSpec.white_noise(1.0)):
+        with pytest.raises(InputError):
+            simulate_stationary_ensemble(good, h=-0.1, n_steps=64, n_paths=2, seed=1)
+        with pytest.raises(InputError):
+            simulate_stationary_ensemble(good, h=0.1, n_steps=64, n_paths=2, seed=-1)
