@@ -69,7 +69,8 @@ _PRESET_KEYS = (
 )
 
 CAPABILITY_MATRIX = (
-    "Model capability matrix (a note starting with 'no' is an unsupported route):\n\n"
+    "Model capability matrix: a note starting with 'no' refuses its route, and volterra\n"
+    "also refuses the memoryless white and stock theta = 0 models (exit code 3):\n\n"
     + render_catalog()
 )
 
@@ -279,21 +280,14 @@ def cmd_fig1(args):
 
 def _acf_by_route(model, route, h, n_points, tolerance):
     if route == "closed":
-        lags = h * np.arange(n_points)
-        return lags, closed_form_acf(model, lags)
+        return closed_form_acf(model, h * np.arange(n_points))
     if route == "laplace":
-        acf = invert(observable_evaluator(model), h, n_points, tolerance=tolerance)
-        return h * np.arange(n_points), acf.values
-    if route == "volterra":
-        if model.variant is Variant.BOLTZMANN:
-            acf = boltzmann_acf(model, h, n_points)
-        elif model.variant is Variant.DIFFERENTIAL:
-            acf = differential_acf(model, h, n_points)
-        else:
-            kernel = memory_kernel(model, h, n_points)
-            acf = propagate_acf(kernel, n_points)
-        return h * np.arange(n_points), acf.values
-    raise InputError(f"unknown route {route!r}")
+        return invert(observable_evaluator(model), h, n_points, tolerance=tolerance).values
+    if model.variant is Variant.BOLTZMANN:  # the volterra route from here on
+        return boltzmann_acf(model, h, n_points).values
+    if model.variant is Variant.DIFFERENTIAL:
+        return differential_acf(model, h, n_points).values
+    return propagate_acf(memory_kernel(model, h, n_points), n_points).values
 
 
 def cmd_acf(args):
@@ -304,10 +298,10 @@ def cmd_acf(args):
         raise InputError("--n-points must be >= 2")
     if args.tolerance is not None and args.route != "laplace":
         raise InputError(f"--tolerance applies to --route laplace only, not {args.route}")
-    lags, values = _acf_by_route(model, args.route, args.h, args.n_points,
-                                 _resolved_tolerance(args, 1e-6))
+    CATALOG[model.variant].require(model, args.route)
+    values = _acf_by_route(model, args.route, args.h, args.n_points, _resolved_tolerance(args, 1e-6))
     path = _out_path(args, args.out)
-    _write_columns(path, ["lag", "acf"], lags, values)
+    _write_columns(path, ["lag", "acf"], args.h * np.arange(args.n_points), values)
     print(f"wrote {path} ({args.n_points} rows, model={args.model}, route={args.route})")
     return 0
 

@@ -29,7 +29,8 @@ O(n log n) operations and O(freq_scale t_max + (MIN_TERMS + M) log n) image
 points.  At arbitrary times each octave sums its series directly, which
 costs the octave's times x its image points.
 
-Only models whose shapes extend off the real axis can be inverted here.
+Only models whose shapes extend off the real axis can be inverted here, as
+the catalog's laplace notes say (``CatalogRow.require`` refuses the rest).
 That includes the Lambert-type models, whose log-form Lambert roots take
 complex arguments (``specfun._log_root``); the marches in ``volterra`` fill
 their startup windows from this inverter.  The functional-equation models
@@ -42,7 +43,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, CapabilityError, InputError, SpectralPositivityError
-from .models import ShapeEvaluator
+from .models import CATALOG, ShapeEvaluator
 from .series import AcfSeries, SpectralDensity
 
 CONTOUR_A = 23.0
@@ -61,11 +62,7 @@ CONJUGATE_SYMMETRY_TOL = 1e-8
 def _require_invertible(evaluator):
     if not isinstance(evaluator, ShapeEvaluator):
         raise InputError("evaluator must be a ShapeEvaluator")
-    if not evaluator.complex_capable:
-        raise CapabilityError(
-            f"{evaluator.model.variant.value} images are solved on the real axis only, "
-            "so no ACF route serves them; the real-axis audit checks them"
-        )
+    CATALOG[evaluator.model.variant].require(evaluator.model, "laplace")
     if evaluator.transform_scale is None:
         raise CapabilityError(
             f"the {evaluator.kind} ACF of {evaluator.model.variant.value} is not an "
@@ -127,27 +124,29 @@ def _octave(evaluator, t_top, t, n_fft, n_points):
     return weight * limit.real, weight * change
 
 
-def _invert_octaves(evaluator, tops, groups, n_ffts, tolerance):
+def _invert_octaves(evaluator, tops, groups, sizes, t_max, n_ffts, tolerance):
     """Invert each group of times on the contour of its octave top, in order.
 
-    ``n_ffts`` holds each octave's FFT length on a uniform grid, or None
-    for direct sums.  Refuses, before any evaluation, a contour above
-    CONTOUR_POINT_BOUND image points or direct sums above DIRECT_TERM_BOUND
-    terms.  Raises AccuracyError when the image fails the initial-value
-    check c(0) = 1 or the conjugate-symmetry spot check, or when the worst
-    error estimate exceeds ``tolerance``.
+    ``sizes`` counts each group's times, up to ``t_max``, and ``n_ffts``
+    holds each octave's FFT length on a uniform grid, or None for direct
+    sums.  From these alone, before it draws a group from the (possibly
+    lazy) ``groups``, it refuses a contour above CONTOUR_POINT_BOUND image
+    points or direct sums above DIRECT_TERM_BOUND terms.  Raises
+    AccuracyError when the image fails the initial-value check c(0) = 1 or
+    the conjugate-symmetry spot check, or when the worst error estimate
+    exceeds ``tolerance``.
     """
     if not (0 < tolerance):
         raise InputError("tolerance must be positive")
     points = [MIN_TERMS + math.ceil(2.0 * evaluator.freq_scale * top / math.pi) + EPSILON_TERMS + 1
               for top in tops]
-    terms = sum(n * g.size for n, g in zip(points, groups))
+    terms = sum(n * size for n, size in zip(points, sizes))
     if max(points) > CONTOUR_POINT_BOUND or (n_ffts is None and terms > DIRECT_TERM_BOUND):
         need = (f"{max(points)} image points on one contour (bound {CONTOUR_POINT_BOUND})"
                 if max(points) > CONTOUR_POINT_BOUND else
                 f"{terms:.3g} image-point x time terms (bound {DIRECT_TERM_BOUND:.3g})")
-        raise InputError(f"Laplace inversion too costly: {sum(g.size for g in groups)} times up "
-                         f"to t = {groups[-1][-1]:.6g} need {need}; --route closed needs no inversion")
+        raise InputError(f"Laplace inversion too costly: {sum(sizes)} times up "
+                         f"to t = {t_max:.6g} need {need}; --route closed needs no inversion")
     # initial-value theorem: p * image(p) -> c(0) = 1 as real p -> inf
     p_big = 1e7 / evaluator.corr_time
     c0 = p_big * evaluator.transform_scale * float(evaluator(p_big))
@@ -161,7 +160,7 @@ def _invert_octaves(evaluator, tops, groups, n_ffts, tolerance):
         if residual > bound:
             raise AccuracyError(message, achieved=residual)
     results = [_octave(evaluator, *octave)
-               for octave in zip(tops, groups, n_ffts or [None] * len(groups), points)]
+               for octave in zip(tops, groups, n_ffts or [None] * len(tops), points)]
     achieved = max(float(np.max(change)) for _, change in results)
     if achieved > tolerance:
         raise AccuracyError("inversion error estimate above requested tolerance", achieved=achieved)
@@ -190,9 +189,10 @@ def invert_at(evaluator, times, tolerance=1e-6):
     ts = t[order]
     # ceil rounds a time at an octave top up an octave at worst: still on its contour
     q, starts = np.unique(np.maximum(np.ceil(np.log2(ts / ts[0])), 0.0), return_index=True)
+    groups = np.split(ts, starts[1:])
     values = np.empty(t.size)
-    values[order] = _invert_octaves(evaluator, ts[0] * 2.0**q, np.split(ts, starts[1:]),
-                                    None, tolerance)
+    values[order] = _invert_octaves(evaluator, ts[0] * 2.0**q, groups, [g.size for g in groups],
+                                    ts[-1], None, tolerance)
     return float(values[0]) if scalar else values
 
 
@@ -205,7 +205,7 @@ def invert(evaluator, h, n_lags, tolerance=1e-6):
     sums are one inverse FFT of length 4J, so the grid costs O(n log n)
     operations.  Returns a normalized AcfSeries whose variance is the
     dimensionful equal-time value of the requested ACF; raises as
-    ``invert_at`` does.
+    ``invert_at`` does, refusing an oversized grid before any lag exists.
     """
     _require_invertible(evaluator)
     if not (h > 0 and np.isfinite(h)):
@@ -213,8 +213,11 @@ def invert(evaluator, h, n_lags, tolerance=1e-6):
     if not (isinstance(n_lags, (int, np.integer)) and n_lags >= 2):
         raise InputError("n_lags must be an integer >= 2")
     tops = 2 ** np.arange(int(n_lags - 2).bit_length() + 1)
-    lags = [h * np.arange(top // 2 + 1, min(top, n_lags - 1) + 1) for top in tops]
-    values = _invert_octaves(evaluator, h * tops, lags, list(4 * tops), tolerance)
+    sizes = [min(top, int(n_lags) - 1) - top // 2 for top in tops.tolist()]
+    # drawn octave by octave, after the cost check
+    lags = (h * np.arange(top // 2 + 1, min(top, n_lags - 1) + 1) for top in tops)
+    values = _invert_octaves(evaluator, h * tops, lags, sizes, h * (n_lags - 1), list(4 * tops),
+                             tolerance)
     return AcfSeries(h=h, values=np.concatenate(([1.0], values)), variance=evaluator.peak_variance)
 
 

@@ -14,8 +14,9 @@ They are tied together by the memory-equation closure
 
 whose numerical violation ``identity_residual`` reports.  ``CATALOG`` holds
 one row per variant: its constructor, family, whether its shapes extend to
-complex p, its force image and the evaluation routes it supports;
-``render_catalog`` prints it as the table the CLI help and README show.
+complex p, its force image and a note per evaluation route;
+``render_catalog`` prints it as the table the CLI help and README show, and
+``CatalogRow.require`` is the one place any route is refused.
 
 theta = tau_R / tau_r is the stock-family shape parameter; the class bands
 are heavy [0, 2/3), neutral [2/3, 4/3), light [4/3, 2), ultra-light [2, inf).
@@ -171,7 +172,8 @@ class CatalogRow:
     """One catalog model: its ModelSpec constructor, its family ("market"
     takes tau_R, "stock" takes tau_r plus theta or tau_R), whether its
     shapes extend to complex p, its force image, and one note per route in
-    ROUTES.  A note starting with "no" marks an unsupported route."""
+    ROUTES.  The closed form, the Laplace inverter, the kernel march, the
+    stationary sampler and ``acf`` ask ``require`` before they compute."""
 
     make: object
     family: str
@@ -186,31 +188,39 @@ class CatalogRow:
     def supports(self, route):
         return not getattr(self, route).startswith("no")
 
+    def require(self, model, route):
+        """Raise CapabilityError naming the model, the route and its note if
+        the note starts with "no", or for volterra if the model is memoryless
+        (white noise, stock theta = 0): a delta kernel cannot be marched."""
+        if not self.supports(route) or (route == "volterra" and model.memoryless):
+            name = model.variant.value + ("" if model.theta is None else f" theta = {model.theta:.6g}")
+            raise CapabilityError(f"the {route} route does not serve {name}: {getattr(self, route)}")
+
 
 ROUTES = ("closed", "laplace", "volterra", "simulate", "audit")
 
 CATALOG = {
     Variant.WHITE_NOISE: CatalogRow(
         ModelSpec.white_noise, "market", True, "1 (delta kernel)",
-        "yes", "yes", "no (memoryless)", "exact one-step", "complex p"),
+        "yes", "yes", "no, delta kernel", "exact one-step", "complex p"),
     Variant.LINEAR_SELF_SIMILAR: CatalogRow(
         ModelSpec.linear_self_similar, "market", True, "y (self-similar)",
         "yes", "yes", "yes", "circulant", "complex p"),
     Variant.STOCK_THETA: CatalogRow(
         ModelSpec.stock_theta, "stock", True, "selfsim y at tau_R",
-        "yes", "yes", "theta > 0", "circulant; theta=0 one-step", "complex p"),
+        "yes", "yes", "theta > 0 only", "circulant; theta=0 one-step", "complex p"),
     Variant.SCALING: CatalogRow(
         ModelSpec.scaling, "stock", False, "y(theta p)",
-        "no", "no (real axis)", "no (shape-level)", "no", "real axis"),
+        "no closed form", "no, real-axis audit only", "no kernel", "no, real axis only", "real axis"),
     Variant.FRACTIONAL: CatalogRow(
         ModelSpec.fractional, "stock", False, "y(p)^theta",
-        "no", "no (real axis)", "no (shape-level)", "no", "real axis"),
+        "no closed form", "no, real-axis audit only", "no kernel", "no, real axis only", "real axis"),
     Variant.BOLTZMANN: CatalogRow(
         ModelSpec.boltzmann, "market", True, "1 + ln y",
-        "no", "yes", "yes", "no", "complex p"),
+        "no closed form", "yes", "yes", "no, negative spectrum", "complex p"),
     Variant.DIFFERENTIAL: CatalogRow(
         ModelSpec.differential, "market", True, "dg/du = y",
-        "no", "yes", "yes", "no", "complex p + dg/du"),
+        "no closed form", "yes", "yes", "no band-limited spectrum", "complex p + dg/du"),
 }
 
 
@@ -337,8 +347,9 @@ def solve_functional_shape(model, p):
     scaling:    y(p) [tau_r p + y(theta p)] = 1
     fractional: y(p) [tau_r p + y(p)^theta] = 1
 
-    Real p >= 0 only.  The returned values satisfy the defining equation with
-    residual <= 1e-10 (checked; SolverError otherwise).
+    Real p >= 0 only, by the shapes' own rule (``_validate_p``).  The returned
+    values satisfy the defining equation with residual <= 1e-10 (checked;
+    SolverError otherwise).
 
     The scaling equation couples p only along the lattice theta^k p, so its
     attracting solution for theta > 1 carries a bounded log-periodic
@@ -348,12 +359,7 @@ def solve_functional_shape(model, p):
     """
     if model.variant not in (Variant.SCALING, Variant.FRACTIONAL):
         raise CapabilityError("functional solver applies to scaling/fractional models")
-    arr0 = np.asarray(p)
-    arr = np.atleast_1d(arr0).astype(float)
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise DomainError("functional solver requires finite real p >= 0")
-    if np.iscomplexobj(arr0):
-        raise CapabilityError("functional solver is real-axis only")
+    arr = _validate_p(model, p)
     theta, tau_r = model.theta, model.tau_r
     if model.variant is Variant.FRACTIONAL:
         y = _solve_fractional(tau_r, theta, arr)
@@ -448,28 +454,25 @@ def closed_form_acf(model, tau):
     is exp(-tau/tau_r); those three are evaluated in closed form.  The series
     needs about 2 tau/(theta tau_r) orders per lag, so a request above
     specfun.NEUMANN_WORK_BOUND (small theta at long lags) raises InputError.
-    The other models raise CapabilityError.
+    The other models are refused by their catalog row (CapabilityError).
     """
     t = np.atleast_1d(np.asarray(tau)).astype(float)
     if np.any(t < 0) or not np.all(np.isfinite(t)):
         raise DomainError("lags must be finite and >= 0")
     v = model.variant
+    CATALOG[v].require(model, "closed")
     if v is Variant.WHITE_NOISE:
         c = np.exp(-t / model.tau_R)
     elif v is Variant.LINEAR_SELF_SIMILAR:
         c = lambda1(2.0 * t / model.tau_R)
-    elif v is Variant.STOCK_THETA:
-        theta = model.theta
-        if abs(theta - 0.0) <= _THETA_SNAP:
-            c = np.exp(-t / model.tau_r)
-        elif abs(theta - 1.0) <= _THETA_SNAP:
-            c = lambda1(2.0 * t / model.tau_r)
-        elif abs(theta - 2.0) <= _THETA_SNAP:
-            c = bessel_j0(t / model.tau_r)
-        else:
-            c = _stock_series_acf(model, t)
+    elif abs(model.theta - 0.0) <= _THETA_SNAP:  # stock from here on
+        c = np.exp(-t / model.tau_r)
+    elif abs(model.theta - 1.0) <= _THETA_SNAP:
+        c = lambda1(2.0 * t / model.tau_r)
+    elif abs(model.theta - 2.0) <= _THETA_SNAP:
+        c = bessel_j0(t / model.tau_r)
     else:
-        raise CapabilityError(f"no closed ACF for {v.value}")
+        c = _stock_series_acf(model, t)
     return _return_like(tau, c)
 
 

@@ -71,7 +71,7 @@ from .errors import CapabilityError, InputError
 from .laplace import invert_at
 from .laplace import spectral_density  # noqa: F401  perfbench's tracer patches this name here
 from .market import simulate_white_returns
-from .models import Variant, band_variance, observable_evaluator, spectral_atom
+from .models import CATALOG, Variant, band_variance, observable_evaluator, spectral_atom
 from .noise import NoiseRequest, _check_counts, _check_seed, generate_colored, path_streams
 from .series import AcfSeries, KernelSeries, PathEnsemble, SpectralDensity
 from .specfun import lambda1
@@ -89,12 +89,9 @@ def memory_kernel(model, h, n_points):
     the Lambert-type and functional models have no closed force ACF at all.
     """
     _check_grid(h, n_points)
-    t = h * np.arange(n_points)
     v = model.variant
-    if model.memoryless:
-        raise CapabilityError(
-            "memoryless force: the kernel is a delta spike, not a sampleable series"
-        )
+    CATALOG[v].require(model, "volterra")
+    t = h * np.arange(n_points)
     if v is Variant.LINEAR_SELF_SIMILAR:
         vals = lambda1(2.0 * t / model.tau_R) / model.tau_R**2
     elif v is Variant.STOCK_THETA:
@@ -291,10 +288,9 @@ def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed):
     _check_grid(h, n_steps)
     _check_counts(n_steps, n_paths)
     _check_seed(seed)
+    CATALOG[model.variant].require(model, "simulate")
     if model.memoryless:
         return simulate_white_returns(model.corr_time, model.variance, n_steps, h, n_paths, seed)
-    if model.variant not in (Variant.LINEAR_SELF_SIMILAR, Variant.STOCK_THETA):
-        raise CapabilityError(f"no band-limited spectrum to sample for {model.variant.value}")
     n = _circulant_length(n_steps)
     target = _folded_spectrum(model, h, n)
     r = generate_colored(

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import glemarket.cli as cli
+import glemarket.laplace as laplace
 from glemarket.cli import RunConfig, main, parse_config, serialize_config
 from glemarket.errors import AccuracyError, InputError, ParseError, SolverError
 from glemarket.models import (CATALOG, ROUTES, Variant, force_shape, identity_residual,
@@ -184,7 +185,7 @@ class TestAcf:
         assert header == ["lag", "acf"]
         assert data[0, 1] == 1.0
 
-    def test_oversized_inversion_exits_2_and_points_to_closed(self, tmp_path):
+    def test_oversized_inversion_exits_2_and_points_to_closed(self, tmp_path, monkeypatch):
         # a horizon of 1e6 tau_R needs about 2e6 image points on its top contour
         args = ["acf", "--out-dir", str(tmp_path), "--model", "selfsim",
                 "--h", "100", "--n-points", "10000"]
@@ -195,6 +196,12 @@ class TestAcf:
         # stock theta = 0.0125 at 8000 lags needs only about 1e5 image points
         assert run_cli("acf", "--out-dir", str(tmp_path), "--model", "stock", "--theta", "0.0125",
                        "--h", "0.05", "--n-points", "8000", "--route", "laplace")[0] == 0
+        # the bound is checked before the grid's lags are built
+        monkeypatch.setattr(laplace, "CONTOUR_POINT_BOUND", 1000)
+        code, _, err = run_cli("acf", "--out-dir", str(tmp_path / "low"), "--model", "selfsim",
+                               "--route", "laplace", "--h", "0.05", "--n-points", str(2**22))
+        assert code == 2 and "image points on one contour" in err
+        assert not (tmp_path / "low").exists()
 
     def test_oversized_neumann_series_exits_2_and_points_to_laplace(self, tmp_path):
         # theta = 2e-5 at h = 1 needs 6.2e9 recurrence steps, the contours only 0.6 s
@@ -247,28 +254,58 @@ class TestAcf:
             for name in [v.value for v in Variant] + list(ROUTES):
                 assert name in help_text, (command, name)
 
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_catalog_notes_match_behaviour(self, tmp_path, variant):
-        # every route note the catalog marks "no" exits 3, every other one
-        # succeeds (stock-family models at the default theta = 1)
-        row = CATALOG[variant]
-        for route in ("closed", "laplace", "volterra"):
-            code, _, _ = run_cli(
-                "acf", "--out-dir", str(tmp_path), "--model", variant.value,
+    # exit codes of acf closed, laplace, volterra, simulate and
+    # audit --n-complex 2; a 2 under simulate is argparse refusing a model
+    # that simulate does not offer
+    @pytest.mark.parametrize("variant,extra,codes", [
+        pytest.param(variant, extra, codes, id=f"{variant}{tag}")
+        for variant, extra, codes, tag in [
+            (Variant.WHITE_NOISE, [], (0, 0, 3, 0, 0), ""),
+            (Variant.LINEAR_SELF_SIMILAR, [], (0, 0, 0, 0, 0), ""),
+            (Variant.STOCK_THETA, [], (0, 0, 0, 0, 0), ""),
+            (Variant.STOCK_THETA, ["--theta", "0"], (0, 0, 3, 0, 0), "-theta0"),
+            (Variant.STOCK_THETA, ["--theta", "3"], (0, 0, 0, 0, 0), "-theta3"),
+            (Variant.SCALING, ["--theta", "1.5"], (3, 3, 3, 2, 3), ""),
+            (Variant.FRACTIONAL, ["--theta", "1.5"], (3, 3, 3, 2, 3), ""),
+            (Variant.BOLTZMANN, [], (3, 0, 0, 2, 0), ""),
+            (Variant.DIFFERENTIAL, [], (3, 0, 0, 2, 0), ""),
+        ]
+    ])
+    def test_catalog_notes_match_behaviour(self, tmp_path, variant, extra, codes):
+        # every route note the catalog marks "no" exits 3, and so does the
+        # volterra route of a memoryless model; every other one succeeds
+        # (stock at the default theta = 1 unless given); each refusal's
+        # first paragraph names the model, the route and the row's note
+        row, model = CATALOG[variant], variant.value
+        memoryless = model == "white" or extra == ["--theta", "0"]
+        for route, want in zip(("closed", "laplace", "volterra"), codes):
+            code, _, err = run_cli(
+                "acf", "--out-dir", str(tmp_path), "--model", model, *extra,
                 "--route", route, "--h", "0.1", "--n-points", "16",
             )
-            assert code == (0 if row.supports(route) else 3), route
-        code, _, _ = run_cli("audit", "--model", variant.value, "--n-real", "4",
-                             "--n-complex", "2", "--seed", "1")
+            assert code == want, route
+            refused = not row.supports(route) or (route == "volterra" and memoryless)
+            assert code == (3 if refused else 0), route
+            if refused:
+                message = err.split("\n\n")[0]
+                assert model in message and route in message, message
+                assert getattr(row, route) in message, message
+        code, _, err = run_cli("audit", "--model", model, *extra, "--n-real", "4",
+                               "--n-complex", "2", "--seed", "1")
+        assert code == codes[4]
         assert code == (0 if row.complex_p else 3)
-        argv = ["simulate", "--out-dir", str(tmp_path), "--model", variant.value,
+        if code == 3:
+            message = err.split("\n\n")[0]
+            assert model in message and row.audit in message, message
+        argv = ["simulate", "--out-dir", str(tmp_path), "--model", model, *extra,
                 "--n-paths", "1", "--n-steps", "64", "--h", "0.125", "--seed", "1"]
         if row.supports("simulate"):
+            assert codes[3] == 0
             assert run_cli(*argv)[0] == 0
         else:  # not among the simulate choices
             with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
                 main(argv)
-            assert exc.value.code == 2
+            assert exc.value.code == codes[3] == 2
 
 
 # -- simulate ----------------------------------------------------------------------

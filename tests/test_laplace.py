@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import glemarket.laplace as laplace
 from glemarket.errors import AccuracyError, CapabilityError, InputError, SpectralPositivityError
 from glemarket.laplace import (CONTOUR_POINT_BOUND, DIRECT_TERM_BOUND, EPSILON_TERMS, MIN_TERMS,
                                _wynn, invert, invert_at, spectral_density)
@@ -199,6 +200,22 @@ def test_oversized_inversion_refused_before_any_evaluation():
     assert ev.sizes == []
     points = int(str(e.value).split(" need ")[1].split()[0])
     assert points > CONTOUR_POINT_BOUND
+
+
+def test_oversized_grid_refused_before_its_lags_exist(monkeypatch):
+    # the bound is checked from the octave tops alone: with it patched low, a
+    # 2^22-lag grid is refused before any of its octaves' lag arrays (32 MB
+    # in all) is built
+    monkeypatch.setattr(laplace, "CONTOUR_POINT_BOUND", 1000)
+    ev = observable_evaluator(ModelSpec.linear_self_similar(1.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="image points on one contour"):
+            invert(ev, 0.05, 2**22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_boltzmann_inversion_hits_the_exact_zero():

@@ -391,6 +391,16 @@ def test_domain_and_capability_errors():
         observable_shape(ModelSpec.white_noise(1.0), -1.0 + 2.0j)
     with pytest.raises(CapabilityError):
         solve_functional_shape(ModelSpec.white_noise(1.0), 1.0)
+    # the functional solver takes p by the shapes' own rule: off the real
+    # axis is a capability gap whatever the sign of Re p, a zero imaginary
+    # part is real, and a negative real p is out of the domain
+    for model in (m, ModelSpec.scaling(tau_r=1.0, theta=1.5)):
+        for p in (1.0 + 1.0j, -1.0 + 1.0j, np.array([0.5, 1.0 + 1.0j])):
+            with pytest.raises(CapabilityError):
+                solve_functional_shape(model, p)
+        assert solve_functional_shape(model, 2.0 + 0.0j) == observable_shape(model, 2.0 + 0.0j)
+        with pytest.raises(DomainError):
+            solve_functional_shape(model, -0.5)
 
 
 def test_shape_evaluators():
