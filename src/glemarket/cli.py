@@ -22,6 +22,8 @@ Conventions shared by every subcommand:
 import argparse
 import csv
 import functools
+import io
+import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -409,12 +411,44 @@ def _summarize_returns(args, ensemble, base):
     print(f"variance = {float(acf.variance)!r}")
 
 
+def _split_price_csv(text):
+    """(t, prices) of a plain price CSV by ``str.split``, or None.
+
+    Plain is what csv.reader reads as one row per line: no carriage return
+    (a row end to csv.reader, whitespace to float), a known header, at
+    least 3 samples, and on every line as many cells as the header, each a
+    float.  A quote or a NUL fails float, so it reaches the csv.reader
+    loop, which parses everything else and words every error.
+    """
+    if "\r" in text:
+        return None
+    head, _, body = text.partition("\n")
+    header = [cell.strip() for cell in head.split(",")]
+    if body.endswith("\n"):
+        body = body[:-1]
+    lines = body.split("\n")
+    if header not in (["t", "price"], ["price"]) or len(lines) < 3:
+        return None
+    if set(map(str.count, lines, itertools.repeat(","))) != {len(header) - 1}:
+        return None
+    try:
+        cells = np.array(list(map(float, body.replace("\n", ",").split(","))))
+    except ValueError:
+        return None
+    columns = cells.reshape(len(lines), len(header)).T.copy()
+    return (columns[0] if len(header) == 2 else None), columns[-1]
+
+
 def _read_price_csv(path):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    plain = _split_price_csv(text)
+    if plain is not None:
+        return plain
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise ParseError("empty file: expected a 't,price' or 'price' header", line=1)
     header = [cell.strip() for cell in rows[0]]

@@ -10,9 +10,14 @@ smallest 5-smooth L >= n + max_lag, the shortest at which the circular
 correlation wraps no product into a lag <= max_lag.  fit_theta then
 least-squares matches the estimate against the two-relaxation-time stock
 family, scanning a coarse (tau_r, theta) grid and refining by coordinate
-descent.  Each tau_r scan is one interpolation over every (tau_r, lag)
-pair, and its values equal the scalar objective's bit for bit, so the
-search takes the same path as a point-by-point scan.  The model curves are
+descent.  The coarse thetas share one tau_r grid and the curves one unit
+grid, so the whole coarse scan takes one interpolation index; every scan
+value equals the scalar objective's bit for bit, so the search takes the
+same path as a point-by-point scan.  A golden-section polish of a scan's
+bracket can only return values above the bracket's floor (the misfit to
+the range of curve nodes each lag can read there), so a polish whose
+floor already loses is skipped; the fit is the one the unpruned search
+finds, field for field.  The model curves are
 the exact stock ACF (``closed_form_acf``: closed forms at theta = 0, 1, 2
 and a Bessel-Neumann series elsewhere) on a unit-time grid, cached per
 theta; a cold curve costs about a millisecond at theta = 1 and grows as
@@ -43,6 +48,12 @@ _THETA_STEP = 0.0125
 # paths per batched FFT in ensemble_acf: its transient memory is
 # O(_ACF_BLOCK * L) whatever the path count
 _ACF_BLOCK = 128
+# a polish is skipped when its bracket floor exceeds the value to beat by
+# this relative margin, which keeps the skip exact under summation roundoff
+_PRUNE_SLACK = 1e-9
+# interpolated values overshoot their nodes by at most a few ulps of a
+# curve bounded by 1 in magnitude
+_NODE_ROUNDING = 4.0 * np.finfo(float).eps
 
 _model_curve_cache = {}
 
@@ -133,18 +144,65 @@ def _objective(lags, data, tau_r, model):
     u = lags / tau_r
     if u[-1] > _U_MAX:
         return np.inf
-    diff = data - np.interp(u, *model)
+    grid, curve = model
+    diff = data - np.interp(u, grid, curve)
     return float(diff @ diff) / lags.size
+
+
+def _scan_models(lags, data, taus, models):
+    """_objective of each of ``models`` at each of ``taus``, bit for bit.
+
+    One row per model.  The models share the unit grid, so one
+    interpolation index serves every row; each row is then np.interp's own
+    formula, slope[j] * (u - g[j]) + c[j], with a zero slope past the last
+    node for its u == g[-1] branch.
+    """
+    grid = models[0][0]
+    u = lags / taus[:, None]
+    ok = u[:, -1] <= _U_MAX
+    u = u[ok]
+    j = np.searchsorted(grid, u, side="right") - 1
+    du = u - grid[j]
+    step = np.diff(grid)
+    diffs = np.empty((len(models),) + u.shape)
+    for diff, (_, curve) in zip(diffs, models):
+        slope = np.append(np.diff(curve) / step, 0.0)
+        np.subtract(data, slope[j] * du + curve[j], out=diff)
+    # a stack of 1 x n @ n x 1 products is the dot that ``r @ r`` takes
+    vals = np.full((len(models), taus.size), np.inf)
+    vals[:, ok] = np.matmul(diffs[..., None, :], diffs[..., :, None])[..., 0, 0] / lags.size
+    return vals
 
 
 def _scan_tau(lags, data, taus, model):
     """_objective at each of ``taus``, bit for bit, from one interpolation."""
-    u = lags / taus[:, None]
-    vals = np.full(taus.size, np.inf)
-    ok = u[:, -1] <= _U_MAX
-    diffs = data - np.interp(u[ok], *model)
-    vals[ok] = [float(r @ r) / lags.size for r in diffs]
-    return vals
+    return _scan_models(lags, data, taus, [model])[0]
+
+
+def _bracket_floor(lags, data, model, lo, hi):
+    """A lower bound on every value ``_refine_tau(lo, hi)`` can return.
+
+    At tau_r in [lo, hi] lag l reads the curve at u in [l / hi, l / lo],
+    cut at _U_MAX because a larger u makes the objective inf, and an
+    interpolated value lies between the nodes of the cells that range
+    covers.  The cells are located to within one by u times the nodes per
+    unit u, one node more on each side absorbs the rounding of
+    exp(log lo), exp(log hi) and l / tau_r, and _NODE_ROUNDING the
+    interpolation's own.  The floor is the misfit to each lag's node range.
+    """
+    grid, curve = model
+    per_u = (grid.size - 1) / _U_MAX
+    first = (np.minimum(lags / hi, _U_MAX) * per_u).astype(np.intp) - 2
+    stop = (np.minimum(lags / lo, _U_MAX) * per_u).astype(np.intp) + 4
+    # reduceat over [first, stop) for each lag; the pad keeps stop a valid index
+    bounds = np.empty(2 * lags.size, dtype=np.intp)
+    bounds[0::2] = np.maximum(first, 0)
+    bounds[1::2] = np.minimum(stop, grid.size)
+    padded = np.append(curve, curve[-1])
+    low = np.minimum.reduceat(padded, bounds)[0::2] - _NODE_ROUNDING
+    high = np.maximum.reduceat(padded, bounds)[0::2] + _NODE_ROUNDING
+    gap = np.maximum(low - data, 0.0) + np.maximum(data - high, 0.0)
+    return float(gap @ gap) / lags.size
 
 
 def _refine_tau(lags, data, model, lo, hi, iters=40):
@@ -167,18 +225,20 @@ def _refine_tau(lags, data, model, lo, hi, iters=40):
     return mid, _objective(lags, data, mid, model)
 
 
-def _profile_tau(lags, data, theta, tau_hint, span=0.15, points=13):
-    """min over tau_r at fixed theta: a scan of ``points`` log-spaced values
-    within ``span`` decades of ``tau_hint``, then golden polish.
+def _polish(lags, data, model, taus, scan, f_ref):
+    """Golden polish around the minimum of a tau_r ``scan`` over ``taus``.
 
     The tau_r slice can be multimodal for oscillatory ACFs, so the golden
-    section is only trusted inside the bracket found by the scan.
+    section is only trusted inside the bracket found by the scan.  Returns
+    (tau_r, value), or None when the bracket's floor shows that the polish
+    cannot reach f_ref.
     """
-    model = model_curve(theta)
-    taus = tau_hint * np.logspace(-span, span, points)
-    j = int(np.argmin(_scan_tau(lags, data, taus, model)))
+    j = int(np.argmin(scan))
     ratio = taus[1] / taus[0]
-    return _refine_tau(lags, data, model, taus[j] / ratio, taus[j] * ratio)
+    lo, hi = taus[j] / ratio, taus[j] * ratio
+    if f_ref < np.inf and _bracket_floor(lags, data, model, lo, hi) > f_ref * (1.0 + _PRUNE_SLACK):
+        return None
+    return _refine_tau(lags, data, model, lo, hi)
 
 
 def _refine_profiled(lags, data, theta, tau, f):
@@ -186,8 +246,10 @@ def _refine_profiled(lags, data, theta, tau, f):
 
     The objective valley is diagonal and narrow in (theta, tau_r); stepping
     theta is only meaningful after re-minimizing tau_r, so each candidate
-    theta gets a full profiled evaluation.  The lower neighbor is tried
-    first, breaking ties toward smaller theta.
+    theta gets a profiled evaluation: a scan of 13 log-spaced tau_r within
+    0.15 decades of the current one, then the golden polish unless the
+    bracket's floor already exceeds f.  The lower neighbor is tried first,
+    breaking ties toward smaller theta.
     """
     for step in (0.1, 0.05, 0.025, _THETA_STEP):
         improved = True
@@ -197,9 +259,11 @@ def _refine_profiled(lags, data, theta, tau, f):
                 cand = max(cand, 0.0)
                 if cand == theta:
                     continue
-                tau_c, f_c = _profile_tau(lags, data, cand, tau)
-                if f_c < f:
-                    theta, tau, f = cand, tau_c, f_c
+                model = model_curve(cand)
+                taus = tau * np.logspace(-0.15, 0.15, 13)
+                polished = _polish(lags, data, model, taus, _scan_tau(lags, data, taus, model), f)
+                if polished is not None and polished[1] < f:
+                    theta, (tau, f) = cand, polished
                     improved = True
                     break
     return theta, tau, f
@@ -213,6 +277,14 @@ def fit_theta(acf, lag_window):
     descent in theta on the profiled objective, ties broken toward smaller
     theta.  A flat objective (relative curvature below 1e-6 along theta) is
     reported via the degenerate flag rather than raised.
+
+    The coarse thetas are polished in order of their scan minimum, and a
+    theta is skipped when its bracket floor exceeds the best polished value
+    by more than _PRUNE_SLACK; a descent candidate is skipped when its floor
+    exceeds the current value so.  The floor bounds every value the polish
+    can return, so a skipped theta could neither win nor tie, and the
+    winner is still the smallest theta of least value: the report is the
+    unpruned search's, bit for bit.
     """
     if not isinstance(acf, AcfSeries):
         raise InputError("acf must be an AcfSeries")
@@ -234,11 +306,24 @@ def fit_theta(acf, lag_window):
     # profile the objective over tau_r separately for every coarse theta:
     # oscillatory ACFs make the tau_r slice multimodal (phase aliasing), so
     # the scan must be dense before the smooth profiled minimum is trusted
+    thetas = np.arange(0.0, 4.0 + 1e-9, 0.2)
+    models = [model_curve(theta) for theta in thetas]
+    taus = tau_scale * np.logspace(-1.2, 1.2, 97)
+    scans = _scan_models(lags, data, taus, models)
+    # the best scans first, so that the value to beat falls early and most
+    # floors lose to it; the winner is then picked in ascending theta
+    polished = {}
+    f_ref = np.inf
+    for i in np.argsort(scans.min(axis=1), kind="stable"):
+        out = _polish(lags, data, models[i], taus, scans[i], f_ref)
+        if out is not None:
+            polished[i] = out
+            f_ref = min(f_ref, out[1])
     best = (np.inf, 0.0, tau_scale)
-    for theta in np.arange(0.0, 4.0 + 1e-9, 0.2):
-        tau_j, f_j = _profile_tau(lags, data, theta, tau_scale, span=1.2, points=97)
+    for i in sorted(polished):
+        tau_j, f_j = polished[i]
         if f_j < best[0]:
-            best = (f_j, theta, tau_j)
+            best = (f_j, thetas[i], tau_j)
     f_best, theta_best, tau_best = best
 
     theta_best, tau_best, f_best = _refine_profiled(

@@ -24,7 +24,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from glemarket import laplace, models, noise, volterra
+from glemarket import estimate, laplace, models, noise, volterra
 from glemarket.series import SpectralDensity
 
 mp.mp.dps = 60
@@ -329,6 +329,88 @@ def stationary_ensemble_full_draw(model, h, n_steps, n_paths, seed, fold=volterr
     r = colored_full_draw(noise.circulant_spectrum(request), n_paths, seed)[:, :n_steps]
     r += spectral_line(model, h, n_steps, n_paths, seed)
     return np.ascontiguousarray(r)
+
+
+# -- the memoryless return process and the memory-exponent fit, as they were
+# before their fast forms: a step-by-step recursion, and the fit that
+# polishes every coarse theta and every descent candidate.  The fit reuses
+# the package's model curves, objective and golden section, so what it
+# checks is the search: which thetas are polished, in what order, and which
+# one wins
+
+
+def white_returns_loop(tau_R, variance_R, n_steps, h, n_paths, seed):
+    """market.simulate_white_returns's paths by the one-step recursion
+    r_{n+1} = a r_n + sqrt(<R^2>(1 - a^2)) Z, one step at a time, path i
+    drawing from ``path_stream(seed, "white-return", i)``."""
+    alpha = np.exp(-h / tau_R)
+    scale = np.sqrt(variance_R * (1.0 - alpha * alpha))
+    z = np.stack([path_stream(seed, "white-return", i).standard_normal(n_steps)
+                  for i in range(n_paths)])
+    paths = np.empty((n_paths, n_steps))
+    paths[:, 0] = np.sqrt(variance_R) * z[:, 0]
+    z *= scale
+    for n in range(1, n_steps):
+        paths[:, n] = alpha * paths[:, n - 1] + z[:, n]
+    return paths
+
+
+def _profile_tau_unpruned(lags, data, theta, tau_hint, span=0.15, points=13):
+    model = estimate.model_curve(theta)
+    taus = tau_hint * np.logspace(-span, span, points)
+    scan = [estimate._objective(lags, data, tau, model) for tau in taus]
+    j = int(np.argmin(scan))
+    ratio = taus[1] / taus[0]
+    return estimate._refine_tau(lags, data, model, taus[j] / ratio, taus[j] * ratio)
+
+
+def fit_theta_unpruned(acf, lag_window):
+    """estimate.fit_theta with no pruning: every coarse theta gets a
+    point-by-point tau_r scan and a golden polish, in ascending order, and
+    so does every candidate of the lattice descent."""
+    n_fit = min(int(np.floor(lag_window / acf.h)), len(acf) - 1)
+    lags = acf.h * np.arange(n_fit + 1)
+    data = acf.values[: n_fit + 1]
+    positive = np.nonzero(data <= 0.0)[0]
+    head = data[: positive[0]] if positive.size else data
+    tau_scale = acf.h * (head.sum() - 0.5)
+    tau_scale = min(max(tau_scale, lags[-1] / estimate._U_MAX, acf.h), lags[-1])
+
+    best = (np.inf, 0.0, tau_scale)
+    for theta in np.arange(0.0, 4.0 + 1e-9, 0.2):
+        tau_j, f_j = _profile_tau_unpruned(lags, data, theta, tau_scale, span=1.2, points=97)
+        if f_j < best[0]:
+            best = (f_j, theta, tau_j)
+    f, theta, tau = best
+
+    for step in (0.1, 0.05, 0.025, estimate._THETA_STEP):
+        improved = True
+        while improved:
+            improved = False
+            for cand in (theta - step, theta + step):
+                cand = max(cand, 0.0)
+                if cand == theta:
+                    continue
+                tau_c, f_c = _profile_tau_unpruned(lags, data, cand, tau)
+                if f_c < f:
+                    theta, tau, f = cand, tau_c, f_c
+                    improved = True
+                    break
+
+    f_plus = estimate._objective(lags, data, tau, estimate.model_curve(theta + 0.1))
+    f_minus = estimate._objective(lags, data, tau, estimate.model_curve(max(theta - 0.1, 0.0)))
+    curvature = abs(f_plus + f_minus - 2.0 * f)
+    floor = 1e-18 * float(np.mean(data * data))
+    return estimate.FitReport(
+        tau_r=float(tau),
+        theta=float(theta),
+        variance=acf.variance,
+        residual=float(np.sqrt(f)),
+        stock_class=models.classify_theta(theta),
+        lags_used=n_fit + 1,
+        degenerate=bool(curvature < 1e-6 * max(f, floor)),
+        window_ok=bool(lags[-1] >= 3.0 * tau),
+    )
 
 
 if __name__ == "__main__":

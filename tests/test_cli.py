@@ -10,9 +10,12 @@ import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import glemarket.cli as cli
 import glemarket.laplace as laplace
@@ -552,6 +555,66 @@ def write_prices(path, prices, times=None):
         else:
             writer.writerow(["t", "price"])
             writer.writerows(zip(times, prices))
+
+
+def read_outcome(path, fast=True):
+    """What ``_read_price_csv`` makes of a file: the arrays' bytes, or the
+    error's type, message and line; ``fast=False`` takes the csv.reader
+    loop alone."""
+    split = cli._split_price_csv if fast else lambda text: None
+    with mock.patch.object(cli, "_split_price_csv", split):
+        try:
+            t, prices = cli._read_price_csv(path)
+        except Exception as exc:
+            return type(exc), str(exc), getattr(exc, "line", None)
+    return None if t is None else t.tobytes(), prices.tobytes()
+
+
+PRICE_CELLS = ["0.0", "1.5", "-2", " 3.25 ", "1e-3", "inf", "nan", "1_0",  # floats
+               "", "oops", '"4.5"', "0.125"]
+
+
+@st.composite
+def price_csv_texts(draw):
+    """Price files near the split parse's edge: one cell too many or few, a
+    bad cell, a blank line, a quote, a carriage return, a missing header."""
+    if draw(st.booleans()):
+        # the layout `simulate` writes, give or take one cell or line
+        header = draw(st.sampled_from(["t,price", " t , price", "price"]))
+        width = header.count(",") + 1
+        cell = st.sampled_from(PRICE_CELLS[:8])
+        line = st.lists(cell, min_size=width, max_size=width).map(",".join)
+        body = draw(st.lists(line, min_size=2, max_size=8))
+        if draw(st.booleans()):
+            spoilers = PRICE_CELLS[8:] + ["1,2,3", "", "0.5\r,1.5", '"0.5,1.5"', "1\0"]
+            spoiler = draw(st.sampled_from(spoilers))
+            body.insert(draw(st.integers(0, len(body))), spoiler)
+        end = "\n"
+    else:
+        header = draw(st.sampled_from(["t,price", "price", "value", '"t","price"', ""]))
+        cells = st.lists(st.sampled_from(PRICE_CELLS), min_size=0, max_size=3).map(",".join)
+        body = draw(st.lists(cells, max_size=8))
+        end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join([header, *body]) + draw(st.sampled_from(["", end]))
+
+
+@given(text=price_csv_texts())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_split_parse_agrees_with_the_csv_loop(tmp_path, text):
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_outcome(path) == read_outcome(path, fast=False)
+
+
+def test_simulated_prices_take_the_split_parse(tmp_path):
+    assert run_cli("simulate", "--out-dir", str(tmp_path), "--model", "stock", "--theta", "1",
+                   "--n-paths", "1", "--n-steps", "600", "--h", "0.125", "--seed", "3",
+                   "--emit-prices")[0] == 0
+    path = tmp_path / "simulate_prices.csv"
+    t, prices = cli._split_price_csv(path.read_text(encoding="utf-8"))
+    assert t.size == prices.size == 601 and t[1] == 0.125
+    assert read_outcome(path) == read_outcome(path, fast=False)
 
 
 class TestEstimate:

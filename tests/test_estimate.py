@@ -1,5 +1,6 @@
 """Tests for the ACF estimators and the (tau_r, theta) least-squares fit."""
 
+import functools
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import midpoint_folded_spectrum, stationary_ensemble_full_draw
+from oracles import fit_theta_unpruned, midpoint_folded_spectrum, stationary_ensemble_full_draw
 from scipy.linalg import toeplitz
 
 from glemarket import estimate, laplace
@@ -317,6 +318,53 @@ class TestFitTheta:
         assert rep.theta == want_theta
         assert rep.tau_r == pytest.approx(want_tau, rel=1e-8)
 
+    @pytest.mark.parametrize("h", [0.1, 0.125])
+    def test_multi_model_scan_matches_objective_bit_for_bit(self, h):
+        x = simulate_white_returns(1.0, 1.0, 4000, h, 1, seed=6).paths[0]
+        acf = sample_acf(x, 100, h=h)
+        lags, data = acf.h * np.arange(101), acf.values
+        models = [model_curve(theta) for theta in (0.0, 0.4, 1.0, 2.0, 2.6, 4.0)]
+        # tau_r below lags[-1] / _U_MAX gives the inf entries; at h = 0.125
+        # tau_r = 0.25 puts lags[-1] / tau_r = 50.0 exactly on the last node,
+        # np.interp's x == xp[-1] branch
+        taus = np.append(0.25, 0.6 * np.logspace(-1.2, 1.2, 97))
+        scans = estimate._scan_models(lags, data, taus, models)
+        assert scans.shape == (len(models), taus.size)
+        for model, row in zip(models, scans):
+            ref = [estimate._objective(lags, data, tau, model) for tau in taus]
+            assert row.tolist() == ref
+        assert np.isinf(scans).any() and np.isfinite(scans[:, 0]).all()
+        assert bool(lags[-1] / 0.25 == estimate._U_MAX) == (h == 0.125)
+
+    @given(
+        theta=st.sampled_from([0.0, 0.4, 1.0, 1.6, 2.0, 2.4, 3.0, 4.0]),
+        tau_data=st.floats(0.2, 5.0),
+        theta_data=st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+        noise=st.floats(0.0, 0.3),
+        lo=st.floats(0.05, 5.0),
+        width=st.floats(1.0, 1.3),
+        where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bracket_floor_bounds_the_objective(
+        self, theta, tau_data, theta_data, noise, lo, width, where, seed
+    ):
+        # every tau_r the golden section can evaluate on [lo, hi] is exp of a
+        # point of [log lo, log hi]; lags[-1] / lo exceeds _U_MAX for lo
+        # below 0.32, where the objective is inf on part of the bracket
+        lags = 0.1 * np.arange(161)
+        rng = np.random.default_rng(seed)
+        data = np.interp(lags / tau_data, *model_curve(theta_data))
+        data = data + noise * rng.standard_normal(lags.size)
+        model = model_curve(theta)
+        hi = lo * width
+        floor = estimate._bracket_floor(lags, data, model, lo, hi)
+        a, b = np.log(lo), np.log(hi)
+        for x in [a, b] + [a + w * (b - a) for w in where]:
+            assert floor <= estimate._objective(lags, data, np.exp(x), model)
+        assert floor <= estimate._refine_tau(lags, data, model, lo, hi)[1]
+
     def test_lags_used_counts_fitted_samples(self):
         lags = 0.1 * np.arange(101)
         acf = AcfSeries(h=0.1, values=np.exp(-lags), variance=1.0)
@@ -355,3 +403,71 @@ def test_round_trip_neutral_stock():
     assert rep.tau_r == pytest.approx(1.0, rel=0.1)
     assert rep.stock_class is StockClass.NEUTRAL
     assert rep.window_ok and not rep.degenerate
+
+
+# -- the pruned search against the unpruned one ------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def frozen_ensemble_acf(theta, seed):
+    model = ModelSpec.stock_theta(tau_r=1.0, theta=theta)
+    paths = stationary_ensemble_full_draw(
+        model, h=0.125, n_steps=2048, n_paths=500, seed=seed, fold=midpoint_folded_spectrum
+    )
+    return ensemble_acf(PathEnsemble(h=0.125, paths=paths, kind="return-rate"), max_lag=320)[0]
+
+
+def exact_curve_acf(theta):
+    grid, curve = model_curve(theta)
+    lags = 0.05 * np.arange(321)
+    return AcfSeries(h=0.05, values=np.interp(lags / 0.8, grid, curve), variance=1.0), 16.0
+
+
+def closed_acf(values_of, h, n, window):
+    lags = h * np.arange(n)
+    return AcfSeries(h=h, values=values_of(lags), variance=1.0), window
+
+
+def white_sample_acf(seed):
+    x = np.random.default_rng(seed).standard_normal(4000)
+    return sample_acf(x, 100, h=0.1), 10.0
+
+
+FIT_CASES = {
+    **{
+        f"frozen-theta{theta}-seed{seed}": lambda t=theta, s=seed: (frozen_ensemble_acf(t, s), 40.0)
+        for seed in (1, 2)
+        for theta in (0.5, 1.0, 1.5, 3.0)
+    },
+    **{f"exact-theta{theta}": lambda t=theta: exact_curve_acf(t) for theta in (0.4, 1.5, 2.6, 3.7)},
+    "exp": lambda: closed_acf(lambda t: np.exp(-t / 2.0), 0.1, 201, 20.0),
+    "neutral": lambda: closed_acf(lambda t: lambda1(2.0 * t / 1.5), 0.1, 201, 20.0),
+    "j0": lambda: closed_acf(lambda t: bessel_j0(t / 1.2), 0.1, 201, 20.0),
+    "flat": lambda: closed_acf(np.ones_like, 0.1, 100, 9.9),
+    "short-window": lambda: closed_acf(lambda t: np.exp(-t / 5.0), 0.1, 61, 6.0),
+    **{f"white-seed{seed}": lambda s=seed: white_sample_acf(s) for seed in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIT_CASES))
+def test_pruned_fit_equals_the_unpruned_search(case, monkeypatch):
+    acf, window = FIT_CASES[case]()
+    brackets = []
+    refine = estimate._refine_tau
+
+    def recording(lags, data, model, lo, hi):
+        brackets.append(lags[-1] / lo)
+        return refine(lags, data, model, lo, hi)
+
+    monkeypatch.setattr(estimate, "_refine_tau", recording)
+    report = fit_theta(acf, window)
+    polished = len(brackets)
+    want = fit_theta_unpruned(acf, window)
+    assert report == want
+    # the unpruned search polishes every theta it profiles
+    assert polished <= len(brackets) - polished
+    if not case == "flat":
+        assert polished < len(brackets) - polished
+    if case.startswith("white"):
+        # a polished bracket reaches u > _U_MAX, where the objective is inf
+        assert max(brackets[:polished]) > estimate._U_MAX

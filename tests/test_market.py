@@ -1,7 +1,9 @@
 """Tests for the white-noise-limit price dynamics and conversions."""
 
+import mpmath as mp
 import numpy as np
 import pytest
+from oracles import path_stream, white_returns_loop
 
 from glemarket.errors import DomainError, InputError
 from glemarket.market import (
@@ -221,6 +223,46 @@ class TestWhiteReturns:
         assert np.array_equal(a.paths, b.paths)
         assert np.array_equal(a.paths[0], one.paths[0])
         assert a.kind == "return-rate"
+
+    def test_paths_across_blocks_do_not_depend_on_the_path_count(self):
+        a = simulate_white_returns(0.5, 0.8, 600, 0.05, 3, seed=21)
+        one = simulate_white_returns(0.5, 0.8, 600, 0.05, 1, seed=21)
+        assert np.array_equal(a.paths[0], one.paths[0])
+
+    @pytest.mark.parametrize(
+        "tau_R,variance_R,n_steps,h,n_paths",
+        [
+            (0.5, 0.8, 16384, 0.05, 1),  # one long path, as `simulate` draws it
+            (1.0, 1.0, 4096, 0.125, 20),  # criterion 09's theta = 0 setup
+            (0.7, 1.3, 300, 0.05, 3),
+            (1.0, 1.0, 257, 0.1, 2),  # one step into the second block
+            (1.0, 1.0, 2, 0.1, 2),
+            (0.01, 1.0, 600, 1.0, 2),  # h / tau_R = 100: blocks of 4 steps
+            (1e-3, 1.0, 50, 1.0, 2),  # a = exp(-1000) = 0: blocks of 1 step
+        ],
+    )
+    def test_blocked_recursion_matches_the_step_loop(self, tau_R, variance_R, n_steps, h, n_paths):
+        got = simulate_white_returns(tau_R, variance_R, n_steps, h, n_paths, seed=5).paths
+        want = white_returns_loop(tau_R, variance_R, n_steps, h, n_paths, seed=5)
+        assert np.array_equal(got[:, 0], want[:, 0])
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_blocked_recursion_is_exact_to_rounding_near_unit_decay(self):
+        # at a = exp(-1e-4) the step loop's own rounding drifts to ~5e-15 of
+        # the path's scale, so the blocks are held to the recursion summed in
+        # 30 digits from the same doubles instead
+        tau_R, h, n_steps = 100.0, 0.01, 3000
+        got = simulate_white_returns(tau_R, 1.0, n_steps, h, 1, seed=5).paths[0]
+        alpha = np.exp(-h / tau_R)
+        z = path_stream(5, "white-return", 0).standard_normal(n_steps)
+        z[1:] *= np.sqrt(1.0 - alpha * alpha)
+        with mp.workdps(30):
+            a, r, exact = mp.mpf(float(alpha)), mp.mpf(0), []
+            for zk in z:
+                r = a * r + mp.mpf(float(zk))
+                exact.append(float(r))
+        exact = np.array(exact)
+        assert np.abs(got - exact).max() <= 1e-15 * np.abs(exact).max()
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
