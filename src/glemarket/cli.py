@@ -147,12 +147,29 @@ def serialize_config(config):
     return "\n".join(lines) + "\n"
 
 
-def load_config(path):
+def _read_text(path, what):
+    """The UTF-8 text of the file at ``path``, line endings untranslated.
+
+    A file that cannot be read is an InputError naming ``what`` it is;
+    bytes that are not UTF-8 are a ParseError at their line.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_config(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from None
+        raise InputError(f"cannot read {what}{path}: {exc}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})",
+            line=data.count(b"\n", 0, exc.start) + 1,
+        ) from None
+
+
+def load_config(path):
+    # parse_config splits at any line ending, so untranslated ones parse alike
+    return parse_config(_read_text(path, "config "))
 
 
 # -- CSV plumbing ---------------------------------------------------------------
@@ -440,11 +457,7 @@ def _split_price_csv(text):
 
 
 def _read_price_csv(path):
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+    text = _read_text(path, "")
     plain = _split_price_csv(text)
     if plain is not None:
         return plain

@@ -7,7 +7,10 @@ estimate positive semidefinite as a sequence.  ensemble_acf transforms the
 paths in blocks of _ACF_BLOCK, one batched rfft/irfft per block, so its
 transient memory does not grow with the path count; the FFT length is the
 smallest 5-smooth L >= n + max_lag, the shortest at which the circular
-correlation wraps no product into a lag <= max_lag.  fit_theta then
+correlation wraps no product into a lag <= max_lag.  One zero-padded input
+buffer and one output buffer serve every block of a call: a block's paths
+overwrite the head of each input row and the zero tail is never written,
+which takes the same bits as letting rfft pad each block.  fit_theta then
 least-squares matches the estimate against the two-relaxation-time stock
 family, scanning a coarse (tau_r, theta) grid and refining by coordinate
 descent.  The coarse thetas share one tau_r grid and the curves one unit
@@ -21,8 +24,12 @@ finds, field for field.  The model curves are
 the exact stock ACF (``closed_form_acf``: closed forms at theta = 0, 1, 2
 and a Bessel-Neumann series elsewhere) on a unit-time grid, cached per
 theta; a cold curve costs about a millisecond at theta = 1 and grows as
-1/theta below it.  The cache is a read-mostly dict, safe under
-concurrent fits because entries are write-once.
+1/theta below it.  A cached curve carries the tables the scans and the
+bracket floors read (np.interp's cell slopes, the curve padded by its last
+value), built once with it; the unit grid, the coarse thetas and the
+relative tau_r spans of the scans are module constants.  The cache is a
+read-mostly dict, safe under concurrent fits because entries are
+write-once.
 """
 
 from dataclasses import dataclass
@@ -54,6 +61,15 @@ _PRUNE_SLACK = 1e-9
 # interpolated values overshoot their nodes by at most a few ulps of a
 # curve bounded by 1 in magnitude
 _NODE_ROUNDING = 4.0 * np.finfo(float).eps
+# the unit grid every model curve shares, its cell widths, the coarse
+# thetas, and the relative tau_r spans of the coarse scan and of the
+# descent's profiled scans
+_GRID = np.linspace(0.0, _U_MAX, _U_POINTS)
+_GRID.flags.writeable = False
+_GRID_STEP = np.diff(_GRID)
+_COARSE_THETAS = np.arange(0.0, 4.0 + 1e-9, 0.2)
+_COARSE_SPAN = np.logspace(-1.2, 1.2, 97)
+_PROFILE_SPAN = np.logspace(-0.15, 0.15, 13)
 
 _model_curve_cache = {}
 
@@ -112,10 +128,19 @@ def ensemble_acf(ensemble, max_lag):
     n = ensemble.n_steps
     size = _five_smooth(n + max_lag)
     rows = np.empty((ensemble.n_paths, max_lag + 1))
+    # the block's paths fill [:, :n] and the zero tail [n, size) is never
+    # written, so the input is padded once, not by every rfft
+    block = min(ensemble.n_paths, _ACF_BLOCK)
+    padded = np.zeros((block, size))
+    acov = np.empty((block, size))
     for lo in range(0, ensemble.n_paths, _ACF_BLOCK):
-        spec = np.fft.rfft(ensemble.paths[lo : lo + _ACF_BLOCK], size, axis=1)
-        acov = np.fft.irfft(spec * np.conj(spec), size, axis=1)
-        rows[lo : lo + _ACF_BLOCK] = acov[:, : max_lag + 1] / n
+        paths = ensemble.paths[lo : lo + _ACF_BLOCK]
+        m = paths.shape[0]
+        padded[:m, :n] = paths
+        spec = np.fft.rfft(padded[:m], axis=1)
+        # spec * conj(spec) as written: an in-place product changes the bits
+        np.fft.irfft(spec * np.conj(spec), size, axis=1, out=acov[:m])
+        np.divide(acov[:m, : max_lag + 1], n, out=rows[lo : lo + m])
     mean = rows.mean(axis=0)
     if mean[0] <= 0.0:
         raise DegenerateSeriesError("ensemble has zero variance")
@@ -127,14 +152,29 @@ def ensemble_acf(ensemble, max_lag):
     return acf, se / mean[0]
 
 
+class _ModelCurve(tuple):
+    """A cached model curve: unpacks as (grid, values) and carries the
+    tables the scans and bracket floors read, built once with the curve.
+
+    ``slope`` is np.interp's cell slope with a zero appended for u on the
+    last node; ``padded`` repeats the last value so that a reduceat bound
+    may equal the grid size.
+    """
+
+    def __new__(cls, grid, values):
+        curve = super().__new__(cls, (grid, values))
+        curve.slope = np.append(np.diff(values) / _GRID_STEP, 0.0)
+        curve.padded = np.append(values, values[-1])
+        return curve
+
+
 def model_curve(theta):
     """Normalized stock ACF on the unit-tau_r lag grid, cached per theta."""
     key = round(float(theta), _THETA_KEY_DECIMALS)
     hit = _model_curve_cache.get(key)
     if hit is not None:
         return hit
-    grid = np.linspace(0.0, _U_MAX, _U_POINTS)
-    entry = (grid, closed_form_acf(ModelSpec.stock_theta(tau_r=1.0, theta=key), grid))
+    entry = _ModelCurve(_GRID, closed_form_acf(ModelSpec.stock_theta(tau_r=1.0, theta=key), _GRID))
     _model_curve_cache[key] = entry
     return entry
 
@@ -154,20 +194,18 @@ def _scan_models(lags, data, taus, models):
 
     One row per model.  The models share the unit grid, so one
     interpolation index serves every row; each row is then np.interp's own
-    formula, slope[j] * (u - g[j]) + c[j], with a zero slope past the last
-    node for its u == g[-1] branch.
+    formula, slope[j] * (u - g[j]) + c[j], with the curve's zero slope past
+    the last node for its u == g[-1] branch.
     """
-    grid = models[0][0]
     u = lags / taus[:, None]
     ok = u[:, -1] <= _U_MAX
     u = u[ok]
-    j = np.searchsorted(grid, u, side="right") - 1
-    du = u - grid[j]
-    step = np.diff(grid)
+    j = np.searchsorted(_GRID, u, side="right") - 1
+    du = u - _GRID[j]
     diffs = np.empty((len(models),) + u.shape)
-    for diff, (_, curve) in zip(diffs, models):
-        slope = np.append(np.diff(curve) / step, 0.0)
-        np.subtract(data, slope[j] * du + curve[j], out=diff)
+    for diff, model in zip(diffs, models):
+        _, curve = model
+        np.subtract(data, model.slope[j] * du + curve[j], out=diff)
     # a stack of 1 x n @ n x 1 products is the dot that ``r @ r`` takes
     vals = np.full((len(models), taus.size), np.inf)
     vals[:, ok] = np.matmul(diffs[..., None, :], diffs[..., :, None])[..., 0, 0] / lags.size
@@ -190,17 +228,15 @@ def _bracket_floor(lags, data, model, lo, hi):
     exp(log lo), exp(log hi) and l / tau_r, and _NODE_ROUNDING the
     interpolation's own.  The floor is the misfit to each lag's node range.
     """
-    grid, curve = model
-    per_u = (grid.size - 1) / _U_MAX
+    per_u = (_U_POINTS - 1) / _U_MAX
     first = (np.minimum(lags / hi, _U_MAX) * per_u).astype(np.intp) - 2
     stop = (np.minimum(lags / lo, _U_MAX) * per_u).astype(np.intp) + 4
     # reduceat over [first, stop) for each lag; the pad keeps stop a valid index
     bounds = np.empty(2 * lags.size, dtype=np.intp)
     bounds[0::2] = np.maximum(first, 0)
-    bounds[1::2] = np.minimum(stop, grid.size)
-    padded = np.append(curve, curve[-1])
-    low = np.minimum.reduceat(padded, bounds)[0::2] - _NODE_ROUNDING
-    high = np.maximum.reduceat(padded, bounds)[0::2] + _NODE_ROUNDING
+    bounds[1::2] = np.minimum(stop, _U_POINTS)
+    low = np.minimum.reduceat(model.padded, bounds)[0::2] - _NODE_ROUNDING
+    high = np.maximum.reduceat(model.padded, bounds)[0::2] + _NODE_ROUNDING
     gap = np.maximum(low - data, 0.0) + np.maximum(data - high, 0.0)
     return float(gap @ gap) / lags.size
 
@@ -260,7 +296,7 @@ def _refine_profiled(lags, data, theta, tau, f):
                 if cand == theta:
                     continue
                 model = model_curve(cand)
-                taus = tau * np.logspace(-0.15, 0.15, 13)
+                taus = tau * _PROFILE_SPAN
                 polished = _polish(lags, data, model, taus, _scan_tau(lags, data, taus, model), f)
                 if polished is not None and polished[1] < f:
                     theta, (tau, f) = cand, polished
@@ -306,9 +342,8 @@ def fit_theta(acf, lag_window):
     # profile the objective over tau_r separately for every coarse theta:
     # oscillatory ACFs make the tau_r slice multimodal (phase aliasing), so
     # the scan must be dense before the smooth profiled minimum is trusted
-    thetas = np.arange(0.0, 4.0 + 1e-9, 0.2)
-    models = [model_curve(theta) for theta in thetas]
-    taus = tau_scale * np.logspace(-1.2, 1.2, 97)
+    models = [model_curve(theta) for theta in _COARSE_THETAS]
+    taus = tau_scale * _COARSE_SPAN
     scans = _scan_models(lags, data, taus, models)
     # the best scans first, so that the value to beat falls early and most
     # floors lose to it; the winner is then picked in ascending theta
@@ -323,7 +358,7 @@ def fit_theta(acf, lag_window):
     for i in sorted(polished):
         tau_j, f_j = polished[i]
         if f_j < best[0]:
-            best = (f_j, thetas[i], tau_j)
+            best = (f_j, _COARSE_THETAS[i], tau_j)
     f_best, theta_best, tau_best = best
 
     theta_best, tau_best, f_best = _refine_profiled(

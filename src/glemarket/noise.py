@@ -15,6 +15,9 @@ draws 2K + 1 normals (a_1, b_1, ..., a_K, b_K and xi_0), or all m when
 K = L (b_L then stands for xi_0 and a_L is xi_L).  Small negative
 eigenvalues (within EIGENVALUE_CLAMP of the largest) are clamped to zero;
 larger ones raise a spectral-positivity error naming the worst eigenvalue.
+Paths are synthesized in blocks of _SYNTHESIS_BLOCK through one spectrum
+buffer and one inverse-FFT output buffer per call: every block rewrites the
+slots its normals meet, and the slots past them stay zero from the start.
 
 Reproducibility: every path is drawn from its own counter-based substream,
 the PCG64 generator of
@@ -191,9 +194,14 @@ def generate_colored(request):
     draws = min(2 * last + 1, m)
     paths = np.empty((request.n_paths, n))
     streams = path_streams(request.seed, "colored-force", 0, request.n_paths)
+    # one spectrum and one output buffer serve every block: each block
+    # rewrites re_0 through re_K+1, and the slots past them stay zero
+    block = min(request.n_paths, _SYNTHESIS_BLOCK)
+    spectrum = np.zeros((block, n + 1), dtype=complex)
+    synthesized = np.empty((block, m))
     for start in range(0, request.n_paths, _SYNTHESIS_BLOCK):
         stop = min(start + _SYNTHESIS_BLOCK, request.n_paths)
-        spec = np.zeros((stop - start, n + 1), dtype=complex)
+        spec = spectrum[: stop - start]
         # interleaved (re_0, im_0, re_1, ..., re_n, im_n): the normals fill
         # from re_1 through re_K+1 (im_n at most), the last moves to re_0,
         # and im_0 and every slot past re_K+1 stay zero
@@ -203,7 +211,8 @@ def generate_colored(request):
         flat[:, 0] = flat[:, draws + 1]
         flat[:, draws + 1] = 0.0
         spec[:, : last + 1] *= weight[: last + 1]
-        paths[start:stop] = np.fft.irfft(spec, m)[:, :n]
+        out = np.fft.irfft(spec, m, out=synthesized[: stop - start])
+        paths[start:stop] = out[:, :n]
     return PathEnsemble(
         h=request.h,
         paths=paths,

@@ -309,20 +309,27 @@ def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed):
 def _add_spectral_line(r, model, h, seed):
     """Add the ultra-light stock's spectral line to the paths r in place:
     stationary Gaussian cos/sin amplitudes, path i's pair drawn on the
-    ``spectral-line`` lane.  No-op for a model without a line."""
+    ``spectral-line`` lane.  No-op for a model without a line.
+
+    Each path adds its scaled cosine, then its scaled sine, through one
+    reused row buffer: elementwise products whose bits do not depend on the
+    path count, as a matrix product's can (BLAS takes another kernel for
+    one row)."""
     atom = spectral_atom(model)
     if atom is None:
         return
     omega_line, weight = atom
     t = h * np.arange(r.shape[1])
-    basis = np.stack([np.cos(omega_line * t), np.sin(omega_line * t)])
+    cos, sin = np.cos(omega_line * t), np.sin(omega_line * t)
     amp = np.sqrt(2.0 * weight * model.variance)
     phases = np.empty((r.shape[0], 2))
     for row, stream in zip(phases, path_streams(seed, "spectral-line", 0, r.shape[0])):
         stream.standard_normal(out=row)
-    line = phases @ basis
-    line *= amp
-    r += line
+    phases *= amp
+    term = np.empty(r.shape[1])
+    for row, (a, b) in zip(r, phases.tolist()):
+        row += np.multiply(cos, a, out=term)
+        row += np.multiply(sin, b, out=term)
 
 
 # -- Lambert-type models: causal convolution identities -----------------------

@@ -254,22 +254,29 @@ def path_stream(seed, lane, i):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(noise.LANES[lane], i)))
 
 
+def add_spectral_line(r, model, h, seed):
+    """Add the ultra-light stock's spectral line to the paths r in place, one
+    path at a time (nothing for a model without one): path i's cos/sin
+    amplitudes are the two normals of ``path_stream(seed, "spectral-line",
+    i)``, scaled by sqrt(2 weight variance); the path adds the cosine term,
+    then the sine term."""
+    atom = models.spectral_atom(model)
+    if atom is None:
+        return
+    omega_line, weight = atom
+    t = h * np.arange(r.shape[1])
+    amp = np.sqrt(2.0 * weight * model.variance)
+    for i, row in enumerate(r):
+        a, b = path_stream(seed, "spectral-line", i).standard_normal(2) * amp
+        row += a * np.cos(omega_line * t)
+        row += b * np.sin(omega_line * t)
+
+
 def spectral_line(model, h, n_steps, n_paths, seed):
     """The ultra-light stock's spectral line on each of ``n_paths`` paths
-    (zeros for a model without one): path i's cos/sin amplitudes are the two
-    normals of ``path_stream(seed, "spectral-line", i)``, scaled by
-    sqrt(2 weight variance)."""
+    (zeros for a model without one), ``add_spectral_line`` on zero paths."""
     line = np.zeros((n_paths, n_steps))
-    atom = models.spectral_atom(model)
-    if atom is not None:
-        omega_line, weight = atom
-        t = h * np.arange(n_steps)
-        basis = np.stack([np.cos(omega_line * t), np.sin(omega_line * t)])
-        phases = np.array(
-            [path_stream(seed, "spectral-line", i).standard_normal(2) for i in range(n_paths)]
-        )
-        line = phases @ basis
-        line *= np.sqrt(2.0 * weight * model.variance)
+    add_spectral_line(line, model, h, seed)
     return line
 
 
@@ -327,16 +334,17 @@ def stationary_ensemble_full_draw(model, h, n_steps, n_paths, seed, fold=volterr
         h=h,
     )
     r = colored_full_draw(noise.circulant_spectrum(request), n_paths, seed)[:, :n_steps]
-    r += spectral_line(model, h, n_steps, n_paths, seed)
+    add_spectral_line(r, model, h, seed)
     return np.ascontiguousarray(r)
 
 
-# -- the memoryless return process and the memory-exponent fit, as they were
-# before their fast forms: a step-by-step recursion, and the fit that
-# polishes every coarse theta and every descent candidate.  The fit reuses
-# the package's model curves, objective and golden section, so what it
-# checks is the search: which thetas are polished, in what order, and which
-# one wins
+# -- the memoryless return process, the ensemble ACF and the memory-exponent
+# fit, as they were before their fast forms: a step-by-step recursion, an
+# ACF whose every block pads and allocates its own transforms, and the fit
+# that polishes every coarse theta and every descent candidate.  The fit
+# reuses the package's model curves, objective and golden section, so what
+# it checks is the search: which thetas are polished, in what order, and
+# which one wins
 
 
 def white_returns_loop(tau_R, variance_R, n_steps, h, n_paths, seed):
@@ -353,6 +361,25 @@ def white_returns_loop(tau_R, variance_R, n_steps, h, n_paths, seed):
     for n in range(1, n_steps):
         paths[:, n] = alpha * paths[:, n - 1] + z[:, n]
     return paths
+
+
+def ensemble_acf_unbuffered(ensemble, max_lag):
+    """estimate.ensemble_acf's (values, variance, se) with fresh arrays for
+    every block of estimate._ACF_BLOCK paths: rfft pads the block to the
+    FFT length itself and irfft allocates its output."""
+    n = ensemble.n_steps
+    size = volterra._five_smooth(n + max_lag)
+    rows = np.empty((ensemble.n_paths, max_lag + 1))
+    for lo in range(0, ensemble.n_paths, estimate._ACF_BLOCK):
+        spec = np.fft.rfft(ensemble.paths[lo : lo + estimate._ACF_BLOCK], size, axis=1)
+        acov = np.fft.irfft(spec * np.conj(spec), size, axis=1)
+        rows[lo : lo + estimate._ACF_BLOCK] = acov[:, : max_lag + 1] / n
+    mean = rows.mean(axis=0)
+    if ensemble.n_paths > 1:
+        se = rows.std(axis=0, ddof=1) / np.sqrt(ensemble.n_paths)
+    else:
+        se = np.zeros(max_lag + 1)
+    return mean / mean[0], mean[0], se / mean[0]
 
 
 def _profile_tau_unpruned(lags, data, theta, tau_hint, span=0.15, points=13):

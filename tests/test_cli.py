@@ -680,6 +680,20 @@ class TestEstimate:
         code, _, err = run_cli("estimate", "--input", str(f))
         assert code == 2 and "line 3" in err and "columns" in err
 
+    def test_non_utf8_input_is_a_parse_error(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"t,price\n0.0,1.0\n0.1,\xff2\n")
+        code, _, err = run_cli("estimate", "--input", str(f))
+        assert code == 2 and "line 3" in err and "not UTF-8" in err
+
+    def test_non_utf8_config_is_a_parse_error(self, tmp_path):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(b"seed = 1\r\n# caf\xe9\r\n")
+        prices = tmp_path / "p.csv"
+        write_prices(prices, np.linspace(1, 2, 50), times=0.1 * np.arange(50))
+        code, _, err = run_cli("estimate", "--config", str(config), "--input", str(prices))
+        assert code == 2 and "line 2" in err and "not UTF-8" in err
+
     def test_constant_prices_are_degenerate(self, tmp_path):
         f = tmp_path / "const.csv"
         write_prices(f, np.full(200, 42.0), times=0.1 * np.arange(200))

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fit_theta_unpruned, midpoint_folded_spectrum, stationary_ensemble_full_draw
+from oracles import (
+    ensemble_acf_unbuffered,
+    fit_theta_unpruned,
+    midpoint_folded_spectrum,
+    stationary_ensemble_full_draw,
+)
 from scipy.linalg import toeplitz
 
 from glemarket import estimate, laplace
@@ -151,6 +156,11 @@ class TestEnsembleAcf:
     def test_fft_length_and_blocks_match_per_path_average(self, n_steps, max_lag, n_paths):
         out = simulate_white_returns(1.0, 1.0, n_steps, 0.1, n_paths, seed=9)
         self.assert_matches_naive(out, max_lag)
+        # the reused padded input and output buffers change no bit
+        acf, se = ensemble_acf(out, max_lag)
+        values, variance, ref_se = ensemble_acf_unbuffered(out, max_lag)
+        assert np.array_equal(acf.values, values) and acf.variance == variance
+        assert np.array_equal(se, ref_se)
 
     def test_peak_memory_holds_one_block_of_paths(self):
         def peak(n_paths):

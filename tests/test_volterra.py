@@ -597,8 +597,10 @@ def test_stationary_ensemble_determinism_and_stream_stability():
     b = simulate_stationary_ensemble(model, h=0.1, n_steps=256, n_paths=4, seed=9)
     c = simulate_stationary_ensemble(model, h=0.1, n_steps=256, n_paths=8, seed=9)
     d = simulate_stationary_ensemble(model, h=0.1, n_steps=256, n_paths=4, seed=10)
+    e = simulate_stationary_ensemble(model, h=0.1, n_steps=256, n_paths=1, seed=9)
     assert np.array_equal(a.paths, b.paths)
     assert np.array_equal(a.paths, c.paths[:4])
+    assert np.array_equal(e.paths, c.paths[:1])
     assert not np.array_equal(a.paths, d.paths)
 
 
