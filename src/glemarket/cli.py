@@ -661,9 +661,7 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="master seed (required for randomized commands)")
         p.add_argument("--out-dir", default=None, help="output directory (default: config out_dir or '.')")
-        p.add_argument("--tolerance", type=float, default=None, help="numeric tolerance override")
 
     p = sub.add_parser(
         "fig1",
@@ -685,6 +683,7 @@ def _build_parser():
     common(p)
     _add_model_arguments(p, models)
     p.add_argument("--route", required=True, choices=ROUTES[:3])  # the ACF routes
+    p.add_argument("--tolerance", type=float, default=None, help="laplace accuracy target (default 1e-6)")
     p.add_argument("--h", type=float, required=True, help="lag step")
     p.add_argument("--n-points", type=int, default=256)
     p.add_argument("--out", default="acf.csv")
@@ -702,6 +701,7 @@ def _build_parser():
     _add_model_arguments(
         p, ["gbm"] + [v.value for v, row in CATALOG.items() if row.supports("simulate")]
     )
+    p.add_argument("--seed", type=int, default=None, help="master seed (required)")
     p.add_argument("--mu", type=float, default=None, help="drift rate (gbm / --emit-prices)")
     p.add_argument("--sigma", type=float, default=None, help="gbm volatility")
     p.add_argument("--M0", type=float, default=None, dest="M0", help="initial price")
@@ -741,6 +741,8 @@ def _build_parser():
     )
     common(p)
     _add_model_arguments(p, models)
+    p.add_argument("--seed", type=int, default=None, help="master seed (required with --n-complex)")
+    p.add_argument("--tolerance", type=float, default=None, help="closure residual bound (default 1e-10)")
     p.add_argument("--n-real", type=int, default=100, help="log-spaced real-axis points")
     p.add_argument("--n-complex", type=int, default=0,
                    help="random right-half-plane points (requires --seed)")

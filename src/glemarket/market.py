@@ -66,12 +66,13 @@ def sigma_from_tau(tau_R, variance_R):
     return np.sqrt(2.0 * variance_R * tau_R)
 
 
+@np.errstate(all="ignore")  # prices out of float range are refused, not warned
 def simulate_gbm(params, increments):
     """Integrate log-space GBM over a Wiener-increment ensemble.
 
     Returns a "price" ensemble with n_steps + 1 samples per path (the
     initial price M0 at t = 0 is included).  With sigma = 0 the result is
-    M0 exp(mu t) to full precision.
+    M0 exp(mu t) to full precision.  Prices outside (0, inf) raise DomainError.
     """
     if not isinstance(params, MarketParams):
         raise InputError("params must be a MarketParams")
@@ -89,20 +90,22 @@ def simulate_gbm(params, increments):
         walk *= params.sigma
     return PathEnsemble(
         h=h,
-        paths=params.M0 * np.exp(params.mu * t + walk),
+        paths=_check_prices(params.M0 * np.exp(params.mu * t + walk)),
         kind="price",
         master_seed=increments.master_seed,
         stream_indices=increments.stream_indices,
     )
 
 
+@np.errstate(all="ignore")  # prices out of float range are refused, not warned
 def price_from_returns(r_path, mu, M0=1.0):
     """Rebuild prices from detrended return rates.
 
     ln M(t) = ln M0 + mu t + integral of R.  Sample R_n is taken as the mean
     rate over the panel [t_n, t_{n+1}] (an O(h) representation of the
     continuous integral), so n return samples give n + 1 prices and the
-    conversion is the exact inverse of returns_from_prices.
+    conversion is the exact inverse of returns_from_prices.  Prices outside
+    (0, inf) raise DomainError.
     """
     if not isinstance(r_path, PathEnsemble):
         raise InputError("r_path must be a PathEnsemble")
@@ -119,11 +122,20 @@ def price_from_returns(r_path, mu, M0=1.0):
     t = h * np.arange(r.shape[1] + 1)
     return PathEnsemble(
         h=h,
-        paths=M0 * np.exp(mu * t + integral),
+        paths=_check_prices(M0 * np.exp(mu * t + integral)),
         kind="price",
         master_seed=r_path.master_seed,
         stream_indices=r_path.stream_indices,
     )
+
+
+def _check_prices(paths):
+    """paths, unless a price is not positive and finite: DomainError names the first."""
+    bad = ~((paths > 0.0) & np.isfinite(paths))
+    if bad.any():
+        path, idx = np.argwhere(bad)[0]
+        raise DomainError(f"nonpositive or non-finite price at path {path}, sample {idx}")
+    return paths
 
 
 def returns_from_prices(prices, mu=None):
@@ -139,11 +151,7 @@ def returns_from_prices(prices, mu=None):
         raise InputError(f"prices must have kind 'price', got {prices.kind!r}")
     if prices.n_steps < 2:
         raise InputError("need at least two prices per path")
-    bad = ~((prices.paths > 0.0) & np.isfinite(prices.paths))
-    if bad.any():
-        path, idx = np.argwhere(bad)[0]
-        raise DomainError(f"nonpositive or non-finite price at path {path}, sample {idx}")
-    log_m = np.log(prices.paths)
+    log_m = np.log(_check_prices(prices.paths))
     rate = np.diff(log_m, axis=1) / prices.h
     if mu is None:
         rate = rate - rate.mean(axis=1, keepdims=True)

@@ -156,9 +156,7 @@ class ModelSpec:
     def memoryless(self):
         """White noise or a theta = 0 stock: the force is white, so the
         kernel is a delta spike and one-step sampling is exact."""
-        return self.variant is Variant.WHITE_NOISE or (
-            self.variant is Variant.STOCK_THETA and self.tau_R == 0
-        )
+        return _stock_form_theta(self) == 0
 
     @property
     def stock_class(self):
@@ -270,6 +268,18 @@ def _validate_p(model, p):
     return arr
 
 
+_MARKET_THETA = {Variant.WHITE_NOISE: 0.0, Variant.LINEAR_SELF_SIMILAR: 1.0}
+
+
+def _stock_form_theta(model):
+    """theta of the closed family's stock form on tau_r = corr_time: 0 for
+    white noise, 1 for the self-similar market, tau_R/tau_r for a stock, and
+    None for every other model."""
+    if model.variant is Variant.STOCK_THETA:
+        return model.tau_R / model.tau_r
+    return _MARKET_THETA.get(model.variant)
+
+
 def _selfsim_shape(tau_R, p):
     # root of y^2 + tau_R p y = 1 that is 1 at p = 0, written in the
     # cancellation-free reciprocal form (the denominator never vanishes for
@@ -283,12 +293,12 @@ def observable_shape(model, p):
     """Normalized observable image y(p), with y(0) = 1 exactly."""
     arr = _validate_p(model, p)
     v = model.variant
-    if v is Variant.WHITE_NOISE:
-        y = 1.0 / (1.0 + model.tau_R * arr)
-    elif v is Variant.LINEAR_SELF_SIMILAR:
-        y = _selfsim_shape(model.tau_R, arr)
-    elif v is Variant.STOCK_THETA:
-        y = 1.0 / (model.tau_r * arr + _selfsim_shape(model.tau_R, arr))
+    theta = _stock_form_theta(model)
+    if theta is not None:
+        # white force (1) at theta = 0, else the self-similar root at tau_R, which
+        # the self-similar market keeps as y: 1/(tau_R p + g) differs in the last bit
+        g = 1.0 if theta == 0 else _selfsim_shape(model.tau_R, arr)
+        y = g if v is Variant.LINEAR_SELF_SIMILAR else 1.0 / (model.corr_time * arr + g)
     elif v is Variant.BOLTZMANN:
         y = 1.0 / np.atleast_1d(lambert_w0_exp(1.0 + model.tau_R * arr))
         y[arr == 0] = 1.0  # anchor the normalization exactly
@@ -304,12 +314,9 @@ def force_shape(model, p):
     """Normalized force image g(p), with g(0) = 1 exactly."""
     arr = _validate_p(model, p)
     v = model.variant
-    if v is Variant.WHITE_NOISE:
-        g = np.ones_like(arr)
-    elif v is Variant.LINEAR_SELF_SIMILAR:
-        g = _selfsim_shape(model.tau_R, arr)
-    elif v is Variant.STOCK_THETA:
-        g = _selfsim_shape(model.tau_R, arr) if model.tau_R > 0 else np.ones_like(arr)
+    theta = _stock_form_theta(model)
+    if theta is not None:
+        g = np.ones_like(arr) if theta == 0 else _selfsim_shape(model.tau_R, arr)
     elif v is Variant.BOLTZMANN:
         u = model.tau_R * arr
         g = np.atleast_1d(lambert_w0_exp(1.0 + u)) - u
@@ -440,8 +447,9 @@ _THETA_SNAP = 1e-12
 def closed_form_acf(model, tau):
     """Exact normalized ACF of the white, self-similar and stock models.
 
-    white: exp(-tau/tau_R); selfsim: lambda1(2 tau/tau_R).  A stock of
-    theta > 0 has, with x = 2 tau/tau_R, the Neumann series
+    White noise and the self-similar market are the theta = 0 and theta = 1
+    stocks on tau_r = tau_R.  A stock of theta > 0 has, with x = 2 tau/tau_R,
+    the Neumann series
 
         c(tau) = (2/x) sum_n a_n (2n+1) J_2n+1(x) = sum_n a_n [J_2n(x) + J_2n+2(x)]
 
@@ -459,25 +467,20 @@ def closed_form_acf(model, tau):
     t = np.atleast_1d(np.asarray(tau)).astype(float)
     if np.any(t < 0) or not np.all(np.isfinite(t)):
         raise DomainError("lags must be finite and >= 0")
-    v = model.variant
-    CATALOG[v].require(model, "closed")
-    if v is Variant.WHITE_NOISE:
-        c = np.exp(-t / model.tau_R)
-    elif v is Variant.LINEAR_SELF_SIMILAR:
-        c = lambda1(2.0 * t / model.tau_R)
-    elif abs(model.theta - 0.0) <= _THETA_SNAP:  # stock from here on
-        c = np.exp(-t / model.tau_r)
-    elif abs(model.theta - 1.0) <= _THETA_SNAP:
-        c = lambda1(2.0 * t / model.tau_r)
-    elif abs(model.theta - 2.0) <= _THETA_SNAP:
-        c = bessel_j0(t / model.tau_r)
+    CATALOG[model.variant].require(model, "closed")
+    theta, tau_r = _stock_form_theta(model), model.corr_time
+    if abs(theta - 0.0) <= _THETA_SNAP:
+        c = np.exp(-t / tau_r)
+    elif abs(theta - 1.0) <= _THETA_SNAP:
+        c = lambda1(2.0 * t / tau_r)
+    elif abs(theta - 2.0) <= _THETA_SNAP:
+        c = bessel_j0(t / tau_r)
     else:
-        c = _stock_series_acf(model, t)
+        c = _stock_series_acf(model, theta, t)
     return _return_like(tau, c)
 
 
-def _stock_series_acf(model, t):
-    theta = model.theta
+def _stock_series_acf(model, theta, t):
     x = 2.0 * t / model.tau_R
     if theta < 2.0:
         return neumann_series(x, 1.0, 1.0 - theta)
@@ -510,17 +513,12 @@ def spectral_atom(model):
     theta <= 2, white noise, self-similar market).  Models whose force
     relation is not the closed stock form raise CapabilityError.
     """
-    v = model.variant
-    if v in (Variant.WHITE_NOISE, Variant.LINEAR_SELF_SIMILAR):
-        return None
-    if v is not Variant.STOCK_THETA:
-        raise CapabilityError(
-            f"spectral line analysis is not available for {v.value}"
-        )
-    theta = model.theta
+    theta = _stock_form_theta(model)
+    if theta is None:
+        raise CapabilityError(f"spectral line analysis is not available for {model.variant.value}")
     if theta <= 2.0:
         return None
-    omega = 1.0 / (model.tau_r * np.sqrt(theta - 1.0))
+    omega = 1.0 / (model.corr_time * np.sqrt(theta - 1.0))
     weight = (theta - 2.0) / (2.0 * (theta - 1.0))
     return omega, weight
 
@@ -530,18 +528,18 @@ def band_variance(model, omega):
     self-similar model and stocks of theta > 0 (others: CapabilityError).
 
     omega = (2/tau_R) sin phi makes S d omega rational in e^(i phi); with
-    e = theta - 1 (0 for the self-similar model and within _THETA_SNAP)
+    e = theta - 1 (the self-similar model is theta = 1; |e| <= _THETA_SNAP is 0)
 
         V / variance = [2 phi + (1 - e) atan2(e sin 2 phi, 1 + e cos 2 phi)/e] / pi,
 
     whose e -> 0 limit is (2 phi + sin 2 phi)/pi.  At and past the band edge
     2/tau_R, V is 1, or 1 - 2 R for theta > 2 (R the ``spectral_atom`` line).
     """
-    v = model.variant
-    if v not in (Variant.LINEAR_SELF_SIMILAR, Variant.STOCK_THETA) or model.memoryless:
-        raise CapabilityError(f"no band-limited spectrum for {v.value}")
+    theta = _stock_form_theta(model)
+    if not theta:  # None, or the memoryless theta = 0
+        raise CapabilityError(f"no band-limited spectrum for {model.variant.value}")
     phi2 = 2.0 * np.arcsin(np.minimum(np.asarray(omega, dtype=float) / (2.0 / model.tau_R), 1.0))
-    e = 0.0 if v is Variant.LINEAR_SELF_SIMILAR else model.theta - 1.0
+    e = theta - 1.0
     if abs(e) <= _THETA_SNAP:
         return model.variance / np.pi * (phi2 + np.sin(phi2))
     atan = np.arctan2(e * np.sin(phi2), 1.0 + e * np.cos(phi2))
@@ -586,11 +584,7 @@ class ShapeEvaluator:
         m = self.model
         if self.kind == "observable":
             return m.corr_time
-        if m.variant is Variant.LINEAR_SELF_SIMILAR:
-            return m.tau_R
-        if m.variant is Variant.STOCK_THETA and m.tau_R > 0:
-            return m.tau_R
-        return None
+        return m.tau_R if _stock_form_theta(m) else None
 
     @property
     def image_zero(self):
@@ -614,12 +608,7 @@ class ShapeEvaluator:
     def freq_scale(self):
         """Highest angular frequency the image's singularities live at."""
         m = self.model
-        scales = [2.0 / m.corr_time]
-        if m.tau_R and m.tau_R > 0:
-            scales.append(2.0 / m.tau_R)
-        if m.tau_r:
-            scales.append(2.0 / m.tau_r)
-        return max(scales)
+        return 2.0 / min(m.corr_time, m.tau_R or np.inf)
 
     def image(self, p):
         return self.image_zero * self(p)

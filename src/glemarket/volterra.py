@@ -83,21 +83,18 @@ STARTUP_SPAN = 0.25  # in units of tau_R
 def memory_kernel(model, h, n_points):
     """Sampled memory kernel k(t) = force ACF / observable variance.
 
-    Defined for the self-similar market model, k = lambda1(2t/tau_R)/tau_R^2,
-    and for stock models with theta > 0, k = lambda1(2t/tau_R)/(tau_r tau_R).
+    Defined for stock models with theta > 0 and for the self-similar market
+    (the theta = 1 stock on tau_r = tau_R): k = lambda1(2t/tau_R)/(tau_r tau_R).
     White-noise and theta = 0 kernels are delta spikes and cannot be sampled;
     the Lambert-type and functional models have no closed force ACF at all.
     """
     _check_grid(h, n_points)
-    v = model.variant
-    CATALOG[v].require(model, "volterra")
+    row = CATALOG[model.variant]
+    row.require(model, "volterra")
+    if not row.supports("closed"):  # the kernel is the closed family's force ACF
+        raise CapabilityError(f"no closed-form kernel for {model.variant.value}")
     t = h * np.arange(n_points)
-    if v is Variant.LINEAR_SELF_SIMILAR:
-        vals = lambda1(2.0 * t / model.tau_R) / model.tau_R**2
-    elif v is Variant.STOCK_THETA:
-        vals = lambda1(2.0 * t / model.tau_R) / (model.tau_r * model.tau_R)
-    else:
-        raise CapabilityError(f"no closed-form kernel for {v.value}")
+    vals = lambda1(2.0 * t / model.tau_R) / (model.corr_time * model.tau_R)
     return KernelSeries(h=h, values=vals)
 
 

@@ -125,12 +125,23 @@ class TestFig1:
         code, _, err = run_cli("fig1", "--out-dir", str(tmp_path), "--n-points", "1")
         assert code == 2 and "n-points" in err
 
-    def test_removed_tau_R_flag_refused_before_writing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv,flag", [
         # the curves are functions of the lag ratio alone: no memory time enters
+        (["fig1"], "--tau-R"),
+        # flags no code of the command reads
+        (["fig1"], "--seed"),
+        (["fig1"], "--tolerance"),
+        (["acf", "--model", "white", "--route", "closed", "--h", "0.1"], "--seed"),
+        (["simulate", "--model", "white", "--n-paths", "1", "--n-steps", "8", "--h", "0.1",
+          "--seed", "1"], "--tolerance"),
+        (["estimate", "--input", "prices.csv"], "--seed"),
+        (["estimate", "--input", "prices.csv"], "--tolerance"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v.lstrip("-"))
+    def test_removed_tau_R_flag_refused_before_writing(self, tmp_path, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
-            main(["fig1", "--out-dir", str(tmp_path), "--tau-R", "7"])
+            main([*argv, "--out-dir", str(tmp_path), flag, "7"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --tau-R" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output(self, tmp_path):
@@ -475,6 +486,19 @@ class TestSimulate:
                   "--n-paths", "1", "--n-steps", "8", "--h", "0.1", "--seed", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --burn-in" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "stock", "--theta", "1", "--emit-prices", "--mu", "1e300"],
+        ["--model", "stock", "--theta", "1", "--emit-prices", "--mu=-1e300"],
+        ["--model", "gbm", "--mu", "1e300"],
+    ], ids=["stock-inf", "stock-zero", "gbm-inf"])
+    def test_prices_out_of_float_range_exit_2_before_writing(self, tmp_path, argv):
+        code, _, err = run_cli(
+            "simulate", "--out-dir", str(tmp_path), *argv,
+            "--n-paths", "1", "--n-steps", "64", "--h", "1", "--seed", "1",
+        )
+        assert code == 2 and "non-finite price at path 0, sample 1" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_oversized_fold_exits_2_before_writing(self, tmp_path):

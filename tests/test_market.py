@@ -178,6 +178,16 @@ class TestConversions:
         with pytest.raises(DomainError):
             price_from_returns(pe, mu=0.0, M0=0.0)
 
+    @pytest.mark.parametrize("mu", [1e300, -1e300])
+    def test_prices_out_of_float_range_refused(self, mu):
+        # exp overflows to inf or underflows to 0 at sample 1: refused without a warning
+        r = PathEnsemble(h=1.0, paths=np.zeros((2, 8)), kind="return-rate")
+        with pytest.raises(DomainError, match="non-finite price at path 0, sample 1"):
+            price_from_returns(r, mu=mu)
+        p = MarketParams(mu=mu, sigma=0.3, variance_R=0.5)
+        with pytest.raises(DomainError, match="non-finite price at path 0, sample 1"):
+            simulate_gbm(p, generate_wiener_increments(8, 1.0, 2, seed=1))
+
     def test_kind_checks(self):
         pe = PathEnsemble(h=0.1, paths=np.ones((1, 10)), kind="price")
         with pytest.raises(InputError):

@@ -36,6 +36,7 @@ from glemarket.models import (
     spectral_atom,
 )
 from glemarket.specfun import bessel_j0, lambda1, neumann_series
+from glemarket.volterra import memory_kernel, simulate_stationary_ensemble
 
 # frozen oracle values (root-finding at 60 digits)
 BOLTZ_Y_AT_U10 = 0.11334431013315436
@@ -366,6 +367,37 @@ def test_memoryless_is_white_or_theta_zero_stock():
         ModelSpec.scaling(tau_r=1.0, theta=0.0),
         ModelSpec.linear_self_similar(1.0),
     ))
+
+
+@pytest.mark.parametrize("tau", [0.37, 1.0, 2.9])
+def test_white_and_selfsim_are_the_theta_0_and_theta_1_stocks(tau):
+    # bit for bit on tau_r = tau_R, except the self-similar observable shape,
+    # which keeps its own root y = g rather than 1/(tau_R p + g)
+    lags = np.linspace(0.0, 40.0 * tau, 801)
+    p = np.concatenate([[0.0], np.logspace(-3, 3, 60) / tau])
+    z = p[1:] * np.exp(0.7j)
+    for market, theta in ((ModelSpec.white_noise(tau), 0.0), (ModelSpec.linear_self_similar(tau), 1.0)):
+        stock = ModelSpec.stock_theta(tau_r=tau, theta=theta)
+        assert np.array_equal(closed_form_acf(market, lags), closed_form_acf(stock, lags))
+        for q in (p, z):
+            assert np.array_equal(force_shape(market, q), force_shape(stock, q))
+        assert spectral_atom(market) is spectral_atom(stock) is None
+        assert market.memoryless == stock.memoryless == (theta == 0.0)
+        for make in (observable_evaluator, force_evaluator):
+            assert make(market).transform_scale == make(stock).transform_scale
+            assert make(market).freq_scale == make(stock).freq_scale
+        draw = [simulate_stationary_ensemble(m, 0.125, 512, 2, seed=7).paths for m in (market, stock)]
+        assert np.array_equal(*draw)
+        if theta == 0.0:
+            assert np.array_equal(observable_shape(market, p), observable_shape(stock, p))
+            continue
+        assert np.array_equal(memory_kernel(market, 0.05, 400).values,
+                              memory_kernel(stock, 0.05, 400).values)
+        omega = np.linspace(0.0, 3.0 / tau, 200)
+        assert np.array_equal(band_variance(market, omega), band_variance(stock, omega))
+        for q in (p, z):
+            y, y_stock = observable_shape(market, q), observable_shape(stock, q)
+            assert np.all(np.abs(y - y_stock) <= 1e-15 * np.abs(y_stock))
 
 
 def test_readme_catalog_table_is_the_rendered_catalog():
