@@ -34,11 +34,12 @@ from .errors import (
     AccuracyError,
     CapabilityError,
     DegenerateSeriesError,
-    DomainError,
     GleMarketError,
     InputError,
     ParseError,
-    SpectralPositivityError,
+    check_count,
+    check_positive,
+    check_seed,
 )
 from .estimate import ensemble_acf, fit_theta, sample_acf
 from .laplace import invert
@@ -54,7 +55,7 @@ from .models import (
     observable_shape,
     render_catalog,
 )
-from .noise import LANES, _check_seed, generate_wiener_increments
+from .noise import LANES, generate_wiener_increments
 from .series import PathEnsemble
 from .specfun import lambda0, lambda1
 from .volterra import (_circulant_length, boltzmann_acf, differential_acf, memory_kernel,
@@ -79,7 +80,7 @@ CAPABILITY_MATRIX = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat run configuration; parses from and serializes to key=value text."""
+    """Flat run configuration, parsed from key=value text."""
 
     seed: int | None = None
     out_dir: str = "."
@@ -87,12 +88,10 @@ class RunConfig:
     presets: tuple = ()
 
     def __post_init__(self):
-        if self.seed is not None and not (
-            isinstance(self.seed, int) and 0 <= self.seed < 2**64
-        ):
-            raise InputError("seed must be an integer in [0, 2^64)")
-        if self.tolerance is not None and not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise InputError("tolerance must be positive and finite")
+        if self.seed is not None:
+            check_seed(self.seed)
+        if self.tolerance is not None:
+            check_positive(self.tolerance, "tolerance")
         object.__setattr__(self, "presets", tuple(sorted(dict(self.presets).items())))
         for key, value in self.presets:
             if key not in _PRESET_KEYS:
@@ -134,17 +133,6 @@ def parse_config(text):
                 f"could not parse value {value!r} for key {key!r}", line=lineno
             ) from None
     return RunConfig(presets=tuple(sorted(presets.items())), **fields)
-
-
-def serialize_config(config):
-    """Canonical text form; parse_config(serialize_config(c)) == c."""
-    lines = [f"out_dir = {config.out_dir}"]
-    if config.seed is not None:
-        lines.insert(0, f"seed = {config.seed}")
-    if config.tolerance is not None:
-        lines.append(f"tolerance = {config.tolerance!r}")
-    lines.extend(f"{key} = {value!r}" for key, value in config.presets)
-    return "\n".join(lines) + "\n"
 
 
 def _read_text(path, what):
@@ -230,14 +218,15 @@ def _resolved_seed(args):
         raise InputError(
             "this command draws random numbers: pass --seed (or set seed in the config)"
         )
-    return _check_seed(seed)
+    return check_seed(seed)
 
 
 def _resolved_tolerance(args, default):
-    """--tolerance, else the config's tolerance, else the command's default."""
+    """--tolerance, else the config's tolerance, else the command's default;
+    one rule for either source: positive and finite."""
     for tolerance in (args.tolerance, args.config.tolerance):
         if tolerance is not None:
-            return tolerance
+            return check_positive(tolerance, "tolerance")
     return default
 
 
@@ -284,10 +273,8 @@ def _add_model_arguments(parser, models):
 
 
 def cmd_fig1(args):
-    if args.n_points < 2:
-        raise InputError("--n-points must be >= 2")
-    if not (np.isfinite(args.max_lag_ratio) and args.max_lag_ratio > 0):
-        raise InputError("--max-lag-ratio must be positive")
+    check_count(args.n_points, "--n-points", 2)
+    check_positive(args.max_lag_ratio, "--max-lag-ratio")
     ratio = np.linspace(0.0, args.max_lag_ratio, args.n_points)
     col1 = lambda1(2.0 * ratio)
     col0 = lambda0(2.0 * ratio)
@@ -311,10 +298,8 @@ def _acf_by_route(model, route, h, n_points, tolerance):
 
 def cmd_acf(args):
     model = _build_model(args)
-    if not (np.isfinite(args.h) and args.h > 0):
-        raise InputError("--h must be positive")
-    if args.n_points < 2:
-        raise InputError("--n-points must be >= 2")
+    check_positive(args.h, "--h")
+    check_count(args.n_points, "--n-points", 2)
     if args.tolerance is not None and args.route != "laplace":
         raise InputError(f"--tolerance applies to --route laplace only, not {args.route}")
     CATALOG[model.variant].require(model, args.route)
@@ -354,16 +339,14 @@ def _simulate_size(args, model):
 
 def cmd_simulate(args):
     seed = _resolved_seed(args)
-    if not (np.isfinite(args.h) and args.h > 0):
-        raise InputError("--h must be positive")
+    check_positive(args.h, "--h")
     # the summary ACF needs at least 4 samples (lag 1 at n/4)
-    if args.n_steps < 4 or args.n_paths < 1:
-        raise InputError("--n-steps must be >= 4 and --n-paths >= 1")
+    check_count(args.n_steps, "--n-steps", 4)
+    check_count(args.n_paths, "--n-paths", 1)
     # checked for every model, before anything is written
-    if args.max_lag < 1:
-        raise InputError("--max-lag must be >= 1")
-    if args.model == "gbm" and (args.theta, args.tau_r, args.tau_R) != (None,) * 3:
-        raise InputError("model 'gbm' takes --mu, --sigma, --variance and --M0 only")
+    check_count(args.max_lag, "--max-lag", 1)
+    if args.model == "gbm" and (args.theta, args.tau_r, args.tau_R, args.variance) != (None,) * 4:
+        raise InputError("model 'gbm' takes --mu, --sigma and --M0 only")
     if args.model == "gbm" and args.emit_prices:
         raise InputError("model 'gbm' writes prices already; --emit-prices is for return models")
     model = None if args.model == "gbm" else _build_model(args)
@@ -499,9 +482,7 @@ def _read_price_csv(path):
 
 def _infer_h(args, t):
     if args.h is not None:
-        if not (np.isfinite(args.h) and args.h > 0):
-            raise InputError("--h must be positive")
-        return args.h
+        return check_positive(args.h, "--h")
     if t is None:
         raise InputError("input has no 't' column: pass --h explicitly")
     steps = np.diff(t)
@@ -618,12 +599,12 @@ def cmd_audit(args):
     """Print (and optionally write) the audit table; exit 4 on any failed row.
     The real grid and the complex grid each cost one identity_residual call."""
     model = _build_model(args)
-    if args.n_real < 2:
-        raise InputError("--n-real must be >= 2")
-    if args.n_complex < 0:
-        raise InputError("--n-complex must be >= 0")
+    check_count(args.n_real, "--n-real", 2)
+    check_count(args.n_complex, "--n-complex", 0)
+    if args.seed is not None and args.n_complex == 0:
+        raise InputError("--seed seeds the --n-complex points only; the real grid draws nothing")
     u_min = 10.0 ** _AUDIT_DECADES[0]
-    if not (np.isfinite(args.fd_step) and 0 < args.fd_step <= u_min):
+    if not 0 < args.fd_step <= u_min:  # nan and inf fail it too
         raise InputError(
             f"--fd-step must be in (0, {u_min!r}]: derivative rows evaluate g at "
             f"u - du = u - fd_step * max(u, 1), which must stay >= 0 down to the "
@@ -741,7 +722,8 @@ def _build_parser():
     )
     common(p)
     _add_model_arguments(p, models)
-    p.add_argument("--seed", type=int, default=None, help="master seed (required with --n-complex)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="master seed of the --n-complex points (required with them only)")
     p.add_argument("--tolerance", type=float, default=None, help="closure residual bound (default 1e-10)")
     p.add_argument("--n-real", type=int, default=100, help="log-spaced real-axis points")
     p.add_argument("--n-complex", type=int, default=0,
@@ -768,18 +750,10 @@ def main(argv=None):
     try:
         args.config = load_config(args.config) if args.config else RunConfig()
         return args.func(args)
-    except (InputError, DomainError) as exc:  # includes Parse/Degenerate errors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapabilityError as exc:
-        print(f"error: {exc}\n\n{CAPABILITY_MATRIX}", file=sys.stderr)
-        return 3
-    except (AccuracyError, SpectralPositivityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except GleMarketError as exc:  # any stray package error: treat as input
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except GleMarketError as exc:  # each class carries its exit code
+        matrix = f"\n\n{CAPABILITY_MATRIX}" if isinstance(exc, CapabilityError) else ""
+        print(f"error: {exc}{matrix}", file=sys.stderr)
+        return exc.exit_code
     except MemoryError:
         print("error: out of memory; the request is too large for this machine", file=sys.stderr)
         return 2

@@ -1,12 +1,23 @@
-"""Exception taxonomy shared by every module.
+"""Exception taxonomy and argument checks shared by every module.
 
-The CLI maps these onto process exit codes: bad input 2, unsupported
-capability 3, accuracy/convergence failures 4.
+Each class carries the process exit code the CLI returns for it as
+``exit_code``: bad input 2 (the base class and every input or domain
+error), unsupported capability 3, accuracy, convergence and spectral
+positivity failures 4.
+
+The checks hold the package's one rule for each kind of scalar argument:
+a physical scale (time, variance, step, tolerance) is a finite number
+above zero, a count is an integer at or above its minimum, and a seed is
+an integer in [0, 2^64).
 """
+
+import numpy as np
 
 
 class GleMarketError(Exception):
     """Base class for package errors."""
+
+    exit_code = 2
 
 
 class DomainError(GleMarketError, ValueError):
@@ -32,12 +43,16 @@ class DegenerateSeriesError(InputError):
 class CapabilityError(GleMarketError):
     """Requested operation is documented as unsupported for this model."""
 
+    exit_code = 3
+
 
 class AccuracyError(GleMarketError):
     """Result could not be produced at the requested accuracy.
 
     ``achieved`` holds the best error estimate actually reached.
     """
+
+    exit_code = 4
 
     def __init__(self, message, achieved=None):
         if achieved is not None:
@@ -61,8 +76,35 @@ class SpectralPositivityError(GleMarketError):
     value, found.
     """
 
+    exit_code = 4
+
     def __init__(self, message, worst=None):
         if worst is not None:
             message = f"{message} (worst eigenvalue {worst:.6e})"
         super().__init__(message)
         self.worst = worst
+
+
+def check_positive(value, name, error=InputError):
+    """``value``, if it is a finite number above zero; else ``error``."""
+    if value is None or not (np.isfinite(value) and value > 0):
+        raise error(f"{name} must be positive and finite")
+    return value
+
+
+def check_count(value, name, minimum):
+    """``value`` as an int, if it is an integer >= ``minimum``; else InputError."""
+    if not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer")
+    if value < minimum:
+        raise InputError(f"{name} must be >= {minimum}")
+    return int(value)
+
+
+def check_seed(seed):
+    """``seed`` as an int, if it is an integer (not a bool) in [0, 2^64);
+    else InputError."""
+    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (integer and 0 <= int(seed) < 2**64):
+        raise InputError("seed must be an integer in [0, 2^64)")
+    return int(seed)

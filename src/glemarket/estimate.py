@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, InputError
+from .errors import DegenerateSeriesError, InputError, check_count, check_positive
 # unused since model curves come from the series, but perfbench's tracer
 # patches glemarket.estimate.invert_at and fails if the name is missing
 from .laplace import invert_at  # noqa: F401
@@ -101,8 +101,7 @@ def sample_acf(series, max_lag, h=1.0):
     """Normalized biased-estimator ACF of one zero-centered series: the
     one-path ``ensemble_acf``."""
     x = _as_clean_series(series)
-    if not (np.isfinite(h) and h > 0.0):
-        raise InputError("h must be positive and finite")
+    check_positive(h, "h")
     return ensemble_acf(PathEnsemble(h=h, paths=x[None, :]), max_lag)[0]
 
 
@@ -115,9 +114,7 @@ def ensemble_acf(ensemble, max_lag):
     """
     if not isinstance(ensemble, PathEnsemble):
         raise InputError("ensemble must be a PathEnsemble")
-    max_lag = int(max_lag)
-    if max_lag < 1:
-        raise InputError("max_lag must be >= 1")
+    max_lag = check_count(int(max_lag), "max_lag", 1)
     if ensemble.n_steps < 4 * max_lag:
         raise InputError(
             f"paths of length {ensemble.n_steps} are too short for "
@@ -324,8 +321,7 @@ def fit_theta(acf, lag_window):
     """
     if not isinstance(acf, AcfSeries):
         raise InputError("acf must be an AcfSeries")
-    if not (np.isfinite(lag_window) and lag_window > 0.0):
-        raise InputError("lag_window must be positive and finite")
+    check_positive(lag_window, "lag_window")
     n_fit = min(int(np.floor(lag_window / acf.h)), len(acf) - 1)
     if n_fit < 8:
         raise InputError("lag_window must cover at least 8 ACF samples")

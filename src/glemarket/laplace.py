@@ -42,7 +42,8 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, CapabilityError, InputError, SpectralPositivityError
+from .errors import (AccuracyError, CapabilityError, InputError, SpectralPositivityError,
+                     check_count, check_positive)
 from .models import CATALOG, ShapeEvaluator
 from .series import AcfSeries, SpectralDensity
 
@@ -136,8 +137,7 @@ def _invert_octaves(evaluator, tops, groups, sizes, t_max, n_ffts, tolerance):
     the conjugate-symmetry spot check, or when the worst error estimate
     exceeds ``tolerance``.
     """
-    if not (0 < tolerance):
-        raise InputError("tolerance must be positive")
+    check_positive(tolerance, "tolerance")
     points = [MIN_TERMS + math.ceil(2.0 * evaluator.freq_scale * top / math.pi) + EPSILON_TERMS + 1
               for top in tops]
     terms = sum(n * size for n, size in zip(points, sizes))
@@ -208,10 +208,8 @@ def invert(evaluator, h, n_lags, tolerance=1e-6):
     ``invert_at`` does, refusing an oversized grid before any lag exists.
     """
     _require_invertible(evaluator)
-    if not (h > 0 and np.isfinite(h)):
-        raise InputError("h must be positive and finite")
-    if not (isinstance(n_lags, (int, np.integer)) and n_lags >= 2):
-        raise InputError("n_lags must be an integer >= 2")
+    check_positive(h, "h")
+    check_count(n_lags, "n_lags", 2)
     tops = 2 ** np.arange(int(n_lags - 2).bit_length() + 1)
     sizes = [min(top, int(n_lags) - 1) - top // 2 for top in tops.tolist()]
     # drawn octave by octave, after the cost check

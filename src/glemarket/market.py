@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
-from .noise import _check_counts, _check_seed, path_streams
+from .errors import DomainError, InputError, check_count, check_positive, check_seed
+from .noise import path_streams
 from .series import PathEnsemble
 
 # steps per block of simulate_white_returns's recursion
@@ -38,10 +38,8 @@ class MarketParams:
             raise InputError("mu must be finite")
         if not (np.isfinite(self.sigma) and self.sigma >= 0.0):
             raise InputError("sigma must be finite and >= 0")
-        if not (np.isfinite(self.variance_R) and self.variance_R > 0.0):
-            raise InputError("variance_R must be finite and > 0")
-        if not (np.isfinite(self.M0) and self.M0 > 0.0):
-            raise InputError("M0 must be finite and > 0")
+        check_positive(self.variance_R, "variance_R")
+        check_positive(self.M0, "M0")
 
     @property
     def tau_R(self):
@@ -50,19 +48,15 @@ class MarketParams:
 
 def tau_from_volatility(sigma, variance_R):
     """Correlation time tau_R = sigma^2 / (2 <R^2>)."""
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise DomainError("sigma must be positive and finite")
-    if not (np.isfinite(variance_R) and variance_R > 0.0):
-        raise DomainError("variance_R must be positive and finite")
+    check_positive(sigma, "sigma", DomainError)
+    check_positive(variance_R, "variance_R", DomainError)
     return sigma * sigma / (2.0 * variance_R)
 
 
 def sigma_from_tau(tau_R, variance_R):
     """Volatility sigma = sqrt(2 <R^2> tau_R); inverse of tau_from_volatility."""
-    if not (np.isfinite(tau_R) and tau_R > 0.0):
-        raise DomainError("tau_R must be positive and finite")
-    if not (np.isfinite(variance_R) and variance_R > 0.0):
-        raise DomainError("variance_R must be positive and finite")
+    check_positive(tau_R, "tau_R", DomainError)
+    check_positive(variance_R, "variance_R", DomainError)
     return np.sqrt(2.0 * variance_R * tau_R)
 
 
@@ -113,8 +107,7 @@ def price_from_returns(r_path, mu, M0=1.0):
         raise InputError(f"r_path must have kind 'return-rate', got {r_path.kind!r}")
     if not np.isfinite(mu):
         raise InputError("mu must be finite")
-    if not (np.isfinite(M0) and M0 > 0.0):
-        raise DomainError("M0 must be positive")
+    check_positive(M0, "M0", DomainError)
     r = r_path.paths
     h = r_path.h
     integral = np.zeros((r.shape[0], r.shape[1] + 1))
@@ -179,14 +172,12 @@ def simulate_white_returns(tau_R, variance_R, n_steps, h, n_paths, seed):
     previous block's last value forward; it agrees with the step-by-step
     loop to rounding.
     """
-    if not (np.isfinite(tau_R) and tau_R > 0.0):
-        raise DomainError("tau_R must be positive and finite")
-    if not (np.isfinite(variance_R) and variance_R > 0.0):
-        raise DomainError("variance_R must be positive and finite")
-    if not (np.isfinite(h) and h > 0.0):
-        raise InputError("h must be positive and finite")
-    n_steps, n_paths = _check_counts(n_steps, n_paths)
-    _check_seed(seed)
+    check_positive(tau_R, "tau_R", DomainError)
+    check_positive(variance_R, "variance_R", DomainError)
+    check_positive(h, "h")
+    n_steps = check_count(n_steps, "n_steps", 1)
+    n_paths = check_count(n_paths, "n_paths", 1)
+    check_seed(seed)
     alpha = np.exp(-h / tau_R)
     scale = np.sqrt(variance_R * (1.0 - alpha * alpha))
     # draw per path so stream i is a fixed function of (seed, i)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, InputError, SolverError
+from .errors import CapabilityError, DomainError, InputError, SolverError, check_positive
 from .specfun import (
     _return_like,
     bessel_j0,
@@ -90,18 +90,15 @@ class ModelSpec:
     def __post_init__(self):
         if not isinstance(self.variant, Variant):
             raise InputError("variant must be a Variant")
-        if not (np.isfinite(self.variance) and self.variance > 0):
-            raise InputError("variance must be positive and finite")
+        check_positive(self.variance, "variance")
         if self.is_stock_family:
-            if self.tau_r is None or not (np.isfinite(self.tau_r) and self.tau_r > 0):
-                raise InputError("stock-family models require tau_r > 0")
+            check_positive(self.tau_r, "stock-family tau_r")
             if not (np.isfinite(self.tau_R) and self.tau_R >= 0):
                 raise InputError("stock-family models require tau_R >= 0")
         else:
             if self.tau_r is not None:
                 raise InputError(f"{self.variant.value} does not take tau_r")
-            if not (np.isfinite(self.tau_R) and self.tau_R > 0):
-                raise InputError("market-family models require tau_R > 0")
+            check_positive(self.tau_R, "market-family tau_R")
 
     # -- constructors ----------------------------------------------------
     @classmethod

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SpectralPositivityError
+from .errors import InputError, SpectralPositivityError, check_count, check_positive, check_seed
 from .series import PathEnsemble, SpectralDensity
 
 EIGENVALUE_CLAMP = 1e-8  # relative to the largest circulant eigenvalue
@@ -46,7 +46,6 @@ LANES = {"colored-force": 0, "wiener": 1, "white-return": 2, "spectral-line": 3}
 # paths per batched inverse FFT: bounds the transient spectrum and output
 # buffers to a constant beside the n_paths x n_steps result
 _SYNTHESIS_BLOCK = 64
-_MAX_SEED = 2**64 - 1
 
 
 # numpy's SeedSequence hash, continued from the pool of four uint32 words
@@ -109,22 +108,6 @@ def path_streams(seed, lane, start, stop):
         yield stream
 
 
-def _check_seed(seed):
-    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)):
-        raise InputError("seed must be an integer")
-    if not (0 <= int(seed) <= _MAX_SEED):
-        raise InputError("seed must fit in 64 bits")
-    return int(seed)
-
-
-def _check_counts(n_steps, n_paths):
-    if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 1):
-        raise InputError("n_steps must be a positive integer")
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
-        raise InputError("n_paths must be an integer >= 1")
-    return int(n_steps), int(n_paths)
-
-
 @dataclass(frozen=True)
 class NoiseRequest:
     """Everything needed to synthesize one reproducible colored ensemble:
@@ -139,16 +122,15 @@ class NoiseRequest:
     h: float
 
     def __post_init__(self):
-        n_steps, n_paths = _check_counts(self.n_steps, self.n_paths)
+        n_steps = check_count(self.n_steps, "n_steps", 2)
+        if n_steps % 2:
+            raise InputError("n_steps must be even")
         object.__setattr__(self, "n_steps", n_steps)
-        object.__setattr__(self, "n_paths", n_paths)
-        if n_steps < 2 or n_steps % 2:
-            raise InputError("n_steps must be even (>= 2)")
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "n_paths", check_count(self.n_paths, "n_paths", 1))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if not isinstance(self.target_spectrum, SpectralDensity):
             raise InputError("target_spectrum must be a SpectralDensity")
-        if self.h is None or not (np.isfinite(self.h) and self.h > 0):
-            raise InputError("h must be positive and finite")
+        check_positive(self.h, "h")
 
 
 def circulant_spectrum(request):
@@ -224,10 +206,10 @@ def generate_colored(request):
 
 def generate_wiener_increments(n_steps, h, n_paths, seed):
     """I.i.d. Gaussian increments, mean 0 and variance h per step."""
-    n_steps, n_paths = _check_counts(n_steps, n_paths)
-    seed = _check_seed(seed)
-    if not (np.isfinite(h) and h > 0):
-        raise InputError("h must be positive and finite")
+    n_steps = check_count(n_steps, "n_steps", 1)
+    n_paths = check_count(n_paths, "n_paths", 1)
+    seed = check_seed(seed)
+    check_positive(h, "h")
     paths = np.empty((n_paths, n_steps))
     for row, stream in zip(paths, path_streams(seed, "wiener", 0, n_paths)):
         stream.standard_normal(out=row)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_positive
 
 # The Boltzmann-class ACF genuinely overshoots 1 near lag zero (peak ~1.213
 # around 0.2 tau_R; its force spectrum is not positive), so the plausibility
@@ -49,10 +49,8 @@ class AcfSeries:
     variance: float = 1.0
 
     def __post_init__(self):
-        if not (self.h > 0):
-            raise InputError("AcfSeries step h must be positive")
-        if not (self.variance > 0):
-            raise InputError("AcfSeries variance must be positive")
+        check_positive(self.h, "AcfSeries step h")
+        check_positive(self.variance, "AcfSeries variance")
         arr = _as_1d(self.values, "AcfSeries values")
         if abs(arr[0] - 1.0) > 1e-9:
             raise InputError("AcfSeries values[0] must be 1 (normalized)")
@@ -76,8 +74,7 @@ class KernelSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (self.h > 0):
-            raise InputError("KernelSeries step h must be positive")
+        check_positive(self.h, "KernelSeries step h")
         object.__setattr__(self, "values", _as_1d(self.values, "KernelSeries values"))
 
     @property
@@ -129,8 +126,7 @@ class PathEnsemble:
     stream_indices: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not (self.h > 0):
-            raise InputError("PathEnsemble step h must be positive")
+        check_positive(self.h, "PathEnsemble step h")
         arr = np.asarray(self.paths, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise InputError("PathEnsemble paths must be a nonempty 2-d array")

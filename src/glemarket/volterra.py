@@ -67,12 +67,12 @@ import math
 
 import numpy as np
 
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, check_count, check_positive, check_seed
 from .laplace import invert_at
 from .laplace import spectral_density  # noqa: F401  perfbench's tracer patches this name here
 from .market import simulate_white_returns
 from .models import CATALOG, Variant, band_variance, observable_evaluator, spectral_atom
-from .noise import NoiseRequest, _check_counts, _check_seed, generate_colored, path_streams
+from .noise import NoiseRequest, generate_colored, path_streams
 from .series import AcfSeries, KernelSeries, PathEnsemble, SpectralDensity
 from .specfun import lambda1
 
@@ -99,10 +99,8 @@ def memory_kernel(model, h, n_points):
 
 
 def _check_grid(h, n_points):
-    if not (np.isfinite(h) and h > 0):
-        raise InputError("h must be positive and finite")
-    if not (isinstance(n_points, (int, np.integer)) and n_points >= 2):
-        raise InputError("n_points must be an integer >= 2")
+    check_positive(h, "h")
+    check_count(n_points, "n_points", 2)
 
 
 def _five_smooth(n):
@@ -283,8 +281,8 @@ def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed):
     PathEnsemble of kind "return-rate" with ``n_steps`` samples per path.
     """
     _check_grid(h, n_steps)
-    _check_counts(n_steps, n_paths)
-    _check_seed(seed)
+    check_count(n_paths, "n_paths", 1)
+    check_seed(seed)
     CATALOG[model.variant].require(model, "simulate")
     if model.memoryless:
         return simulate_white_returns(model.corr_time, model.variance, n_steps, h, n_paths, seed)

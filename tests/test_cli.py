@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 import glemarket.cli as cli
 import glemarket.laplace as laplace
-from glemarket.cli import RunConfig, main, parse_config, serialize_config
+from glemarket.cli import RunConfig, main, parse_config
+from glemarket import errors
 from glemarket.errors import AccuracyError, InputError, ParseError, SolverError
 from glemarket.models import (CATALOG, ROUTES, Variant, force_shape, identity_residual,
                               observable_shape)
@@ -39,6 +40,17 @@ def read_csv(path):
 
 
 # -- config ----------------------------------------------------------------------
+
+
+def serialize_config(config):
+    """Canonical text form; parse_config(serialize_config(c)) == c."""
+    lines = [f"out_dir = {config.out_dir}"]
+    if config.seed is not None:
+        lines.insert(0, f"seed = {config.seed}")
+    if config.tolerance is not None:
+        lines.append(f"tolerance = {config.tolerance!r}")
+    lines.extend(f"{key} = {value!r}" for key, value in config.presets)
+    return "\n".join(lines) + "\n"
 
 
 class TestRunConfig:
@@ -175,6 +187,14 @@ class TestAcf:
         assert run_cli(*args, "--config", str(config))[0] == 4
         # the flag still wins over the config
         assert run_cli(*args, "--config", str(config), "--tolerance", "1e-6")[0] == 0
+
+    def test_infinite_tolerance_is_bad_input(self, tmp_path):
+        # inf would disable the accuracy check; a config inf is refused alike
+        code, _, err = run_cli("acf", "--out-dir", str(tmp_path), "--model", "selfsim",
+                               "--route", "laplace", "--h", "0.05", "--n-points", "50",
+                               "--tolerance", "inf")
+        assert code == 2 and "tolerance must be positive and finite" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("route", ["closed", "volterra"])
     def test_tolerance_flag_is_refused_off_the_laplace_route(self, tmp_path, route):
@@ -407,15 +427,15 @@ class TestSimulate:
             assert code == 2 and "takes --tau-R only" in err, command
         assert not (tmp_path / "simulate_paths.csv").exists()
 
-    @pytest.mark.parametrize("flag", ["--theta", "--tau-r", "--tau-R"])
+    @pytest.mark.parametrize("flag", ["--theta", "--tau-r", "--tau-R", "--variance"])
     def test_gbm_refuses_model_flags(self, tmp_path, flag):
+        # gbm prices read mu, sigma and M0 alone: a return variance changes nothing
         code, _, err = run_cli(
             "simulate", "--out-dir", str(tmp_path), "--model", "gbm", flag, "2",
             "--n-paths", "1", "--n-steps", "64", "--h", "0.1", "--seed", "1",
         )
-        assert code == 2
-        assert all(name in err for name in ("--mu", "--sigma", "--variance", "--M0"))
-        assert not (tmp_path / "simulate_paths.csv").exists()
+        assert code == 2 and "model 'gbm' takes --mu, --sigma and --M0 only" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_required(self, tmp_path):
         code, _, err = run_cli(
@@ -846,6 +866,26 @@ class TestAudit:
         )
         assert code == 2 and "seed" in err
 
+    def test_seed_without_complex_points_is_refused(self, tmp_path):
+        # the real grid draws nothing, so an explicit --seed would change nothing
+        argv = ["audit", "--model", "selfsim", "--n-real", "4"]
+        code, out, err = run_cli(*argv, "--seed", "5")
+        assert code == 2 and out == "" and "--seed seeds the --n-complex points only" in err
+        # one config serves every command: its seed stays accepted
+        config = tmp_path / "seeded.cfg"
+        config.write_text("seed = 5\n", encoding="utf-8")
+        assert run_cli(*argv, "--config", str(config)) == run_cli(*argv)
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_tolerance_is_bad_input_from_flag_or_config(self, tmp_path, value):
+        # exit 2 before any row is computed, never 4 (failed rows) or 0
+        argv = ["audit", "--model", "selfsim", "--n-real", "4"]
+        config = tmp_path / "tolerance.cfg"
+        config.write_text(f"tolerance = {value}\n", encoding="utf-8")
+        expected = (2, "", "error: tolerance must be positive and finite\n")
+        assert run_cli(*argv, "--tolerance", value) == expected
+        assert run_cli(*argv, "--config", str(config)) == expected
+
     @pytest.mark.parametrize("model", ["boltzmann", "differential"])
     def test_lambert_models_pass_on_the_complex_grid(self, model):
         # closure rows at 1e-10 on 200 seeded right-half-plane points;
@@ -1127,6 +1167,30 @@ def test_block_write_failure_exits_2(tmp_path, monkeypatch):
 
 
 # -- process-level behavior ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("error,code", [
+    (errors.GleMarketError, 2),
+    (errors.InputError, 2),
+    (errors.DomainError, 2),
+    (errors.ParseError, 2),
+    (errors.DegenerateSeriesError, 2),
+    (errors.CapabilityError, 3),
+    (errors.AccuracyError, 4),
+    (errors.SolverError, 4),
+    (errors.SpectralPositivityError, 4),
+])
+def test_each_error_class_exits_with_its_code(tmp_path, monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "lambda1", fail)
+    assert error.exit_code == code
+    got, out, err = run_cli("fig1", "--out-dir", str(tmp_path))
+    assert (got, out) == (code, "") and err.startswith("error: planted")
+    # only a capability gap prints the matrix
+    assert (cli.CAPABILITY_MATRIX in err) == (code == 3)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command,target,argv", [
