@@ -3,15 +3,19 @@ and identity auditing, glued together with CSV files and a flat config file.
 
 Conventions shared by every subcommand:
 
+* Flags: ``FLAGS`` names the commands that take each flag and when each
+  reads it, such as ``--sigma``, read by gbm only; a flag given where it
+  is not read exits 2 before anything is written.  ``acf`` and ``audit``
+  accept ``--variance`` but do not read it for now.
 * CSV only, header row mandatory, dot decimal separator, fixed column
   order, "\n" line endings, trailing newline.  Floats are written with
   repr, the shortest round-tripping form, so output is locale-independent
   and byte-identical across reruns.
 * Config file: flat ``key = value`` lines (``#`` comments and blank lines
-  allowed).  Recognized keys: ``seed``, ``out_dir``, ``tolerance``, and
-  model parameter presets ``model.<name>``; any other key is a ParseError
-  with its line number.  Flags override config values, which override
-  built-in defaults.
+  allowed).  Each key presets its flag in ``FLAGS``; as one config serves
+  every command, a key is accepted by all and read only where its flag
+  would be.  Any other key is a ParseError with its line number.  Flags
+  override config values, which override built-in defaults.
 * Exit codes: 0 success, 2 bad input (including parse and degenerate-data
   errors), 3 capability gap (the combination is not defined), 4 accuracy
   or convergence failure.
@@ -61,16 +65,6 @@ from .specfun import lambda0, lambda1
 from .volterra import (_circulant_length, boltzmann_acf, differential_acf, memory_kernel,
                        propagate_acf, simulate_stationary_ensemble)
 
-_PRESET_KEYS = (
-    "model.tau_r",
-    "model.tau_R",
-    "model.theta",
-    "model.variance",
-    "model.mu",
-    "model.sigma",
-    "model.M0",
-)
-
 CAPABILITY_MATRIX = (
     "Model capability matrix: a note starting with 'no' refuses its route, and volterra\n"
     "also refuses the memoryless white and stock theta = 0 models (exit code 3):\n\n"
@@ -88,13 +82,12 @@ class RunConfig:
     presets: tuple = ()
 
     def __post_init__(self):
-        if self.seed is not None:
-            check_seed(self.seed)
-        if self.tolerance is not None:
-            check_positive(self.tolerance, "tolerance")
+        for key in ("seed", "tolerance"):
+            if getattr(self, key) is not None:
+                _CONFIG_FLAGS[key].check(getattr(self, key), key)
         object.__setattr__(self, "presets", tuple(sorted(dict(self.presets).items())))
         for key, value in self.presets:
-            if key not in _PRESET_KEYS:
+            if not key.startswith("model.") or key not in _CONFIG_FLAGS:
                 raise InputError(f"unknown preset key {key!r}")
             if not np.isfinite(value):
                 raise InputError(f"preset {key} must be finite")
@@ -117,17 +110,12 @@ def parse_config(text):
         key, value = key.strip(), value.strip()
         if key in fields or key in presets:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
-        if key not in ("seed", "out_dir", "tolerance") and key not in _PRESET_KEYS:
+        if key not in _CONFIG_FLAGS:
             raise ParseError(f"unknown config key {key!r}", line=lineno)
+        # a key's value parses as its flag's does
+        parse = _CONFIG_FLAGS[key].keywords.get("type", str)
         try:
-            if key == "seed":
-                fields[key] = int(value)
-            elif key == "out_dir":
-                fields[key] = value
-            elif key == "tolerance":
-                fields[key] = float(value)
-            else:
-                presets[key] = float(value)
+            (presets if key.startswith("model.") else fields)[key] = parse(value)
         except ValueError:
             raise ParseError(
                 f"could not parse value {value!r} for key {key!r}", line=lineno
@@ -204,7 +192,7 @@ def _write_columns(path, header, *columns):
 
 
 def _out_path(args, filename):
-    out_dir = args.out_dir if args.out_dir is not None else args.config.out_dir
+    out_dir = _param(args, "out_dir")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -213,29 +201,21 @@ def _out_path(args, filename):
 
 
 def _resolved_seed(args):
-    seed = args.seed if args.seed is not None else args.config.seed
+    seed = _param(args, "seed")
     if seed is None:
         raise InputError(
             "this command draws random numbers: pass --seed (or set seed in the config)"
         )
-    return check_seed(seed)
+    return seed
 
 
-def _resolved_tolerance(args, default):
-    """--tolerance, else the config's tolerance, else the command's default;
-    one rule for either source: positive and finite."""
-    for tolerance in (args.tolerance, args.config.tolerance):
-        if tolerance is not None:
-            return check_positive(tolerance, "tolerance")
+def _param(args, name, default=None):
+    """The flag ``name`` if given, else the config's field or ``model.``
+    preset of that name, else ``default``."""
+    for value in (getattr(args, name), getattr(args.config, name, None), args.config.preset(name)):
+        if value is not None:
+            return value
     return default
-
-
-def _param(args, name, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    preset = args.config.preset(name)
-    return default if preset is None else preset
 
 
 # -- model construction -----------------------------------------------------------
@@ -245,8 +225,6 @@ def _build_model(args):
     row = CATALOG[Variant(args.model)]
     variance = _param(args, "variance", 1.0)
     if row.family == "market":
-        if args.tau_r is not None or args.theta is not None:
-            raise InputError(f"model {args.model!r} takes --tau-R only")
         return row.make(_param(args, "tau_R", 1.0), variance=variance)
     theta, tau_R = args.theta, args.tau_R
     if theta is None and tau_R is None:
@@ -257,24 +235,10 @@ def _build_model(args):
     return row.make(_param(args, "tau_r", 1.0), theta=theta, tau_R=tau_R, variance=variance)
 
 
-def _add_model_arguments(parser, models):
-    parser.add_argument("--model", required=True, choices=models)
-    parser.add_argument("--tau-R", type=float, default=None, dest="tau_R",
-                        help="market memory time (market-family models, or stock via ratio)")
-    parser.add_argument("--tau-r", type=float, default=None, dest="tau_r",
-                        help="stock correlation time (stock-family models)")
-    parser.add_argument("--theta", type=float, default=None,
-                        help="memory ratio tau_R/tau_r (stock-family models)")
-    parser.add_argument("--variance", type=float, default=None,
-                        help="equal-time second moment (default 1)")
-
-
 # -- subcommands --------------------------------------------------------------------
 
 
 def cmd_fig1(args):
-    check_count(args.n_points, "--n-points", 2)
-    check_positive(args.max_lag_ratio, "--max-lag-ratio")
     ratio = np.linspace(0.0, args.max_lag_ratio, args.n_points)
     col1 = lambda1(2.0 * ratio)
     col0 = lambda0(2.0 * ratio)
@@ -298,12 +262,8 @@ def _acf_by_route(model, route, h, n_points, tolerance):
 
 def cmd_acf(args):
     model = _build_model(args)
-    check_positive(args.h, "--h")
-    check_count(args.n_points, "--n-points", 2)
-    if args.tolerance is not None and args.route != "laplace":
-        raise InputError(f"--tolerance applies to --route laplace only, not {args.route}")
     CATALOG[model.variant].require(model, args.route)
-    values = _acf_by_route(model, args.route, args.h, args.n_points, _resolved_tolerance(args, 1e-6))
+    values = _acf_by_route(model, args.route, args.h, args.n_points, _param(args, "tolerance", 1e-6))
     path = _out_path(args, args.out)
     _write_columns(path, ["lag", "acf"], args.h * np.arange(args.n_points), values)
     print(f"wrote {path} ({args.n_points} rows, model={args.model}, route={args.route})")
@@ -339,16 +299,6 @@ def _simulate_size(args, model):
 
 def cmd_simulate(args):
     seed = _resolved_seed(args)
-    check_positive(args.h, "--h")
-    # the summary ACF needs at least 4 samples (lag 1 at n/4)
-    check_count(args.n_steps, "--n-steps", 4)
-    check_count(args.n_paths, "--n-paths", 1)
-    # checked for every model, before anything is written
-    check_count(args.max_lag, "--max-lag", 1)
-    if args.model == "gbm" and (args.theta, args.tau_r, args.tau_R, args.variance) != (None,) * 4:
-        raise InputError("model 'gbm' takes --mu, --sigma and --M0 only")
-    if args.model == "gbm" and args.emit_prices:
-        raise InputError("model 'gbm' writes prices already; --emit-prices is for return models")
     model = None if args.model == "gbm" else _build_model(args)
     size = _simulate_size(args, model)
     try:
@@ -364,7 +314,7 @@ def _run_simulate(args, model, seed):
         params = MarketParams(
             mu=_param(args, "mu", 0.0),
             sigma=_param(args, "sigma", 0.2),
-            variance_R=_param(args, "variance", 1.0),
+            variance_R=1.0,  # gbm prices never read the return variance
             M0=_param(args, "M0", 1.0),
         )
         increments = generate_wiener_increments(args.n_steps, args.h, args.n_paths, seed)
@@ -482,7 +432,7 @@ def _read_price_csv(path):
 
 def _infer_h(args, t):
     if args.h is not None:
-        return check_positive(args.h, "--h")
+        return args.h
     if t is None:
         raise InputError("input has no 't' column: pass --h explicitly")
     steps = np.diff(t)
@@ -580,7 +530,7 @@ def _audit_rows(model, args, tolerance):
         # defining derivative identity dg/du = y(u) in normalized units,
         # checked by central differences; accuracy is limited by the step,
         # so these rows pass at max(tolerance, 10 * step^2)
-        step = args.fd_step
+        step = 1e-4 if args.fd_step is None else args.fd_step
         fd_tol = max(tolerance, 10.0 * step * step)
         u = model.tau_R * p_real
         du = step * np.maximum(u, 1.0)
@@ -599,18 +549,7 @@ def cmd_audit(args):
     """Print (and optionally write) the audit table; exit 4 on any failed row.
     The real grid and the complex grid each cost one identity_residual call."""
     model = _build_model(args)
-    check_count(args.n_real, "--n-real", 2)
-    check_count(args.n_complex, "--n-complex", 0)
-    if args.seed is not None and args.n_complex == 0:
-        raise InputError("--seed seeds the --n-complex points only; the real grid draws nothing")
-    u_min = 10.0 ** _AUDIT_DECADES[0]
-    if not 0 < args.fd_step <= u_min:  # nan and inf fail it too
-        raise InputError(
-            f"--fd-step must be in (0, {u_min!r}]: derivative rows evaluate g at "
-            f"u - du = u - fd_step * max(u, 1), which must stay >= 0 down to the "
-            f"smallest grid point u = tau_R p = {u_min!r}"
-        )
-    tolerance = _resolved_tolerance(args, 1e-10)
+    tolerance = _param(args, "tolerance", 1e-10)
     rows, failures = _audit_rows(model, args, tolerance)
     print("check,p_real,p_imag,residual,status")
     for row in rows:
@@ -627,7 +566,154 @@ def cmd_audit(args):
     return 0
 
 
-# -- argument parsing ----------------------------------------------------------------
+# -- the flag table ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Flag:
+    """A flag: argparse keywords, the check a given or config value must
+    pass as ``check(value, name)``, its config key, and per command the
+    keywords that differ there, with ``read``, the (wording, test) of when
+    the command reads it if not always, and ``check`` if that differs."""
+
+    name: str
+    keywords: dict
+    cells: dict
+    check: object = None
+    config: str | None = None
+
+
+def _at_least(minimum):
+    return functools.partial(check_count, minimum=minimum)
+
+
+def _check_fd_step(step, name):
+    u_min = 10.0 ** _AUDIT_DECADES[0]
+    if not 0 < step <= u_min:  # nan and inf fail it too
+        raise InputError(
+            f"{name} must be in (0, {u_min!r}]: derivative rows evaluate g at "
+            f"u - du = u - fd_step * max(u, 1), which must stay >= 0 down to the "
+            f"smallest grid point u = tau_R p = {u_min!r}"
+        )
+
+
+# each command's function, one-line help and description
+_COMMANDS = {
+    "fig1": (cmd_fig1, "emit the two market-ACF reference curves vs dimensionless lag",
+             "CSV columns: lag_ratio (tau/tau_R), lambda1(2 tau/tau_R), lambda0(2 tau/tau_R);\n"
+             "the first row is (0, 1, 1)."),
+    "acf": (cmd_acf, "evaluate a model ACF by the closed, laplace, or volterra route",
+            "Emits CSV columns (lag, acf).\n\n" + CAPABILITY_MATRIX),
+    "simulate": (cmd_simulate, "synthesize a seeded path ensemble plus an ACF/variance summary",
+                 "gbm draws geometric Brownian prices from --mu, --sigma and --M0; the\n"
+                 "catalog models draw stationary return rates (simulate column below).\n"
+                 + _LANE_LEGEND + "\n\n" + CAPABILITY_MATRIX),
+    "estimate": (cmd_estimate, "fit (tau_r, theta) and the stock class to a price series CSV",
+                 "Input CSV header must be 't,price' or 'price'.\n"
+                 "The fitted report is printed as key = value lines."),
+    "audit": (cmd_audit, "evaluate closure-identity residuals on a p grid and flag failures",
+              "Rows: closure residual |y (tau p + g) - 1| on a real log grid, plus --n-complex random\n"
+              "right-half-plane points; for differential, central-difference rows of dg/du = y.\n\n"
+              + CAPABILITY_MATRIX),
+}
+
+# when a command reads a flag: (wording, test on the parsed arguments)
+_STOCK = ("a stock-family --model",
+          lambda args: args.model != "gbm" and CATALOG[Variant(args.model)].family == "stock")
+_RETURNS = ("a return-rate --model, not gbm", lambda args: args.model != "gbm")
+_PRICES = ("--model gbm or --emit-prices", lambda args: args.model == "gbm" or args.emit_prices)
+
+FLAGS = (
+    Flag("--config", dict(help="flat key=value config file"), dict.fromkeys(_COMMANDS, {})),
+    Flag("--out-dir", dict(help="output directory (default: config out_dir or '.')"),
+         dict.fromkeys(_COMMANDS, {}), config="out_dir"),
+    Flag("--input", dict(required=True, help="price CSV path"), {"estimate": {}}),
+    Flag("--model", dict(required=True, choices=[v.value for v in Variant]), {"acf": {}, "audit": {},
+         "simulate": dict(choices=["gbm"] + [v.value for v, r in CATALOG.items() if r.supports("simulate")])}),
+    Flag("--tau-R", dict(type=float, help="market memory time (market-family models, or stock via ratio)"),
+         {"acf": {}, "simulate": dict(read=_RETURNS), "audit": {}}, config="model.tau_R"),
+    Flag("--tau-r", dict(type=float, help="stock correlation time (stock-family models)"),
+         dict.fromkeys(("acf", "simulate", "audit"), dict(read=_STOCK)), config="model.tau_r"),
+    Flag("--theta", dict(type=float, help="memory ratio tau_R/tau_r (stock-family models)"),
+         dict.fromkeys(("acf", "simulate", "audit"), dict(read=_STOCK)), config="model.theta"),
+    # acf and audit accept --variance without reading it, because their ACFs
+    # are normalized: the benchmark's curves workload passes it to both
+    Flag("--variance", dict(type=float, help="equal-time second moment (default 1)"),
+         {"acf": {}, "simulate": dict(read=_RETURNS), "audit": {}}, config="model.variance"),
+    Flag("--route", dict(required=True, choices=ROUTES[:3]), {"acf": {}}),  # the ACF routes
+    Flag("--seed", dict(type=int), {
+        "simulate": dict(help="master seed (required)"),
+        "audit": dict(read=("--n-complex above 0", lambda args: args.n_complex > 0),
+                      help="master seed of the --n-complex points (required with them only)"),
+    }, check=lambda seed, _: check_seed(seed), config="seed"),
+    # worded as the config key's check, so that the flag and the key refuse alike
+    Flag("--tolerance", dict(type=float), {
+        "acf": dict(read=("--route laplace", lambda args: args.route == "laplace"),
+                    help="laplace accuracy target (default 1e-6)"),
+        "audit": dict(help="closure residual bound (default 1e-10)"),
+    }, check=lambda tolerance, _: check_positive(tolerance, "tolerance"), config="tolerance"),
+    Flag("--mu", dict(type=float, help="drift rate (gbm / --emit-prices)"),
+         {"simulate": dict(read=_PRICES)}, config="model.mu"),
+    Flag("--sigma", dict(type=float, help="gbm volatility"),
+         {"simulate": dict(read=("--model gbm", lambda args: args.model == "gbm"))}, config="model.sigma"),
+    Flag("--M0", dict(type=float, help="initial price"), {"simulate": dict(read=_PRICES)}, config="model.M0"),
+    Flag("--max-lag-ratio", dict(type=float, default=12.0), {"fig1": {}}, check=check_positive),
+    Flag("--n-paths", dict(type=int, required=True), {"simulate": {}}, check=_at_least(1)),
+    # the summary ACF needs at least 4 samples (lag 1 at n/4)
+    Flag("--n-steps", dict(type=int, required=True), {"simulate": {}}, check=_at_least(4)),
+    Flag("--h", dict(type=float), {
+        "acf": dict(required=True, help="lag step"),
+        "simulate": dict(required=True, help="time step"),
+        "estimate": dict(help="sample spacing (default: inferred from the 't' column)"),
+    }, check=check_positive),
+    Flag("--n-points", dict(type=int), {"fig1": dict(default=481), "acf": dict(default=256)},
+         check=_at_least(2)),
+    Flag("--detrend", dict(choices=["sample-mean", "none"], default="sample-mean"), {"estimate": {}}),
+    Flag("--max-lag", dict(type=int, default=400), {
+        "simulate": dict(help="summary ACF lag cap", check=_at_least(1)),
+        # the fit needs 8 lags; a series too short for them is refused later
+        "estimate": dict(help="ACF lag cap (also capped at n/4)", check=_at_least(8)),
+    }),
+    Flag("--lag-window", dict(type=float, help="fit window in time units (default: the full ACF range)"),
+         {"estimate": {}}),
+    Flag("--emit-prices", dict(action="store_true",
+                               help="also write price paths integrated from the return rates"),
+         {"simulate": dict(read=_RETURNS)}),
+    Flag("--n-real", dict(type=int, default=100, help="log-spaced real-axis points"),
+         {"audit": {}}, check=_at_least(2)),
+    Flag("--n-complex", dict(type=int, default=0, help="random right-half-plane points (requires --seed)"),
+         {"audit": {}}, check=_at_least(0)),
+    Flag("--fd-step", dict(type=float, help="derivative-identity step, du = step * max(u, 1) at "
+                           "u = tau_R p, in (0, 0.01] so u - du >= 0 on the grid (default 1e-4); "
+                           "rows pass at max(tolerance, 10 step^2)"),
+         {"audit": dict(read=("--model differential", lambda args: args.model == "differential"))},
+         check=_check_fd_step),
+    Flag("--out", {}, {
+        "fig1": dict(default="fig1.csv"),
+        "acf": dict(default="acf.csv"),
+        "simulate": dict(default="simulate", help="output basename"),
+        "estimate": dict(help="optional one-row CSV report"),
+        "audit": dict(help="optional CSV copy of the table"),
+    }),
+)
+
+_CONFIG_FLAGS = {flag.config: flag for flag in FLAGS if flag.config}
+
+
+def _check_flags(args):
+    """Refuse each given flag that ``args.command`` does not read with the
+    other arguments, then check it: exit 2 before anything is written."""
+    for flag in FLAGS:
+        cell = flag.cells.get(args.command)
+        value = None if cell is None else getattr(args, flag.name[2:].replace("-", "_"))
+        if value is None or value is False:
+            continue
+        wording, reads = cell.get("read", (None, None))
+        if reads is not None and not reads(args):
+            raise InputError(f"{args.command} reads {flag.name} only with {wording}")
+        check = cell.get("check", flag.check)
+        if check is not None:
+            check(value, flag.name)
 
 
 def _build_parser():
@@ -638,103 +724,15 @@ def _build_parser():
         epilog=CAPABILITY_MATRIX,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    models = [v.value for v in Variant]
-
-    def common(p):
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--out-dir", default=None, help="output directory (default: config out_dir or '.')")
-
-    p = sub.add_parser(
-        "fig1",
-        help="emit the two market-ACF reference curves vs dimensionless lag",
-        description="CSV columns: lag_ratio (tau/tau_R), lambda1(2 tau/tau_R), lambda0(2 tau/tau_R); the first row is (0, 1, 1).",
-    )
-    common(p)
-    p.add_argument("--max-lag-ratio", type=float, default=12.0)
-    p.add_argument("--n-points", type=int, default=481)
-    p.add_argument("--out", default="fig1.csv")
-    p.set_defaults(func=cmd_fig1)
-
-    p = sub.add_parser(
-        "acf",
-        help="evaluate a model ACF by the closed, laplace, or volterra route",
-        description="Emits CSV columns (lag, acf).\n\n" + CAPABILITY_MATRIX,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    common(p)
-    _add_model_arguments(p, models)
-    p.add_argument("--route", required=True, choices=ROUTES[:3])  # the ACF routes
-    p.add_argument("--tolerance", type=float, default=None, help="laplace accuracy target (default 1e-6)")
-    p.add_argument("--h", type=float, required=True, help="lag step")
-    p.add_argument("--n-points", type=int, default=256)
-    p.add_argument("--out", default="acf.csv")
-    p.set_defaults(func=cmd_acf)
-
-    p = sub.add_parser(
-        "simulate",
-        help="synthesize a seeded path ensemble plus an ACF/variance summary",
-        description="gbm draws geometric Brownian prices from --mu, --sigma and --M0; the\n"
-        "catalog models draw stationary return rates (simulate column below).\n"
-        + _LANE_LEGEND + "\n\n" + CAPABILITY_MATRIX,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    common(p)
-    _add_model_arguments(
-        p, ["gbm"] + [v.value for v, row in CATALOG.items() if row.supports("simulate")]
-    )
-    p.add_argument("--seed", type=int, default=None, help="master seed (required)")
-    p.add_argument("--mu", type=float, default=None, help="drift rate (gbm / --emit-prices)")
-    p.add_argument("--sigma", type=float, default=None, help="gbm volatility")
-    p.add_argument("--M0", type=float, default=None, dest="M0", help="initial price")
-    p.add_argument("--n-paths", type=int, required=True)
-    p.add_argument("--n-steps", type=int, required=True)
-    p.add_argument("--h", type=float, required=True, help="time step")
-    p.add_argument("--max-lag", type=int, default=400, help="summary ACF lag cap")
-    p.add_argument("--emit-prices", action="store_true",
-                   help="also write price paths integrated from the return rates")
-    p.add_argument("--out", default="simulate", help="output basename")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser(
-        "estimate",
-        help="fit (tau_r, theta) and the stock class to a price series CSV",
-        description="Input CSV header must be 't,price' or 'price'. "
-        "The fitted report is printed as key = value lines.",
-    )
-    common(p)
-    p.add_argument("--input", required=True, help="price CSV path")
-    p.add_argument("--h", type=float, default=None,
-                   help="sample spacing (default: inferred from the 't' column)")
-    p.add_argument("--detrend", choices=["sample-mean", "none"], default="sample-mean")
-    p.add_argument("--max-lag", type=int, default=400, help="ACF lag cap (also capped at n/4)")
-    p.add_argument("--lag-window", type=float, default=None,
-                   help="fit window in time units (default: the full ACF range)")
-    p.add_argument("--out", default=None, help="optional one-row CSV report")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser(
-        "audit",
-        help="evaluate closure-identity residuals on a p grid and flag failures",
-        description="Rows: closure residual |y (tau p + g) - 1| on a real log grid, plus "
-        "--n-complex random\nright-half-plane points; for differential, central-difference "
-        "rows of dg/du = y.\n\n" + CAPABILITY_MATRIX,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    common(p)
-    _add_model_arguments(p, models)
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed of the --n-complex points (required with them only)")
-    p.add_argument("--tolerance", type=float, default=None, help="closure residual bound (default 1e-10)")
-    p.add_argument("--n-real", type=int, default=100, help="log-spaced real-axis points")
-    p.add_argument("--n-complex", type=int, default=0,
-                   help="random right-half-plane points (requires --seed)")
-    p.add_argument("--fd-step", type=float, default=1e-4,
-                   help="derivative-identity step, du = step * max(u, 1) at u = tau_R p, "
-                   "in (0, 0.01] so u - du >= 0 on the grid; rows pass at "
-                   "max(tolerance, 10 step^2)")
-    p.add_argument("--out", default=None, help="optional CSV copy of the table")
-    p.set_defaults(func=cmd_audit)
-
+    for command, (func, help, description) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help, description=description,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        for flag in FLAGS:
+            cell = flag.cells.get(command)
+            if cell is not None:
+                differs = {key: value for key, value in cell.items() if key not in ("read", "check")}
+                p.add_argument(flag.name, **{**flag.keywords, **differs})
+        p.set_defaults(func=func)
     return parser
 
 
@@ -748,6 +746,7 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        _check_flags(args)
         args.config = load_config(args.config) if args.config else RunConfig()
         return args.func(args)
     except GleMarketError as exc:  # each class carries its exit code

@@ -93,8 +93,8 @@ def check_positive(value, name, error=InputError):
 
 
 def check_count(value, name, minimum):
-    """``value`` as an int, if it is an integer >= ``minimum``; else InputError."""
-    if not isinstance(value, (int, np.integer)):
+    """``value`` as an int, if it is an integer (not a bool) >= ``minimum``; else InputError."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise InputError(f"{name} must be an integer")
     if value < minimum:
         raise InputError(f"{name} must be >= {minimum}")

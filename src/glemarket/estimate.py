@@ -114,7 +114,7 @@ def ensemble_acf(ensemble, max_lag):
     """
     if not isinstance(ensemble, PathEnsemble):
         raise InputError("ensemble must be a PathEnsemble")
-    max_lag = check_count(int(max_lag), "max_lag", 1)
+    max_lag = check_count(max_lag, "max_lag", 1)
     if ensemble.n_steps < 4 * max_lag:
         raise InputError(
             f"paths of length {ensemble.n_steps} are too short for "

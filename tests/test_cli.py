@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -202,7 +203,7 @@ class TestAcf:
                 route, "--h", "0.05", "--n-points", "50"]
         code, _, err = run_cli(*args, "--tolerance", "1e-20")
         assert code == 2
-        assert "--tolerance applies to --route laplace only" in err
+        assert "acf reads --tolerance only with --route laplace" in err
         assert not (tmp_path / "acf.csv").exists()
         # a config tolerance keeps its meaning: it only tunes the laplace route
         config = tmp_path / "strict.cfg"
@@ -424,17 +425,19 @@ class TestSimulate:
                 command, "--out-dir", str(tmp_path), "--model", "white",
                 "--theta", "2", "--tau-r", "5", *tail,
             )
-            assert code == 2 and "takes --tau-R only" in err, command
+            assert code == 2 and f"{command} reads --tau-r only with a stock-family --model" in err
         assert not (tmp_path / "simulate_paths.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--theta", "--tau-r", "--tau-R", "--variance"])
     def test_gbm_refuses_model_flags(self, tmp_path, flag):
         # gbm prices read mu, sigma and M0 alone: a return variance changes nothing
+        readers = ("a stock-family --model" if flag in ("--theta", "--tau-r")
+                   else "a return-rate --model, not gbm")
         code, _, err = run_cli(
             "simulate", "--out-dir", str(tmp_path), "--model", "gbm", flag, "2",
             "--n-paths", "1", "--n-steps", "64", "--h", "0.1", "--seed", "1",
         )
-        assert code == 2 and "model 'gbm' takes --mu, --sigma and --M0 only" in err
+        assert code == 2 and f"simulate reads {flag} only with {readers}" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_seed_required(self, tmp_path):
@@ -482,7 +485,8 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv,message", [
-        (["--model", "gbm", "--emit-prices"], "model 'gbm' writes prices already"),
+        (["--model", "gbm", "--emit-prices"],
+         "simulate reads --emit-prices only with a return-rate --model, not gbm"),
     ], ids=["gbm-emit-prices"])
     def test_flags_that_change_nothing_refused_before_writing(self, tmp_path, argv, message):
         # gbm always writes prices
@@ -764,6 +768,18 @@ class TestEstimate:
         report = dict(line.split(" = ") for line in out.strip().splitlines() if " = " in line)
         assert float(report["tau_r"]) > 0.1 * 400 / 3  # persistence beyond the window
 
+    def test_max_lag_below_the_fit_minimum_names_the_flag(self, tmp_path):
+        f = tmp_path / "p.csv"
+        write_prices(f, 1.0 + 0.01 * np.random.default_rng(0).standard_normal(400),
+                     times=0.1 * np.arange(400))
+        code, out, err = run_cli("estimate", "--input", str(f), "--max-lag", "5")
+        assert (code, out) == (2, "") and "--max-lag must be >= 8" in err
+        # a series with fewer than 8 usable lags is still too short, whatever the cap
+        write_prices(f, 1.0 + 0.01 * np.random.default_rng(0).standard_normal(20),
+                     times=0.1 * np.arange(20))
+        code, out, err = run_cli("estimate", "--input", str(f), "--max-lag", "8")
+        assert (code, out) == (2, "") and "series too short" in err
+
     def test_nonuniform_times_rejected(self, tmp_path):
         f = tmp_path / "t.csv"
         write_prices(f, np.linspace(1, 2, 50), times=np.linspace(0, 1, 50) ** 2)
@@ -824,10 +840,11 @@ def per_point_audit_rows(model, args, tolerance):
             residual, status = float("nan"), "no-converge"
         rows.append(["closure", repr(float(np.real(p))), repr(float(np.imag(p))), residual, status])
     if model.variant is Variant.DIFFERENTIAL:
-        fd_tol = max(tolerance, 10.0 * args.fd_step**2)
+        step = 1e-4 if args.fd_step is None else args.fd_step  # the documented default
+        fd_tol = max(tolerance, 10.0 * step**2)
         for p in p_real:
             u = model.tau_R * p
-            du = args.fd_step * max(u, 1.0)
+            du = step * max(u, 1.0)
             slope = (force_shape(model, (u + du) / model.tau_R)
                      - force_shape(model, (u - du) / model.tau_R)) / (2.0 * du)
             residual = abs(slope - observable_shape(model, p))
@@ -870,7 +887,7 @@ class TestAudit:
         # the real grid draws nothing, so an explicit --seed would change nothing
         argv = ["audit", "--model", "selfsim", "--n-real", "4"]
         code, out, err = run_cli(*argv, "--seed", "5")
-        assert code == 2 and out == "" and "--seed seeds the --n-complex points only" in err
+        assert code == 2 and out == "" and "audit reads --seed only with --n-complex above 0" in err
         # one config serves every command: its seed stays accepted
         config = tmp_path / "seeded.cfg"
         config.write_text("seed = 5\n", encoding="utf-8")
@@ -1004,11 +1021,157 @@ class TestAudit:
         # reference: the plain central difference, without the clamp at p = 0
         p = (1.0 / model.corr_time) * np.logspace(-2.0, 2.0, 60)
         u = model.tau_R * p
-        du = args.fd_step * np.maximum(u, 1.0)
+        du = 1e-4 * np.maximum(u, 1.0)
         slope = (force_shape(model, (u + du) / model.tau_R)
                  - force_shape(model, (u - du) / model.tau_R)) / (2.0 * du)
         expected = [repr(float(r)) for r in np.abs(slope - observable_shape(model, p))]
         assert [row[3] for row in rows if row[0] == "derivative"] == expected
+
+
+# -- the flag table ----------------------------------------------------------------
+
+
+MODELS = [v.value for v in Variant]
+
+# each command's argv contexts, on tiny grids: every model and route, with and
+# without --emit-prices and --n-complex; contexts that fail without any swept
+# flag changed (a capability gap, gbm --emit-prices) are skipped
+SWEEP_CONTEXTS = {
+    "fig1": [["--n-points", "8"]],
+    "acf": [["--model", model, "--route", route, "--h", "0.5", "--n-points", "8"]
+            for model in MODELS for route in ROUTES[:3]],
+    "simulate": [["--model", model, "--n-paths", "1", "--n-steps", "64", "--h", "0.5",
+                  "--seed", "1", *emit]
+                 for model in ("gbm", "white", "selfsim", "stock")
+                 for emit in ([], ["--emit-prices"])],
+    "estimate": [["--input", "{tmp}/prices_a.csv", "--out", "report.csv"]],
+    "audit": [["--model", model, "--n-real", "4", "--out", "audit.csv", *grid]
+              for model in MODELS for grid in ([], ["--n-complex", "2", "--seed", "1"])],
+}
+
+# two values of each flag; a store_true flag's are absent and given
+SWEEP_VALUES = {
+    "--config": ("{tmp}/x.cfg", "{tmp}/y.cfg"),
+    "--out-dir": ("{work}/x", "{work}/y"),
+    "--input": ("{tmp}/prices_a.csv", "{tmp}/prices_b.csv"),
+    "--model": ("selfsim", "white"),
+    "--tau-R": ("0.5", "2"),
+    "--tau-r": ("0.5", "2"),
+    "--theta": ("0.5", "1.5"),
+    "--variance": ("0.5", "2"),
+    "--route": ("closed", "laplace"),
+    "--seed": ("1", "2"),
+    "--tolerance": ("1e-6", "1e-30"),
+    "--mu": ("0.1", "0.2"),
+    "--sigma": ("0.1", "0.2"),
+    "--M0": ("1", "2"),
+    "--max-lag-ratio": ("4", "8"),
+    "--n-paths": ("1", "2"),
+    "--n-steps": ("64", "32"),
+    "--h": ("0.5", "0.25"),
+    "--n-points": ("8", "9"),
+    "--detrend": ("sample-mean", "none"),
+    "--max-lag": ("8", "9"),
+    "--lag-window": ("2", "4"),
+    "--emit-prices": (None, ""),
+    "--n-real": ("4", "5"),
+    "--n-complex": ("0", "2"),
+    "--fd-step": ("1e-4", "1e-3"),
+    "--out": ("a.csv", "b.csv"),
+}
+
+
+def with_flag(argv, flag, value):
+    """``argv`` without ``flag`` (and its value), then with ``flag value``;
+    a value of None leaves the flag out, "" gives it bare."""
+    out = list(argv)
+    if flag in out:
+        i = out.index(flag)
+        del out[i : i + (1 if i + 1 == len(out) or out[i + 1].startswith("--") else 2)]
+    if value is not None:
+        out += [flag] + ([value] if value else [])
+    return out
+
+
+def test_every_flag_is_read_or_refused(tmp_path):
+    # each (command, flag) cell of the table: in every context, two values of
+    # the flag write different stdout or files, or the flag is refused (exit 2,
+    # nothing written)
+    work = tmp_path / "work"
+    for name, seed in (("a", "3"), ("b", "4")):
+        assert run_cli("simulate", "--model", "stock", "--n-paths", "1", "--n-steps", "256",
+                       "--h", "0.125", "--seed", seed, "--emit-prices", "--out-dir",
+                       str(tmp_path), "--out", name)[0] == 0
+        (tmp_path / f"{name}_prices.csv").rename(tmp_path / f"prices_{name}.csv")
+    for name in ("x", "y"):
+        (tmp_path / f"{name}.cfg").write_text(f"out_dir = {work / name}\n", encoding="utf-8")
+    runs = {}
+
+    def outcome(command, argv):
+        argv = [command] + [a.format(tmp=tmp_path, work=work) for a in argv]
+        if "--out-dir" not in argv and "--config" not in argv:
+            argv += ["--out-dir", str(work)]
+        if tuple(argv) not in runs:
+            shutil.rmtree(work, ignore_errors=True)
+            code, out, err = run_cli(*argv)
+            files = {str(p.relative_to(work)): p.read_bytes()
+                     for p in sorted(work.rglob("*")) if p.is_file()}
+            runs[tuple(argv)] = code, out, err, files
+        return runs[tuple(argv)]
+
+    cells = [(command, flag.name) for flag in cli.FLAGS for command in flag.cells]
+    assert {flag for _, flag in cells} == set(SWEEP_VALUES)
+    for command, flag in cells:
+        for context in SWEEP_CONTEXTS[command]:
+            if outcome(command, context)[0] != 0:
+                continue
+            a, b = (outcome(command, with_flag(context, flag, value))
+                    for value in SWEEP_VALUES[flag])
+            if flag == "--variance" and command in ("acf", "audit"):
+                # accepted but not read, as the ACFs are normalized; ROADMAP
+                # item 2 drops it from the benchmark so that it can be refused
+                assert a == b and a[0] == 0, (command, context)
+            elif f"{command} reads {flag} only with" in b[2]:
+                assert b[0] == 2 and b[3] == {}, (command, flag, context)
+                assert a == b or SWEEP_VALUES[flag][0] is None, (command, flag, context)
+            else:
+                assert a[:2] + a[3:] != b[:2] + b[3:], (command, flag, context)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "stock", "--sigma", "0.3"],
+    ["--model", "stock", "--mu", "0.5"],
+    ["--model", "stock", "--M0", "3"],
+], ids=["sigma", "mu", "M0"])
+def test_unread_price_flags_are_refused(tmp_path, argv):
+    # they once wrote the same CSVs as a run without them
+    code, out, err = run_cli("simulate", "--out-dir", str(tmp_path), *argv, "--theta", "1",
+                             "--n-paths", "1", "--n-steps", "64", "--h", "0.1", "--seed", "1")
+    assert code == 2 and out == "" and f"simulate reads {argv[2]} only with" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("model", [["selfsim"], ["stock", "--theta", "1.5"], ["boltzmann"]],
+                         ids=lambda model: model[0])
+def test_fd_step_is_refused_off_differential(model):
+    # it once printed the default table
+    code, out, err = run_cli("audit", "--model", *model, "--n-real", "4", "--fd-step", "1e-3")
+    assert (code, out) == (2, "")
+    assert "audit reads --fd-step only with --model differential" in err
+
+
+def test_gbm_ignores_a_config_return_variance(tmp_path):
+    # one config serves every command: gbm accepts model.variance unread
+    config = tmp_path / "zero.cfg"
+    config.write_text("model.variance = 0\n", encoding="utf-8")
+    argv = ["simulate", "--model", "gbm", "--n-paths", "2", "--n-steps", "64", "--h", "0.1",
+            "--seed", "1"]
+    for name, extra in (("plain", []), ("config", ["--config", str(config)])):
+        code, out, _ = run_cli(*argv, *extra, "--out-dir", str(tmp_path / name))
+        assert code == 0
+    for csv_name in ("simulate_paths.csv", "simulate_summary.csv"):
+        assert ((tmp_path / "plain" / csv_name).read_bytes()
+                == (tmp_path / "config" / csv_name).read_bytes())
 
 
 def read_csv_status(path):

@@ -185,6 +185,10 @@ class TestEnsembleAcf:
             ensemble_acf(out, 0)
         with pytest.raises(InputError):
             ensemble_acf(out, 17)  # needs >= 4*max_lag samples
+        # a lag count is an integer: neither truncated nor read from a bool
+        for max_lag in (2.9, True):
+            with pytest.raises(InputError, match="max_lag must be an integer"):
+                ensemble_acf(out, max_lag)
         silent = PathEnsemble(h=0.1, paths=np.zeros((3, 64)), kind="return-rate")
         with pytest.raises(DegenerateSeriesError):
             ensemble_acf(silent, 8)
