@@ -3,19 +3,23 @@ and identity auditing, glued together with CSV files and a flat config file.
 
 Conventions shared by every subcommand:
 
-* Flags: ``FLAGS`` names the commands that take each flag and when each
-  reads it, such as ``--sigma``, read by gbm only; a flag given where it
-  is not read exits 2 before anything is written.  ``acf`` and ``audit``
-  accept ``--variance`` but do not read it for now.
+* Flags: ``FLAGS`` names the commands that take each flag, when each reads
+  it, such as ``--sigma``, read by gbm only, and its default.  One pass
+  after parsing gives every flag its value: the flag if given, else its
+  config key, else the default.  A flag given where it is not read exits 2
+  before anything is written.  ``acf`` and ``audit`` accept ``--variance``
+  but do not read it for now.
+* Config file: flat ``key = value`` lines (``#`` comments and blank lines
+  allowed).  Each key is a flag's value, checked and read exactly where
+  that flag would be: as one config serves every command, a key the
+  command does not read is dropped unchecked.  Any other key is a
+  ParseError with its line number.  Of the stock pair, a ``--theta`` or
+  ``--tau-R`` flag replaces both presets, ``model.theta`` wins over
+  ``model.tau_R``, and theta is 1 when neither is set.
 * CSV only, header row mandatory, dot decimal separator, fixed column
   order, "\n" line endings, trailing newline.  Floats are written with
   repr, the shortest round-tripping form, so output is locale-independent
   and byte-identical across reruns.
-* Config file: flat ``key = value`` lines (``#`` comments and blank lines
-  allowed).  Each key presets its flag in ``FLAGS``; as one config serves
-  every command, a key is accepted by all and read only where its flag
-  would be.  Any other key is a ParseError with its line number.  Flags
-  override config values, which override built-in defaults.
 * Exit codes: 0 success, 2 bad input (including parse and degenerate-data
   errors), 3 capability gap (the combination is not defined), 4 accuracy
   or convergence failure.
@@ -72,34 +76,10 @@ CAPABILITY_MATRIX = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat run configuration, parsed from key=value text."""
-
-    seed: int | None = None
-    out_dir: str = "."
-    tolerance: float | None = None  # None: each command's own default
-    presets: tuple = ()
-
-    def __post_init__(self):
-        for key in ("seed", "tolerance"):
-            if getattr(self, key) is not None:
-                _CONFIG_FLAGS[key].check(getattr(self, key), key)
-        object.__setattr__(self, "presets", tuple(sorted(dict(self.presets).items())))
-        for key, value in self.presets:
-            if not key.startswith("model.") or key not in _CONFIG_FLAGS:
-                raise InputError(f"unknown preset key {key!r}")
-            if not np.isfinite(value):
-                raise InputError(f"preset {key} must be finite")
-
-    def preset(self, name, default=None):
-        return dict(self.presets).get(f"model.{name}", default)
-
-
 def parse_config(text):
-    """Parse flat key=value config text into a RunConfig."""
-    fields = {}
-    presets = {}
+    """Parse flat key=value config text into a ``{key: value}`` dict, each
+    value parsed as its flag's is."""
+    config = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -108,19 +88,19 @@ def parse_config(text):
             raise ParseError(f"expected key=value, got {line!r}", line=lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in fields or key in presets:
+        if key in config:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
         if key not in _CONFIG_FLAGS:
             raise ParseError(f"unknown config key {key!r}", line=lineno)
         # a key's value parses as its flag's does
         parse = _CONFIG_FLAGS[key].keywords.get("type", str)
         try:
-            (presets if key.startswith("model.") else fields)[key] = parse(value)
+            config[key] = parse(value)
         except ValueError:
             raise ParseError(
                 f"could not parse value {value!r} for key {key!r}", line=lineno
             ) from None
-    return RunConfig(presets=tuple(sorted(presets.items())), **fields)
+    return config
 
 
 def _read_text(path, what):
@@ -141,11 +121,6 @@ def _read_text(path, what):
             f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})",
             line=data.count(b"\n", 0, exc.start) + 1,
         ) from None
-
-
-def load_config(path):
-    # parse_config splits at any line ending, so untranslated ones parse alike
-    return parse_config(_read_text(path, "config "))
 
 
 # -- CSV plumbing ---------------------------------------------------------------
@@ -192,7 +167,7 @@ def _write_columns(path, header, *columns):
 
 
 def _out_path(args, filename):
-    out_dir = _param(args, "out_dir")
+    out_dir = args.out_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -201,21 +176,11 @@ def _out_path(args, filename):
 
 
 def _resolved_seed(args):
-    seed = _param(args, "seed")
-    if seed is None:
+    if args.seed is None:
         raise InputError(
             "this command draws random numbers: pass --seed (or set seed in the config)"
         )
-    return seed
-
-
-def _param(args, name, default=None):
-    """The flag ``name`` if given, else the config's field or ``model.``
-    preset of that name, else ``default``."""
-    for value in (getattr(args, name), getattr(args.config, name, None), args.config.preset(name)):
-        if value is not None:
-            return value
-    return default
+    return args.seed
 
 
 # -- model construction -----------------------------------------------------------
@@ -223,16 +188,9 @@ def _param(args, name, default=None):
 
 def _build_model(args):
     row = CATALOG[Variant(args.model)]
-    variance = _param(args, "variance", 1.0)
     if row.family == "market":
-        return row.make(_param(args, "tau_R", 1.0), variance=variance)
-    theta, tau_R = args.theta, args.tau_R
-    if theta is None and tau_R is None:
-        theta = args.config.preset("theta")
-        tau_R = args.config.preset("tau_R") if theta is None else None
-        if theta is None and tau_R is None:
-            theta = 1.0
-    return row.make(_param(args, "tau_r", 1.0), theta=theta, tau_R=tau_R, variance=variance)
+        return row.make(args.tau_R, variance=args.variance)
+    return row.make(args.tau_r, theta=args.theta, tau_R=args.tau_R, variance=args.variance)
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -263,7 +221,7 @@ def _acf_by_route(model, route, h, n_points, tolerance):
 def cmd_acf(args):
     model = _build_model(args)
     CATALOG[model.variant].require(model, args.route)
-    values = _acf_by_route(model, args.route, args.h, args.n_points, _param(args, "tolerance", 1e-6))
+    values = _acf_by_route(model, args.route, args.h, args.n_points, args.tolerance)
     path = _out_path(args, args.out)
     _write_columns(path, ["lag", "acf"], args.h * np.arange(args.n_points), values)
     print(f"wrote {path} ({args.n_points} rows, model={args.model}, route={args.route})")
@@ -312,10 +270,10 @@ def _run_simulate(args, model, seed):
 
     if model is None:  # gbm
         params = MarketParams(
-            mu=_param(args, "mu", 0.0),
-            sigma=_param(args, "sigma", 0.2),
+            mu=args.mu,
+            sigma=args.sigma,
             variance_R=1.0,  # gbm prices never read the return variance
-            M0=_param(args, "M0", 1.0),
+            M0=args.M0,
         )
         increments = generate_wiener_increments(args.n_steps, args.h, args.n_paths, seed)
         prices = simulate_gbm(params, increments)
@@ -328,16 +286,14 @@ def _run_simulate(args, model, seed):
     else:
         returns = simulate_stationary_ensemble(model, args.h, args.n_steps, args.n_paths, seed)
         if args.emit_prices:  # built first: it validates --mu and --M0 before any write
-            mu = _param(args, "mu", 0.0)
-            M0 = _param(args, "M0", 1.0)
-            prices = price_from_returns(returns, mu=mu, M0=M0)
+            prices = price_from_returns(returns, mu=args.mu, M0=args.M0)
         paths_file = _out_path(args, f"{base}_paths.csv")
         _write_paths_csv(paths_file, returns.times, returns.paths)
         print(f"wrote {paths_file} (return rates, {returns.n_paths} paths x {returns.n_steps} samples)")
         if args.emit_prices:
             prices_file = _out_path(args, f"{base}_prices.csv")
             _write_paths_csv(prices_file, prices.times, prices.paths, prices=True)
-            print(f"wrote {prices_file} (prices via exp integral, mu={mu!r}, M0={M0!r})")
+            print(f"wrote {prices_file} (prices via exp integral, mu={args.mu!r}, M0={args.M0!r})")
     _summarize_returns(args, returns, base)
     print(f"master_seed = {seed}")
     print(_LANE_LEGEND)
@@ -530,10 +486,9 @@ def _audit_rows(model, args, tolerance):
         # defining derivative identity dg/du = y(u) in normalized units,
         # checked by central differences; accuracy is limited by the step,
         # so these rows pass at max(tolerance, 10 * step^2)
-        step = 1e-4 if args.fd_step is None else args.fd_step
-        fd_tol = max(tolerance, 10.0 * step * step)
+        fd_tol = max(tolerance, 10.0 * args.fd_step * args.fd_step)
         u = model.tau_R * p_real
-        du = step * np.maximum(u, 1.0)
+        du = args.fd_step * np.maximum(u, 1.0)
         gp = force_shape(model, (u + du) / model.tau_R)
         # at the largest allowed step u - du is 0 up to roundoff
         gm = force_shape(model, np.maximum(u - du, 0.0) / model.tau_R)
@@ -549,8 +504,7 @@ def cmd_audit(args):
     """Print (and optionally write) the audit table; exit 4 on any failed row.
     The real grid and the complex grid each cost one identity_residual call."""
     model = _build_model(args)
-    tolerance = _param(args, "tolerance", 1e-10)
-    rows, failures = _audit_rows(model, args, tolerance)
+    rows, failures = _audit_rows(model, args, args.tolerance)
     print("check,p_real,p_imag,residual,status")
     for row in rows:
         print(",".join(row))
@@ -560,7 +514,7 @@ def cmd_audit(args):
         print(f"wrote {path}")
     worst = max((float(r[3]) for r in rows if r[3] != "nan"), default=0.0)
     print(f"checked {len(rows)} points, worst residual = {worst!r}, "
-          f"tolerance = {tolerance!r}, failures = {failures}")
+          f"tolerance = {args.tolerance!r}, failures = {failures}")
     if failures:
         raise AccuracyError(f"{failures} audit rows exceed tolerance", achieved=worst)
     return 0
@@ -571,15 +525,17 @@ def cmd_audit(args):
 
 @dataclass(frozen=True)
 class Flag:
-    """A flag: argparse keywords, the check a given or config value must
-    pass as ``check(value, name)``, its config key, and per command the
-    keywords that differ there, with ``read``, the (wording, test) of when
-    the command reads it if not always, and ``check`` if that differs."""
+    """A flag: its keywords, the check a given or config value must pass as
+    ``check(value, name)``, its config key, and per command the keywords
+    that differ there, with ``read``, the (wording, test) of when the
+    command reads it if not always, and ``check`` if that differs.  The
+    keywords go to argparse, all but ``default``, which the post-parse pass
+    applies last, after the flag and the config."""
 
     name: str
     keywords: dict
     cells: dict
-    check: object = None
+    check: object = lambda value, name: None
     config: str | None = None
 
 
@@ -617,46 +573,61 @@ _COMMANDS = {
               + CAPABILITY_MATRIX),
 }
 
-# when a command reads a flag: (wording, test on the parsed arguments)
-_STOCK = ("a stock-family --model",
-          lambda args: args.model != "gbm" and CATALOG[Variant(args.model)].family == "stock")
+
+def _family(args):
+    """The catalog family of ``--model``: "market", "stock", or None for gbm."""
+    return None if args.model == "gbm" else CATALOG[Variant(args.model)].family
+
+
+# when a command reads a flag: (wording, test on the arguments taken so far);
+# theta comes first in FLAGS, so of the stock pair a flag wins over the
+# config, and within each source theta wins over tau_R
+_STOCK = ("a stock-family --model", lambda args: _family(args) == "stock")
+_THETA = ("a stock-family --model, without --tau-R",
+          lambda args: _family(args) == "stock" and args.tau_R is None)
+_TAU_R = ("a market-family --model, or a stock-family one without --theta",
+          lambda args: _family(args) == "market" or (_family(args) == "stock" and args.theta is None))
 _RETURNS = ("a return-rate --model, not gbm", lambda args: args.model != "gbm")
 _PRICES = ("--model gbm or --emit-prices", lambda args: args.model == "gbm" or args.emit_prices)
+_OUT = ("--out", lambda args: args.out is not None)  # nothing else is written
 
 FLAGS = (
     Flag("--config", dict(help="flat key=value config file"), dict.fromkeys(_COMMANDS, {})),
-    Flag("--out-dir", dict(help="output directory (default: config out_dir or '.')"),
-         dict.fromkeys(_COMMANDS, {}), config="out_dir"),
+    Flag("--out-dir", dict(default=".", help="output directory (default: config out_dir or '.')"),
+         {"fig1": {}, "acf": {}, "simulate": {}, "estimate": dict(read=_OUT), "audit": dict(read=_OUT)},
+         config="out_dir"),
     Flag("--input", dict(required=True, help="price CSV path"), {"estimate": {}}),
     Flag("--model", dict(required=True, choices=[v.value for v in Variant]), {"acf": {}, "audit": {},
          "simulate": dict(choices=["gbm"] + [v.value for v, r in CATALOG.items() if r.supports("simulate")])}),
-    Flag("--tau-R", dict(type=float, help="market memory time (market-family models, or stock via ratio)"),
-         {"acf": {}, "simulate": dict(read=_RETURNS), "audit": {}}, config="model.tau_R"),
-    Flag("--tau-r", dict(type=float, help="stock correlation time (stock-family models)"),
+    Flag("--theta", dict(type=float, default=1.0, help="memory ratio tau_R/tau_r (stock-family models)"),
+         dict.fromkeys(("acf", "simulate", "audit"), dict(read=_THETA)), config="model.theta"),
+    Flag("--tau-R", dict(type=float, default=1.0,
+                         help="market memory time (market-family models, or stock via ratio)"),
+         dict.fromkeys(("acf", "simulate", "audit"), dict(read=_TAU_R)), config="model.tau_R"),
+    Flag("--tau-r", dict(type=float, default=1.0, help="stock correlation time (stock-family models)"),
          dict.fromkeys(("acf", "simulate", "audit"), dict(read=_STOCK)), config="model.tau_r"),
-    Flag("--theta", dict(type=float, help="memory ratio tau_R/tau_r (stock-family models)"),
-         dict.fromkeys(("acf", "simulate", "audit"), dict(read=_STOCK)), config="model.theta"),
     # acf and audit accept --variance without reading it, because their ACFs
     # are normalized: the benchmark's curves workload passes it to both
-    Flag("--variance", dict(type=float, help="equal-time second moment (default 1)"),
+    Flag("--variance", dict(type=float, default=1.0, help="equal-time second moment (default 1)"),
          {"acf": {}, "simulate": dict(read=_RETURNS), "audit": {}}, config="model.variance"),
     Flag("--route", dict(required=True, choices=ROUTES[:3]), {"acf": {}}),  # the ACF routes
     Flag("--seed", dict(type=int), {
         "simulate": dict(help="master seed (required)"),
-        "audit": dict(read=("--n-complex above 0", lambda args: args.n_complex > 0),
+        "audit": dict(read=("--n-complex above 0", lambda args: bool(args.n_complex)),
                       help="master seed of the --n-complex points (required with them only)"),
     }, check=lambda seed, _: check_seed(seed), config="seed"),
     # worded as the config key's check, so that the flag and the key refuse alike
     Flag("--tolerance", dict(type=float), {
-        "acf": dict(read=("--route laplace", lambda args: args.route == "laplace"),
+        "acf": dict(read=("--route laplace", lambda args: args.route == "laplace"), default=1e-6,
                     help="laplace accuracy target (default 1e-6)"),
-        "audit": dict(help="closure residual bound (default 1e-10)"),
+        "audit": dict(default=1e-10, help="closure residual bound (default 1e-10)"),
     }, check=lambda tolerance, _: check_positive(tolerance, "tolerance"), config="tolerance"),
-    Flag("--mu", dict(type=float, help="drift rate (gbm / --emit-prices)"),
+    Flag("--mu", dict(type=float, default=0.0, help="drift rate (gbm / --emit-prices)"),
          {"simulate": dict(read=_PRICES)}, config="model.mu"),
-    Flag("--sigma", dict(type=float, help="gbm volatility"),
+    Flag("--sigma", dict(type=float, default=0.2, help="gbm volatility"),
          {"simulate": dict(read=("--model gbm", lambda args: args.model == "gbm"))}, config="model.sigma"),
-    Flag("--M0", dict(type=float, help="initial price"), {"simulate": dict(read=_PRICES)}, config="model.M0"),
+    Flag("--M0", dict(type=float, default=1.0, help="initial price"),
+         {"simulate": dict(read=_PRICES)}, config="model.M0"),
     Flag("--max-lag-ratio", dict(type=float, default=12.0), {"fig1": {}}, check=check_positive),
     Flag("--n-paths", dict(type=int, required=True), {"simulate": {}}, check=_at_least(1)),
     # the summary ACF needs at least 4 samples (lag 1 at n/4)
@@ -683,7 +654,8 @@ FLAGS = (
          {"audit": {}}, check=_at_least(2)),
     Flag("--n-complex", dict(type=int, default=0, help="random right-half-plane points (requires --seed)"),
          {"audit": {}}, check=_at_least(0)),
-    Flag("--fd-step", dict(type=float, help="derivative-identity step, du = step * max(u, 1) at "
+    Flag("--fd-step", dict(type=float, default=1e-4,
+                           help="derivative-identity step, du = step * max(u, 1) at "
                            "u = tau_R p, in (0, 0.01] so u - du >= 0 on the grid (default 1e-4); "
                            "rows pass at max(tolerance, 10 step^2)"),
          {"audit": dict(read=("--model differential", lambda args: args.model == "differential"))},
@@ -699,21 +671,44 @@ FLAGS = (
 
 _CONFIG_FLAGS = {flag.config: flag for flag in FLAGS if flag.config}
 
+# per command, the (flag, cell, argparse dest) of each flag it takes, in table order
+_CELLS = {command: [(flag, flag.cells[command], flag.name[2:].replace("-", "_"))
+                    for flag in FLAGS if command in flag.cells] for command in _COMMANDS}
 
-def _check_flags(args):
-    """Refuse each given flag that ``args.command`` does not read with the
-    other arguments, then check it: exit 2 before anything is written."""
-    for flag in FLAGS:
-        cell = flag.cells.get(args.command)
-        value = None if cell is None else getattr(args, flag.name[2:].replace("-", "_"))
+
+def _reads(cell, args):
+    """Whether the command of ``cell`` reads its flag, given ``args``."""
+    return "read" not in cell or cell["read"][1](args)
+
+
+def _resolve_flags(args):
+    """Give each flag of ``args.command`` its value: the flag if given, else
+    its key's value in the ``--config`` file, else its default in FLAGS.
+    The sources are taken in that order, and a value only where the command
+    reads the flag, judged on the values taken before it: a given flag that
+    is not read exits 2, and a config value or default that is not read is
+    dropped.  A given or config value passes the flag's check first, so a
+    bad one exits 2 before anything is written."""
+    # parse_config splits at any line ending, so untranslated ones parse alike
+    config = parse_config(_read_text(args.config, "config ")) if args.config else {}
+    unset = []
+    for flag, cell, dest in _CELLS[args.command]:
+        value = getattr(args, dest)
         if value is None or value is False:
-            continue
-        wording, reads = cell.get("read", (None, None))
-        if reads is not None and not reads(args):
-            raise InputError(f"{args.command} reads {flag.name} only with {wording}")
-        check = cell.get("check", flag.check)
-        if check is not None:
-            check(value, flag.name)
+            unset.append((flag, cell, dest))
+        elif not _reads(cell, args):
+            raise InputError(f"{args.command} reads {flag.name} only with {cell['read'][0]}")
+        else:
+            cell.get("check", flag.check)(value, flag.name)
+    for flag, cell, dest in unset:
+        value = config.get(flag.config)
+        if value is not None and _reads(cell, args):
+            cell.get("check", flag.check)(value, flag.name)
+            setattr(args, dest, value)
+    for flag, cell, dest in unset:
+        value = cell.get("default", flag.keywords.get("default"))
+        if value is not None and getattr(args, dest) is None and _reads(cell, args):
+            setattr(args, dest, value)
 
 
 def _build_parser():
@@ -727,11 +722,11 @@ def _build_parser():
     for command, (func, help, description) in _COMMANDS.items():
         p = sub.add_parser(command, help=help, description=description,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
-        for flag in FLAGS:
-            cell = flag.cells.get(command)
-            if cell is not None:
-                differs = {key: value for key, value in cell.items() if key not in ("read", "check")}
-                p.add_argument(flag.name, **{**flag.keywords, **differs})
+        for flag, cell, _ in _CELLS[command]:
+            keywords = {**flag.keywords, **cell}
+            for key in ("read", "check", "default"):  # the post-parse pass applies these
+                keywords.pop(key, None)
+            p.add_argument(flag.name, **keywords)
         p.set_defaults(func=func)
     return parser
 
@@ -746,8 +741,7 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        _check_flags(args)
-        args.config = load_config(args.config) if args.config else RunConfig()
+        _resolve_flags(args)
         return args.func(args)
     except GleMarketError as exc:  # each class carries its exit code
         matrix = f"\n\n{CAPABILITY_MATRIX}" if isinstance(exc, CapabilityError) else ""

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 import glemarket.cli as cli
 import glemarket.laplace as laplace
-from glemarket.cli import RunConfig, main, parse_config
+from glemarket.cli import main, parse_config
 from glemarket import errors
-from glemarket.errors import AccuracyError, InputError, ParseError, SolverError
+from glemarket.errors import AccuracyError, ParseError, SolverError
 from glemarket.models import (CATALOG, ROUTES, Variant, force_shape, identity_residual,
                               observable_shape)
 
@@ -44,14 +44,10 @@ def read_csv(path):
 
 
 def serialize_config(config):
-    """Canonical text form; parse_config(serialize_config(c)) == c."""
-    lines = [f"out_dir = {config.out_dir}"]
-    if config.seed is not None:
-        lines.insert(0, f"seed = {config.seed}")
-    if config.tolerance is not None:
-        lines.append(f"tolerance = {config.tolerance!r}")
-    lines.extend(f"{key} = {value!r}" for key, value in config.presets)
-    return "\n".join(lines) + "\n"
+    """Canonical text form, keys sorted; parse_config(serialize_config(c)) == c."""
+    lines = [f"{key} = {value if key == 'out_dir' else repr(value)}"
+             for key, value in sorted(config.items())]
+    return "".join(line + "\n" for line in lines)
 
 
 class TestRunConfig:
@@ -65,18 +61,17 @@ class TestRunConfig:
             "model.theta = 2.0\n"
         )
         cfg = parse_config(text)
-        assert cfg.seed == 99 and cfg.out_dir == "results"
-        assert cfg.preset("tau_r") == 0.5 and cfg.preset("theta") == 2.0
+        assert cfg == {"seed": 99, "out_dir": "results", "tolerance": 1e-09,
+                       "model.tau_r": 0.5, "model.theta": 2.0}
         canon = serialize_config(cfg)
         assert parse_config(canon) == cfg
         assert serialize_config(parse_config(canon)) == canon
 
     def test_defaults(self):
-        cfg = parse_config("")
-        assert cfg == RunConfig()
-        # no tolerance: each command falls back to its own default
-        assert cfg.seed is None and cfg.tolerance is None
-        assert "tolerance" not in serialize_config(cfg)
+        cfg = parse_config("# comments and blank lines only\n\n")
+        # no keys: each command falls back to its flags' defaults in FLAGS
+        assert cfg == {}
+        assert serialize_config(cfg) == ""
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -104,13 +99,22 @@ class TestRunConfig:
         assert code == 2 and "line 2" in err and "time_unit" in err
         assert list(tmp_path.iterdir()) == [config]
 
-    def test_field_validation(self):
-        with pytest.raises(InputError):
-            RunConfig(seed=-1)
-        with pytest.raises(InputError):
-            RunConfig(tolerance=0.0)
-        with pytest.raises(InputError):
-            RunConfig(presets=(("model.gamma", 1.0),))
+    def test_field_validation(self, tmp_path):
+        # a config value is checked where its flag is read, with the flag's check
+        for key, value, argv, message in [
+            ("seed", "-1", ["simulate", "--model", "white", "--n-paths", "1", "--n-steps", "8",
+                            "--h", "0.1"], "seed must be an integer in [0, 2^64)"),
+            ("tolerance", "0.0", ["audit", "--model", "selfsim", "--n-real", "4", "--out", "a.csv"],
+             "tolerance must be positive and finite"),
+        ]:
+            config = tmp_path / f"{key}.cfg"
+            config.write_text(f"{key} = {value}\n", encoding="utf-8")
+            out_dir = tmp_path / key
+            assert run_cli(*argv, "--config", str(config), "--out-dir", str(out_dir)) == (
+                2, "", f"error: {message}\n")
+            assert not out_dir.exists()
+        with pytest.raises(ParseError, match="line 1: unknown config key 'model.gamma'"):
+            parse_config("model.gamma = 1.0\n")
 
 
 # -- fig1 ------------------------------------------------------------------------
@@ -417,7 +421,7 @@ class TestSimulate:
     def test_market_models_refuse_stock_flags_in_every_subcommand(self, tmp_path):
         tails = {
             "acf": ["--route", "closed", "--h", "0.1"],
-            "audit": ["--n-real", "4"],
+            "audit": ["--n-real", "4", "--out", "audit.csv"],
             "simulate": ["--n-paths", "1", "--n-steps", "64", "--h", "0.1", "--seed", "1"],
         }
         for command, tail in tails.items():
@@ -425,14 +429,17 @@ class TestSimulate:
                 command, "--out-dir", str(tmp_path), "--model", "white",
                 "--theta", "2", "--tau-r", "5", *tail,
             )
-            assert code == 2 and f"{command} reads --tau-r only with a stock-family --model" in err
+            assert code == 2 and (f"{command} reads --theta only with a stock-family --model, "
+                                  "without --tau-R") in err
         assert not (tmp_path / "simulate_paths.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--theta", "--tau-r", "--tau-R", "--variance"])
     def test_gbm_refuses_model_flags(self, tmp_path, flag):
         # gbm prices read mu, sigma and M0 alone: a return variance changes nothing
-        readers = ("a stock-family --model" if flag in ("--theta", "--tau-r")
-                   else "a return-rate --model, not gbm")
+        readers = {"--theta": "a stock-family --model, without --tau-R",
+                   "--tau-r": "a stock-family --model",
+                   "--tau-R": "a market-family --model, or a stock-family one without --theta",
+                   "--variance": "a return-rate --model, not gbm"}[flag]
         code, _, err = run_cli(
             "simulate", "--out-dir", str(tmp_path), "--model", "gbm", flag, "2",
             "--n-paths", "1", "--n-steps", "64", "--h", "0.1", "--seed", "1",
@@ -815,8 +822,9 @@ AUDIT_MODELS = [
 
 
 def audit_args(*argv):
+    """The audit arguments as ``main`` resolves them, without a config."""
     args = cli._build_parser().parse_args(["audit", *argv])
-    args.config = RunConfig()
+    cli._resolve_flags(args)
     return args
 
 
@@ -840,7 +848,7 @@ def per_point_audit_rows(model, args, tolerance):
             residual, status = float("nan"), "no-converge"
         rows.append(["closure", repr(float(np.real(p))), repr(float(np.imag(p))), residual, status])
     if model.variant is Variant.DIFFERENTIAL:
-        step = 1e-4 if args.fd_step is None else args.fd_step  # the documented default
+        step = args.fd_step
         fd_tol = max(tolerance, 10.0 * step**2)
         for p in p_real:
             u = model.tau_R * p
@@ -1034,8 +1042,9 @@ class TestAudit:
 MODELS = [v.value for v in Variant]
 
 # each command's argv contexts, on tiny grids: every model and route, with and
-# without --emit-prices and --n-complex; contexts that fail without any swept
-# flag changed (a capability gap, gbm --emit-prices) are skipped
+# without --emit-prices and --n-complex, and estimate and audit without --out;
+# contexts that fail without any swept flag changed (a capability gap, gbm
+# --emit-prices) are skipped
 SWEEP_CONTEXTS = {
     "fig1": [["--n-points", "8"]],
     "acf": [["--model", model, "--route", route, "--h", "0.5", "--n-points", "8"]
@@ -1044,9 +1053,11 @@ SWEEP_CONTEXTS = {
                   "--seed", "1", *emit]
                  for model in ("gbm", "white", "selfsim", "stock")
                  for emit in ([], ["--emit-prices"])],
-    "estimate": [["--input", "{tmp}/prices_a.csv", "--out", "report.csv"]],
+    "estimate": [["--input", "{tmp}/prices_a.csv", *out] for out in (["--out", "report.csv"], [])],
     "audit": [["--model", model, "--n-real", "4", "--out", "audit.csv", *grid]
-              for model in MODELS for grid in ([], ["--n-complex", "2", "--seed", "1"])],
+              for model in MODELS for grid in ([], ["--n-complex", "2", "--seed", "1"])]
+             + [["--model", "stock", "--n-real", "4", "--n-complex", "2", "--seed", "1"],
+                ["--model", "differential", "--n-real", "4"]],
 }
 
 # two values of each flag; a store_true flag's are absent and given
@@ -1093,10 +1104,13 @@ def with_flag(argv, flag, value):
     return out
 
 
-def test_every_flag_is_read_or_refused(tmp_path):
-    # each (command, flag) cell of the table: in every context, two values of
-    # the flag write different stdout or files, or the flag is refused (exit 2,
-    # nothing written)
+@pytest.fixture
+def sweep(tmp_path, monkeypatch):
+    """``outcome(command, argv)``: the exit code, stdout, stderr and files
+    of one run, with {tmp} and {work} in argv filled in.  Runs start in an
+    empty working directory ``work``, where the default out_dir '.' points,
+    and each argv runs once.  Two price files (prices_a.csv, prices_b.csv)
+    and two configs (x.cfg, y.cfg, out_dir work/x and work/y) are in tmp."""
     work = tmp_path / "work"
     for name, seed in (("a", "3"), ("b", "4")):
         assert run_cli("simulate", "--model", "stock", "--n-paths", "1", "--n-steps", "256",
@@ -1105,27 +1119,36 @@ def test_every_flag_is_read_or_refused(tmp_path):
         (tmp_path / f"{name}_prices.csv").rename(tmp_path / f"prices_{name}.csv")
     for name in ("x", "y"):
         (tmp_path / f"{name}.cfg").write_text(f"out_dir = {work / name}\n", encoding="utf-8")
+    work.mkdir()
+    monkeypatch.chdir(work)
     runs = {}
 
     def outcome(command, argv):
-        argv = [command] + [a.format(tmp=tmp_path, work=work) for a in argv]
-        if "--out-dir" not in argv and "--config" not in argv:
-            argv += ["--out-dir", str(work)]
-        if tuple(argv) not in runs:
-            shutil.rmtree(work, ignore_errors=True)
+        argv = (command, *(a.format(tmp=tmp_path, work=work) for a in argv))
+        if argv not in runs:
+            for path in work.iterdir():
+                shutil.rmtree(path) if path.is_dir() else path.unlink()
             code, out, err = run_cli(*argv)
             files = {str(p.relative_to(work)): p.read_bytes()
                      for p in sorted(work.rglob("*")) if p.is_file()}
-            runs[tuple(argv)] = code, out, err, files
-        return runs[tuple(argv)]
+            runs[argv] = code, out, err, files
+        return runs[argv]
 
+    return outcome
+
+
+def test_every_flag_is_read_or_refused(sweep):
+    # each (command, flag) cell of the table: in every context, two values of
+    # the flag write different stdout or files, or the flag is refused (exit 2,
+    # nothing written)
     cells = [(command, flag.name) for flag in cli.FLAGS for command in flag.cells]
     assert {flag for _, flag in cells} == set(SWEEP_VALUES)
     for command, flag in cells:
         for context in SWEEP_CONTEXTS[command]:
-            if outcome(command, context)[0] != 0:
+            base = sweep(command, context)
+            if base[0] != 0:
                 continue
-            a, b = (outcome(command, with_flag(context, flag, value))
+            a, b = (sweep(command, with_flag(context, flag, value))
                     for value in SWEEP_VALUES[flag])
             if flag == "--variance" and command in ("acf", "audit"):
                 # accepted but not read, as the ACFs are normalized; ROADMAP
@@ -1134,8 +1157,89 @@ def test_every_flag_is_read_or_refused(tmp_path):
             elif f"{command} reads {flag} only with" in b[2]:
                 assert b[0] == 2 and b[3] == {}, (command, flag, context)
                 assert a == b or SWEEP_VALUES[flag][0] is None, (command, flag, context)
+            elif flag == "--config" and f"{command} reads --out-dir only with" in sweep(
+                    command, with_flag(context, "--out-dir", "{work}/x"))[2]:
+                # x.cfg and y.cfg differ only in out_dir, which is dropped here
+                assert a == b == base, (command, context)
             else:
                 assert a[:2] + a[3:] != b[:2] + b[3:], (command, flag, context)
+
+
+# a value of each config key that its flag refuses, by the flag's check or by
+# what the command builds from it before writing
+BAD_CONFIG_VALUES = {
+    "out_dir": "{tmp}/x.cfg/sub",  # under a file: it cannot be made
+    "model.theta": "nan",
+    "model.tau_R": "nan",
+    "model.tau_r": "nan",
+    "model.variance": "nan",
+    "seed": "-1",
+    "tolerance": "0",
+    "model.mu": "inf",
+    "model.sigma": "nan",
+    "model.M0": "0",
+}
+
+
+def test_every_config_key_is_read_where_its_flag_is(sweep, tmp_path):
+    # each (command, config key) pair in every sweep context: a refused value
+    # from the config does what the same value given as the flag does where
+    # the flag is read (exit 2, nothing written), and nothing where it is not
+    flags = {flag.config: flag for flag in cli.FLAGS if flag.config}
+    assert set(flags) == set(BAD_CONFIG_VALUES)
+    for key, value in BAD_CONFIG_VALUES.items():
+        config = tmp_path / f"bad_{key}.cfg"
+        config.write_text(f"{key} = {value.format(tmp=tmp_path)}\n", encoding="utf-8")
+        flag = flags[key]
+        for command, contexts in SWEEP_CONTEXTS.items():
+            for context in contexts:
+                if sweep(command, context)[0] != 0:
+                    continue
+                plain = with_flag(context, flag.name, None)
+                got = sweep(command, [*plain, "--config", str(config)])
+                given = (sweep(command, with_flag(plain, flag.name, value))
+                         if command in flag.cells else None)
+                if given is None or f"{command} reads {flag.name} only with" in given[2]:
+                    assert got == sweep(command, plain), (command, key, context)
+                else:
+                    assert given[0] == 2 and given[3] == {}, (command, key, context)
+                    assert got == given, (command, key, context)
+                if flag.name in context:  # the given flag wins over the config
+                    assert sweep(command, [*context, "--config", str(config)]) == sweep(
+                        command, context), (command, key, context)
+
+
+PAIR_RUNS = [
+    ("acf", ["--model", "stock", "--route", "closed", "--h", "0.25", "--n-points", "16"]),
+    ("simulate", ["--model", "stock", "--n-paths", "1", "--n-steps", "64", "--h", "0.5",
+                  "--seed", "1"]),
+    ("audit", ["--model", "stock", "--n-real", "6", "--n-complex", "2", "--seed", "1",
+               "--out", "audit.csv"]),
+]
+
+
+@pytest.mark.parametrize("command,argv", PAIR_RUNS, ids=[command for command, _ in PAIR_RUNS])
+@pytest.mark.parametrize("flags,config,same_as", [
+    (["--tau-R", "3"], "model.theta = 2\n", ["--tau-R", "3"]),
+    (["--theta", "2"], "model.tau_R = 3\n", ["--theta", "2"]),
+    ([], "model.theta = 2\nmodel.tau_R = 3\n", ["--theta", "2"]),
+    ([], "model.tau_R = 3\n", ["--tau-R", "3"]),
+    ([], "model.tau_r = 2\n", ["--tau-r", "2", "--theta", "1"]),
+], ids=["tau-R-flag", "theta-flag", "both-presets", "tau-R-preset", "theta-default"])
+def test_stock_pair_flag_wins_then_theta(sweep, tmp_path, command, argv, flags, config, same_as):
+    # theta or tau_R: a flag wins over the config, theta over tau_R within
+    # the config, and theta = 1 when neither is set anywhere
+    path = tmp_path / "pair.cfg"
+    path.write_text(config, encoding="utf-8")
+    got = sweep(command, [*argv, *flags, "--config", str(path)])
+    assert got[0] == 0 and got == sweep(command, [*argv, *same_as])
+
+
+@pytest.mark.parametrize("command,argv", PAIR_RUNS, ids=[command for command, _ in PAIR_RUNS])
+def test_stock_pair_refuses_both_flags(sweep, command, argv):
+    code, out, err, files = sweep(command, [*argv, "--theta", "2", "--tau-R", "3"])
+    assert (code, out, files) == (2, "", {})
+    assert f"{command} reads --theta only with a stock-family --model, without --tau-R" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -1372,7 +1476,7 @@ def test_memory_error_maps_to_exit_2_in_every_subcommand(tmp_path, monkeypatch,
         write_prices(tmp_path / "prices.csv", prices, times=0.1 * np.arange(400))
         argv = ["--input", str(tmp_path / "prices.csv")]
     monkeypatch.setattr(cli, target, exhausted)
-    code, _, err = run_cli(command, "--out-dir", str(tmp_path), *argv)
+    code, _, err = run_cli(command, "--out-dir", str(tmp_path), "--out", "out.csv", *argv)
     assert code == 2 and err.startswith("error: out of memory")
 
 
