@@ -447,25 +447,30 @@ _AUDIT_DECADES = (-2.0, 2.0)
 
 
 def _grid_residuals(model, grid):
-    """Closure residuals of a whole p grid from one identity_residual call;
-    only if that raises is the grid redone point by point, with None for
-    exactly the points that fail to converge."""
+    """Closure residuals of a whole p grid from one identity_residual call,
+    and the mask of the points that failed to converge: only if that call
+    raises is the grid redone point by point, with nan where a point raises."""
+    failed = np.zeros(grid.size, dtype=bool)
     try:
-        return list(identity_residual(model, grid))
+        return np.asarray(identity_residual(model, grid)), failed
     except AccuracyError:  # SolverError included
-        residuals = []
-    for p in grid:
+        residuals = np.empty(grid.size)
+    for i, p in enumerate(grid):
         try:
-            residuals.append(identity_residual(model, p))
+            residuals[i] = identity_residual(model, p)
         except AccuracyError:
-            residuals.append(None)
-    return residuals
+            residuals[i], failed[i] = np.nan, True
+    return residuals, failed
+
+
+_AUDIT_HEADER = ["check", "p_real", "p_imag", "residual", "status"]
 
 
 def _audit_rows(model, args, tolerance):
-    """Audit table rows and their failure count.  Each p grid is one array
-    call: identity_residual on the real and on the seeded complex grid, and
-    for differential force_shape at u + du and u - du and observable_shape."""
+    """Audit table lines, their failure count and worst residual, built
+    column by column.  Each p grid is one array call: identity_residual on
+    the real and on the seeded complex grid, and for differential
+    force_shape at u + du and u - du and observable_shape."""
     scale = 1.0 / model.corr_time
     p_real = scale * np.logspace(*_AUDIT_DECADES, args.n_real)
     grids = [p_real]
@@ -474,13 +479,8 @@ def _audit_rows(model, args, tolerance):
         magnitude = scale * 10.0 ** rng.uniform(-2.0, 2.0, size=(args.n_complex, 2))
         signs = rng.choice([-1.0, 1.0], size=args.n_complex)
         grids.append(magnitude[:, 0] + 1j * (signs * magnitude[:, 1]))
-    rows = []
-    for points in grids:
-        for p, residual in zip(points, _grid_residuals(model, points)):
-            status = ("no-converge" if residual is None
-                      else "ok" if residual <= tolerance else "FAIL")
-            cell = "nan" if residual is None else repr(float(residual))
-            rows.append(["closure", repr(float(p.real)), repr(float(p.imag)), cell, status])
+    # per check: its name, points, residuals, no-converge mask and bound
+    parts = [("closure", points, *_grid_residuals(model, points), tolerance) for points in grids]
 
     if model.variant is Variant.DIFFERENTIAL:
         # defining derivative identity dg/du = y(u) in normalized units,
@@ -492,28 +492,32 @@ def _audit_rows(model, args, tolerance):
         gp = force_shape(model, (u + du) / model.tau_R)
         # at the largest allowed step u - du is 0 up to roundoff
         gm = force_shape(model, np.maximum(u - du, 0.0) / model.tau_R)
-        residuals = np.abs((gp - gm) / (2.0 * du) - observable_shape(model, p_real))
-        for p, residual in zip(p_real, residuals):
-            rows.append(["derivative", repr(float(p)), "0.0", repr(float(residual)),
-                         "ok" if residual <= fd_tol else "FAIL"])
-    failures = sum(row[4] != "ok" for row in rows)
-    return rows, failures
+        residual = np.abs((gp - gm) / (2.0 * du) - observable_shape(model, p_real))
+        parts.append(("derivative", p_real, residual, np.zeros(p_real.size, dtype=bool), fd_tol))
+    names, points, residuals, failed, bounds = zip(*parts)
+    p, residual, no_converge = map(np.concatenate, (points, residuals, failed))
+    ok = np.concatenate([r <= bound for r, bound in zip(residuals, bounds)])  # nan fails
+    status = np.where(no_converge, "no-converge", np.where(ok, "ok", "FAIL"))
+    columns = ([name for name, grid in zip(names, points) for _ in range(grid.size)],
+               *(map(repr, column.tolist()) for column in (p.real, p.imag, residual)),
+               status.tolist())
+    converged = residual[~np.isnan(residual)]
+    worst = float(converged.max()) if converged.size else 0.0
+    return list(map(",".join, zip(*columns))), int(np.count_nonzero(~ok)), worst
 
 
 def cmd_audit(args):
     """Print (and optionally write) the audit table; exit 4 on any failed row.
     The real grid and the complex grid each cost one identity_residual call."""
     model = _build_model(args)
-    rows, failures = _audit_rows(model, args, args.tolerance)
-    print("check,p_real,p_imag,residual,status")
-    for row in rows:
-        print(",".join(row))
+    lines, failures, worst = _audit_rows(model, args, args.tolerance)
+    table = "\n".join(lines)
+    print(",".join(_AUDIT_HEADER) + "\n" + table)
     if args.out is not None:
         path = _out_path(args, args.out)
-        _write_csv(path, [["check", "p_real", "p_imag", "residual", "status"], *rows])
+        _write_csv(path, [_AUDIT_HEADER], [table + "\n"])
         print(f"wrote {path}")
-    worst = max((float(r[3]) for r in rows if r[3] != "nan"), default=0.0)
-    print(f"checked {len(rows)} points, worst residual = {worst!r}, "
+    print(f"checked {len(lines)} points, worst residual = {worst!r}, "
           f"tolerance = {args.tolerance!r}, failures = {failures}")
     if failures:
         raise AccuracyError(f"{failures} audit rows exceed tolerance", achieved=worst)
@@ -641,7 +645,10 @@ FLAGS = (
          check=_at_least(2)),
     Flag("--detrend", dict(choices=["sample-mean", "none"], default="sample-mean"), {"estimate": {}}),
     Flag("--max-lag", dict(type=int, default=400), {
-        "simulate": dict(help="summary ACF lag cap", check=_at_least(1)),
+        # a deterministic gbm run (sigma 0) writes no summary ACF
+        "simulate": dict(read=("a return-rate --model, or gbm with --sigma other than 0",
+                               lambda args: not (args.model == "gbm" and args.sigma == 0)),
+                         help="summary ACF lag cap", check=_at_least(1)),
         # the fit needs 8 lags; a series too short for them is refused later
         "estimate": dict(help="ACF lag cap (also capped at n/4)", check=_at_least(8)),
     }),

@@ -286,55 +286,49 @@ def _selfsim_shape(tau_R, p):
     return 1.0 / (np.sqrt(1.0 + u * u) + u)
 
 
-def observable_shape(model, p):
-    """Normalized observable image y(p), with y(0) = 1 exactly."""
+def _shapes(model, p, observable=True, force=True):
+    """(y, g) at p, the observable and force images, from one evaluation of
+    the root they share.  The scaling model's two are separate solves (its
+    g reads y at theta p), so there an image not asked for is None."""
     arr = _validate_p(model, p)
     v = model.variant
     theta = _stock_form_theta(model)
     if theta is not None:
         # white force (1) at theta = 0, else the self-similar root at tau_R, which
         # the self-similar market keeps as y: 1/(tau_R p + g) differs in the last bit
-        g = 1.0 if theta == 0 else _selfsim_shape(model.tau_R, arr)
-        y = g if v is Variant.LINEAR_SELF_SIMILAR else 1.0 / (model.corr_time * arr + g)
-    elif v is Variant.BOLTZMANN:
-        y = 1.0 / np.atleast_1d(lambert_w0_exp(1.0 + model.tau_R * arr))
-        y[arr == 0] = 1.0  # anchor the normalization exactly
-    elif v is Variant.DIFFERENTIAL:
-        y = 1.0 / (_differential_v(model.tau_R, arr) - 1.0)
-        y[arr == 0] = 1.0
-    else:
+        g = np.ones_like(arr) if theta == 0 else _selfsim_shape(model.tau_R, arr)
+        return (g if v is Variant.LINEAR_SELF_SIMILAR else 1.0 / (model.corr_time * arr + g)), g
+    if v in (Variant.BOLTZMANN, Variant.DIFFERENTIAL):
+        # y = 1/w and g = w - tau_R p on the Lambert root: w = W_0(e^(1 + tau_R p)),
+        # or w = v - 1 with v = -W_-1(-2 exp(-2 - tau_R p)), via v - ln v = (2 - ln 2) + tau_R p
+        u = model.tau_R * arr
+        if v is Variant.BOLTZMANN:
+            w = np.atleast_1d(lambert_w0_exp(1.0 + u))
+        else:
+            w = -np.atleast_1d(lambert_wm1_neg_exp((2.0 - np.log(2.0)) + u)) - 1.0
+        y, g = 1.0 / w, w - u
+        y[arr == 0] = g[arr == 0] = 1.0  # anchor the normalization exactly
+        return y, g
+    theta = model.theta
+    if v is Variant.FRACTIONAL:  # g = y^theta on the one solve
         y = solve_functional_shape(model, arr)
-    return _return_like(p, y)
+        return y, (y**theta if theta > 0 else np.ones_like(arr))
+    y = g = None  # scaling
+    if observable:
+        y = solve_functional_shape(model, arr)
+    if force:
+        g = solve_functional_shape(model, theta * arr) if theta > 0 else np.ones_like(arr)
+    return y, g
+
+
+def observable_shape(model, p):
+    """Normalized observable image y(p), with y(0) = 1 exactly."""
+    return _return_like(p, _shapes(model, p, force=False)[0])
 
 
 def force_shape(model, p):
     """Normalized force image g(p), with g(0) = 1 exactly."""
-    arr = _validate_p(model, p)
-    v = model.variant
-    theta = _stock_form_theta(model)
-    if theta is not None:
-        g = np.ones_like(arr) if theta == 0 else _selfsim_shape(model.tau_R, arr)
-    elif v is Variant.BOLTZMANN:
-        u = model.tau_R * arr
-        g = np.atleast_1d(lambert_w0_exp(1.0 + u)) - u
-        g[arr == 0] = 1.0
-    elif v is Variant.DIFFERENTIAL:
-        u = model.tau_R * arr
-        g = (_differential_v(model.tau_R, arr) - 1.0) - u
-        g[arr == 0] = 1.0
-    elif v is Variant.SCALING:
-        theta = model.theta
-        g = solve_functional_shape(model, theta * arr) if theta > 0 else np.ones_like(arr)
-    else:  # fractional
-        theta = model.theta
-        g = solve_functional_shape(model, arr) ** theta if theta > 0 else np.ones_like(arr)
-    return _return_like(p, g)
-
-
-def _differential_v(tau_R, arr):
-    # v = -W_-1(-2 exp(-2 - tau_R p)), via v - ln v = (2 - ln 2) + tau_R p
-    z = (2.0 - np.log(2.0)) + tau_R * arr
-    return -np.atleast_1d(lambert_wm1_neg_exp(z))
+    return _return_like(p, _shapes(model, p, observable=False)[1])
 
 
 # -- functional-equation solvers (scaling / fractional) -------------------
@@ -489,9 +483,9 @@ def _stock_series_acf(model, theta, t):
 
 
 def identity_residual(model, p):
-    """|y(p) [tau_corr p + g(p)] - 1| on the model's own correlation time."""
-    y = observable_shape(model, p)
-    g = force_shape(model, p)
+    """|y(p) [tau_corr p + g(p)] - 1| on the model's own correlation time,
+    with y and g from one evaluation of the root they share."""
+    y, g = (_return_like(p, image) for image in _shapes(model, p))
     r = np.abs(y * (model.corr_time * np.asarray(p) + g) - 1.0)
     return _return_like(p, r)
 

@@ -17,14 +17,21 @@ here by numpy itself (``path_stream``) while the package hashes whole
 ranges of paths at once, so the two samplers can be compared draw for draw.
 Its spectrum is either the package's closed-form fold or the midpoint-rule
 fold (``midpoint_folded_spectrum``) the package used before it.
+
+The audit command at the end (``cmd_audit_rowwise``) does share the
+package's shapes and model construction: it is the CLI's table built and
+printed row by row, so the column-built command must print and write the
+same bytes.
 """
 
+import csv
 import math
 
 import mpmath as mp
 import numpy as np
 
-from glemarket import estimate, laplace, models, noise, volterra
+from glemarket import cli, estimate, laplace, models, noise, volterra
+from glemarket.errors import AccuracyError
 from glemarket.series import SpectralDensity
 
 mp.mp.dps = 60
@@ -460,3 +467,66 @@ if __name__ == "__main__":
     print("v: v-lnv=2-ln2+1 =", mp.nstr(wm1_of_neg_exp_bisect(3 - mp.log(2)), 17))
     print("W0(0.5)     =", mp.nstr(lambert_w0_bisect("0.5"), 17))
     print("W0(-0.25)   =", mp.nstr(lambert_w0_bisect("-0.25"), 17))
+
+
+def cmd_audit_rowwise(args):
+    """``cli.cmd_audit`` as a loop over rows: each row's cells are formatted
+    one by one and printed with one call, the CSV is written row by row
+    through csv.writer, and the worst residual is parsed back from the
+    printed cells.  No-converge rows are the points whose identity_residual
+    call raised, alone, after the whole grid's call raised.  It calls the
+    shapes and ``identity_residual`` through ``cli``, so a test that patches
+    them there patches this loop too."""
+    model = cli._build_model(args)
+    tolerance = args.tolerance
+    scale = 1.0 / model.corr_time
+    p_real = scale * np.logspace(-2.0, 2.0, args.n_real)
+    grids = [p_real]
+    if args.n_complex > 0:
+        rng = np.random.default_rng(cli._resolved_seed(args))
+        magnitude = scale * 10.0 ** rng.uniform(-2.0, 2.0, size=(args.n_complex, 2))
+        signs = rng.choice([-1.0, 1.0], size=args.n_complex)
+        grids.append(magnitude[:, 0] + 1j * (signs * magnitude[:, 1]))
+    rows = []
+    for points in grids:
+        try:
+            residuals = list(cli.identity_residual(model, points))
+        except AccuracyError:
+            residuals = []
+            for p in points:
+                try:
+                    residuals.append(cli.identity_residual(model, p))
+                except AccuracyError:
+                    residuals.append(None)
+        for p, residual in zip(points, residuals):
+            status = ("no-converge" if residual is None
+                      else "ok" if residual <= tolerance else "FAIL")
+            cell = "nan" if residual is None else repr(float(residual))
+            rows.append(["closure", repr(float(p.real)), repr(float(p.imag)), cell, status])
+    if model.variant is models.Variant.DIFFERENTIAL:
+        fd_tol = max(tolerance, 10.0 * args.fd_step * args.fd_step)
+        u = model.tau_R * p_real
+        du = args.fd_step * np.maximum(u, 1.0)
+        gp = cli.force_shape(model, (u + du) / model.tau_R)
+        gm = cli.force_shape(model, np.maximum(u - du, 0.0) / model.tau_R)
+        residuals = np.abs((gp - gm) / (2.0 * du) - cli.observable_shape(model, p_real))
+        for p, residual in zip(p_real, residuals):
+            rows.append(["derivative", repr(float(p)), "0.0", repr(float(residual)),
+                         "ok" if residual <= fd_tol else "FAIL"])
+    failures = sum(row[4] != "ok" for row in rows)
+
+    header = ["check", "p_real", "p_imag", "residual", "status"]
+    print(",".join(header))
+    for row in rows:
+        print(",".join(row))
+    if args.out is not None:
+        path = cli._out_path(args, args.out)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        print(f"wrote {path}")
+    worst = max((float(r[3]) for r in rows if r[3] != "nan"), default=0.0)
+    print(f"checked {len(rows)} points, worst residual = {worst!r}, "
+          f"tolerance = {args.tolerance!r}, failures = {failures}")
+    if failures:
+        raise AccuracyError(f"{failures} audit rows exceed tolerance", achieved=worst)
+    return 0

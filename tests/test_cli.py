@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import glemarket.cli as cli
 import glemarket.laplace as laplace
+import oracles
 from glemarket.cli import main, parse_config
 from glemarket import errors
 from glemarket.errors import AccuracyError, ParseError, SolverError
@@ -954,10 +955,12 @@ class TestAudit:
             argv += ["--n-complex", "25", "--seed", "9"]
         args = audit_args(*argv)
         built = cli._build_model(args)
-        rows, failures = cli._audit_rows(built, args, 1e-10)
+        lines, failures, worst = cli._audit_rows(built, args, 1e-10)
+        rows = [line.split(",") for line in lines]
         reference = per_point_audit_rows(built, args, 1e-10)
         assert len(rows) == len(reference)
         assert failures == sum(r[4] != "ok" for r in reference) == 0
+        assert worst == max(float(row[3]) for row in rows)
         for row, expected in zip(rows, reference):
             assert row[:3] + row[4:] == expected[:3] + expected[4:]
             # derivative rows are central-difference cancellations near 6e-11
@@ -1025,7 +1028,7 @@ class TestAudit:
     def test_default_step_derivative_rows_are_unchanged(self, tau_R):
         args = audit_args("--model", "differential", "--tau-R", tau_R, "--n-real", "60")
         model = cli._build_model(args)
-        rows, _ = cli._audit_rows(model, args, 1e-10)
+        rows = [line.split(",") for line in cli._audit_rows(model, args, 1e-10)[0]]
         # reference: the plain central difference, without the clamp at p = 0
         p = (1.0 / model.corr_time) * np.logspace(-2.0, 2.0, 60)
         u = model.tau_R * p
@@ -1036,15 +1039,128 @@ class TestAudit:
         assert [row[3] for row in rows if row[0] == "derivative"] == expected
 
 
+# the curves benchmark workload's audits (perfbench/workloads.py, Curves.audit_argv):
+# every model on 300 real points, and 100 seeded complex points where the
+# image is complex-capable
+CURVES_AUDITS = [
+    ["--model", model, "--n-real", "300", "--variance", "0.8",
+     *(["--theta", "1.5"] if model in ("stock", "scaling", "fractional") else []),
+     *(["--n-complex", "100", "--seed", "12"] if model in ("white", "selfsim", "stock") else [])]
+    for model in ("white", "selfsim", "stock", "scaling", "fractional", "boltzmann", "differential")
+]
+
+
+@pytest.fixture
+def audit_twice(tmp_path, monkeypatch):
+    """``outcomes(argv)``: the exit code, stdout, stderr and ``--out`` bytes
+    (None without ``--out``) of ``audit argv``, first through cmd_audit and
+    then through the row-by-row oracle.  A run with --out writes into tmp_path."""
+
+    def outcome(argv, command):
+        path = tmp_path / "audit.csv"
+        path.unlink(missing_ok=True)
+        with monkeypatch.context() as m:
+            if command is not None:
+                m.setitem(cli._COMMANDS, "audit", (command, *cli._COMMANDS["audit"][1:]))
+                m.setattr(cli, "_parser", cli._build_parser)
+            out_dir = ["--out-dir", str(tmp_path)] if "--out" in argv else []
+            code, out, err = run_cli("audit", *argv, *out_dir)
+        return code, out, err, path.read_bytes() if path.exists() else None
+
+    return lambda argv: (outcome(argv, None), outcome(argv, oracles.cmd_audit_rowwise))
+
+
+def grid_points(n, picks):
+    """The real audit grid of a model with corr_time 1 (n points), at ``picks``."""
+    return np.logspace(-2.0, 2.0, n)[list(picks)]
+
+
+def patched_residual(monkeypatch, raise_at=(), nan_at=()):
+    """Make cli.identity_residual raise a SolverError for any call holding a
+    point of ``raise_at``, and return nan at the points of ``nan_at``."""
+    original = cli.identity_residual
+
+    def residual(model, p):
+        if np.isin(np.atleast_1d(p), raise_at).any():
+            raise SolverError("marked point", residual=np.inf)
+        r = np.where(np.isin(p, nan_at), np.nan, original(model, p))
+        return r if np.ndim(p) else float(r)
+
+    monkeypatch.setattr(cli, "identity_residual", residual)
+
+
+@pytest.mark.parametrize("model,flags", AUDIT_MODELS)
+def test_column_table_is_the_row_loop_byte_for_byte(audit_twice, model, flags):
+    argv = ["--model", model, *flags, "--n-real", "40", "--out", "audit.csv"]
+    if CATALOG[Variant(model)].complex_p:
+        argv += ["--n-complex", "25", "--seed", "9"]
+    new, old = audit_twice(argv)
+    assert new == old and new[0] == 0 and new[3] is not None
+
+
+@pytest.mark.parametrize("argv", CURVES_AUDITS, ids=lambda argv: argv[1])
+def test_benchmark_audits_are_the_row_loop_byte_for_byte(audit_twice, argv):
+    new, old = audit_twice(argv)
+    assert new == old and new[0] == 0 and new[3] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "selfsim", "--n-real", "5", "--tolerance", "1e-18"],
+    ["--model", "stock", "--theta", "1.5", "--n-real", "30", "--n-complex", "10", "--seed", "3",
+     "--tolerance", "1e-16"],
+    ["--model", "differential", "--n-real", "30", "--tolerance", "1e-17", "--fd-step", "1e-3"],
+])
+def test_failing_tolerance_is_the_row_loop_byte_for_byte(audit_twice, argv):
+    new, old = audit_twice([*argv, "--out", "audit.csv"])
+    assert new == old and new[0] == 4 and "FAIL" in new[1]
+
+
+def test_unconverged_and_nan_rows_are_the_row_loop_byte_for_byte(audit_twice, monkeypatch):
+    # the grid call raises, so each point is redone alone: the points that
+    # raise again are no-converge, and a nan the model returns is a FAIL
+    patched_residual(monkeypatch, raise_at=grid_points(12, (2, 7)), nan_at=grid_points(12, (4,)))
+    new, old = audit_twice(["--model", "stock", "--theta", "1.5", "--n-real", "12",
+                            "--n-complex", "4", "--seed", "3", "--out", "audit.csv"])
+    assert new == old and new[0] == 4
+    rows = [line.split(",") for line in new[1].splitlines() if line.startswith("closure,")]
+    assert [row[3:] for row in rows if row[3] == "nan"] == [
+        ["nan", "no-converge"], ["nan", "FAIL"], ["nan", "no-converge"]]
+    assert "failures = 3" in new[1]
+
+
+def test_nan_from_the_grid_call_is_a_fail_row(audit_twice, monkeypatch):
+    patched_residual(monkeypatch, nan_at=grid_points(20, (0, 19)))
+    new, old = audit_twice(["--model", "selfsim", "--n-real", "20", "--out", "audit.csv"])
+    assert new == old and new[0] == 4
+    assert new[1].count(",nan,FAIL\n") == 2 and "no-converge" not in new[1]
+
+
+def test_nan_derivative_rows_fail(audit_twice, monkeypatch):
+    original = cli.observable_shape
+    monkeypatch.setattr(cli, "observable_shape", lambda model, p: np.where(
+        np.isin(p, grid_points(10, (3,))), np.nan, original(model, p)))
+    new, old = audit_twice(["--model", "differential", "--n-real", "10", "--out", "audit.csv"])
+    assert new == old and new[0] == 4
+    assert new[1].count("derivative,") == 10 and ",nan,FAIL\n" in new[1]
+
+
+def test_all_no_converge_reports_worst_zero(audit_twice, monkeypatch):
+    patched_residual(monkeypatch, raise_at=np.logspace(-2.0, 2.0, 6))
+    new, old = audit_twice(["--model", "selfsim", "--n-real", "6", "--out", "audit.csv"])
+    assert new == old and new[0] == 4
+    assert new[1].count(",nan,no-converge\n") == 6
+    assert "worst residual = 0.0," in new[1] and "failures = 6" in new[1]
+
+
 # -- the flag table ----------------------------------------------------------------
 
 
 MODELS = [v.value for v in Variant]
 
 # each command's argv contexts, on tiny grids: every model and route, with and
-# without --emit-prices and --n-complex, and estimate and audit without --out;
-# contexts that fail without any swept flag changed (a capability gap, gbm
-# --emit-prices) are skipped
+# without --emit-prices and --n-complex, a gbm run at sigma 0, and estimate and
+# audit without --out; contexts that fail without any swept flag changed (a
+# capability gap, gbm --emit-prices) are skipped
 SWEEP_CONTEXTS = {
     "fig1": [["--n-points", "8"]],
     "acf": [["--model", model, "--route", route, "--h", "0.5", "--n-points", "8"]
@@ -1052,7 +1168,9 @@ SWEEP_CONTEXTS = {
     "simulate": [["--model", model, "--n-paths", "1", "--n-steps", "64", "--h", "0.5",
                   "--seed", "1", *emit]
                  for model in ("gbm", "white", "selfsim", "stock")
-                 for emit in ([], ["--emit-prices"])],
+                 for emit in ([], ["--emit-prices"])]
+                + [["--model", "gbm", "--sigma", "0", "--n-paths", "1", "--n-steps", "64",
+                    "--h", "0.5", "--seed", "1"]],  # deterministic: no summary ACF
     "estimate": [["--input", "{tmp}/prices_a.csv", *out] for out in (["--out", "report.csv"], [])],
     "audit": [["--model", model, "--n-real", "4", "--out", "audit.csv", *grid]
               for model in MODELS for grid in ([], ["--n-complex", "2", "--seed", "1"])]
@@ -1157,6 +1275,11 @@ def test_every_flag_is_read_or_refused(sweep):
             elif f"{command} reads {flag} only with" in b[2]:
                 assert b[0] == 2 and b[3] == {}, (command, flag, context)
                 assert a == b or SWEEP_VALUES[flag][0] is None, (command, flag, context)
+            elif all(any(f"{command} reads {other} only with" in run[2]
+                         for other in context if other != flag) for run in (a, b)):
+                # both values leave another flag of the context unread, as --model
+                # selfsim and white do gbm's --sigma: the context cannot show this flag
+                assert a[0] == b[0] == 2 and a[3] == b[3] == {}, (command, flag, context)
             elif flag == "--config" and f"{command} reads --out-dir only with" in sweep(
                     command, with_flag(context, "--out-dir", "{work}/x"))[2]:
                 # x.cfg and y.cfg differ only in out_dir, which is dropped here

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from glemarket import estimate
+from glemarket import estimate, models
 from glemarket.errors import CapabilityError, DomainError, InputError
 from glemarket.laplace import spectral_density
 from glemarket.models import (
@@ -204,6 +204,48 @@ def test_identity_residual_complex_plane():
     ]:
         r = identity_residual(m, p)
         assert np.max(r) < 1e-12, m.variant
+
+
+SHARED_ROOT_SPECS = [
+    ModelSpec.white_noise(0.8),
+    ModelSpec.linear_self_similar(1.7),
+    *(ModelSpec.stock_theta(tau_r=0.9, theta=theta) for theta in (0.0, 0.6, 1.0, 2.5)),
+    *(ModelSpec.scaling(tau_r=1.2, theta=theta) for theta in (0.0, 0.5, 1.0, 1.7)),
+    *(ModelSpec.fractional(tau_r=1.2, theta=theta) for theta in (0.0, 0.5, 2.4)),
+    ModelSpec.boltzmann(1.3),
+    ModelSpec.differential(0.7),
+]
+
+
+@pytest.mark.parametrize("m", SHARED_ROOT_SPECS, ids=lambda m: f"{m.variant.value}-{m.theta}")
+def test_identity_residual_is_the_closure_of_the_two_shapes_bit_for_bit(m):
+    # the residual evaluates the root y and g share once; its bits must be
+    # those of the closure written with the two public shapes
+    rng = np.random.default_rng(11)
+    grids = [np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 60) / m.corr_time])]
+    if m.complex_capable:
+        grids.append(rng.uniform(0.0, 20.0, 50) + 1j * rng.uniform(-20.0, 20.0, 50))
+    for p in grids:
+        closure = np.abs(observable_shape(m, p) * (m.corr_time * p + force_shape(m, p)) - 1.0)
+        assert identity_residual(m, p).tobytes() == closure.tobytes()
+        for q in p[::7]:  # a scalar p computes in numpy scalars, as the closure does
+            want = np.abs(observable_shape(m, q) * (m.corr_time * np.asarray(q) + force_shape(m, q)) - 1.0)
+            assert np.float64(identity_residual(m, q)).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.5, 3.0])
+def test_fractional_residual_solves_once_per_grid(monkeypatch, theta):
+    calls = []
+    original = models.solve_functional_shape
+
+    def counted(model, p):
+        calls.append(np.size(p))
+        return original(model, p)
+
+    monkeypatch.setattr(models, "solve_functional_shape", counted)
+    m = ModelSpec.fractional(tau_r=1.0, theta=theta)
+    identity_residual(m, np.geomspace(1e-2, 1e2, 300))
+    assert calls == [300]
 
 
 @settings(max_examples=150, deadline=None)
