@@ -691,27 +691,27 @@ def _reads(cell, args):
 def _resolve_flags(args):
     """Give each flag of ``args.command`` its value: the flag if given, else
     its key's value in the ``--config`` file, else its default in FLAGS.
-    The sources are taken in that order, and a value only where the command
-    reads the flag, judged on the values taken before it: a given flag that
-    is not read exits 2, and a config value or default that is not read is
-    dropped.  A given or config value passes the flag's check first, so a
-    bad one exits 2 before anything is written."""
+    An unset flag takes its config value, then its default, only where the
+    command reads it, judged on the values taken before it; one not read is
+    dropped.  A given flag is judged after the config pass, so a config
+    value (``model.sigma = 0``) can leave it unread, which exits 2.  A given
+    or config value passes the flag's check first, so a bad one exits 2
+    before anything is written; a bad config value is reported first."""
     # parse_config splits at any line ending, so untranslated ones parse alike
     config = parse_config(_read_text(args.config, "config ")) if args.config else {}
-    unset = []
+    given, unset = [], []
     for flag, cell, dest in _CELLS[args.command]:
         value = getattr(args, dest)
-        if value is None or value is False:
-            unset.append((flag, cell, dest))
-        elif not _reads(cell, args):
-            raise InputError(f"{args.command} reads {flag.name} only with {cell['read'][0]}")
-        else:
-            cell.get("check", flag.check)(value, flag.name)
+        (unset if value is None or value is False else given).append((flag, cell, dest))
     for flag, cell, dest in unset:
         value = config.get(flag.config)
         if value is not None and _reads(cell, args):
             cell.get("check", flag.check)(value, flag.name)
             setattr(args, dest, value)
+    for flag, cell, dest in given:
+        if not _reads(cell, args):
+            raise InputError(f"{args.command} reads {flag.name} only with {cell['read'][0]}")
+        cell.get("check", flag.check)(getattr(args, dest), flag.name)
     for flag, cell, dest in unset:
         value = cell.get("default", flag.keywords.get("default"))
         if value is not None and getattr(args, dest) is None and _reads(cell, args):

@@ -41,7 +41,7 @@ from .errors import DegenerateSeriesError, InputError, check_count, check_positi
 # patches glemarket.estimate.invert_at and fails if the name is missing
 from .laplace import invert_at  # noqa: F401
 from .models import ModelSpec, StockClass, classify_theta, closed_form_acf
-from .series import AcfSeries, PathEnsemble
+from .series import AcfSeries, PathEnsemble, check_ensemble
 from .volterra import _five_smooth
 
 # unit-tau_r lag grid for cached model curves; fits are restricted to
@@ -112,8 +112,7 @@ def ensemble_acf(ensemble, max_lag):
     lag-0 value, and returns (AcfSeries, se) where se holds the standard
     error of each normalized mean lag.
     """
-    if not isinstance(ensemble, PathEnsemble):
-        raise InputError("ensemble must be a PathEnsemble")
+    check_ensemble(ensemble, "ensemble")
     max_lag = check_count(max_lag, "max_lag", 1)
     if ensemble.n_steps < 4 * max_lag:
         raise InputError(

@@ -12,13 +12,13 @@ Convention: log-prices are updated directly, ln M_{n+1} = ln M_n + mu h
 exactly zero-centered.  No Ito correction is applied anywhere.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, InputError, check_count, check_positive, check_seed
 from .noise import path_streams
-from .series import PathEnsemble
+from .series import PathEnsemble, check_ensemble
 
 # steps per block of simulate_white_returns's recursion
 _WHITE_BLOCK = 256
@@ -70,25 +70,15 @@ def simulate_gbm(params, increments):
     """
     if not isinstance(params, MarketParams):
         raise InputError("params must be a MarketParams")
-    if not isinstance(increments, PathEnsemble):
-        raise InputError("increments must be a PathEnsemble")
-    if increments.kind != "wiener-increment":
-        raise InputError(
-            f"increments must have kind 'wiener-increment', got {increments.kind!r}"
-        )
+    check_ensemble(increments, "increments", "wiener-increment")
     h = increments.h
     t = h * np.arange(increments.n_steps + 1)
     walk = np.zeros((increments.n_paths, increments.n_steps + 1))
     if params.sigma != 0.0:
         np.cumsum(increments.paths, axis=1, out=walk[:, 1:])
         walk *= params.sigma
-    return PathEnsemble(
-        h=h,
-        paths=_check_prices(params.M0 * np.exp(params.mu * t + walk)),
-        kind="price",
-        master_seed=increments.master_seed,
-        stream_indices=increments.stream_indices,
-    )
+    prices = _check_prices(params.M0 * np.exp(params.mu * t + walk))
+    return replace(increments, paths=prices, kind="price")
 
 
 @np.errstate(all="ignore")  # prices out of float range are refused, not warned
@@ -101,10 +91,7 @@ def price_from_returns(r_path, mu, M0=1.0):
     conversion is the exact inverse of returns_from_prices.  Prices outside
     (0, inf) raise DomainError.
     """
-    if not isinstance(r_path, PathEnsemble):
-        raise InputError("r_path must be a PathEnsemble")
-    if r_path.kind != "return-rate":
-        raise InputError(f"r_path must have kind 'return-rate', got {r_path.kind!r}")
+    check_ensemble(r_path, "r_path", "return-rate")
     if not np.isfinite(mu):
         raise InputError("mu must be finite")
     check_positive(M0, "M0", DomainError)
@@ -113,13 +100,7 @@ def price_from_returns(r_path, mu, M0=1.0):
     integral = np.zeros((r.shape[0], r.shape[1] + 1))
     np.cumsum(h * r, axis=1, out=integral[:, 1:])
     t = h * np.arange(r.shape[1] + 1)
-    return PathEnsemble(
-        h=h,
-        paths=_check_prices(M0 * np.exp(mu * t + integral)),
-        kind="price",
-        master_seed=r_path.master_seed,
-        stream_indices=r_path.stream_indices,
-    )
+    return replace(r_path, paths=_check_prices(M0 * np.exp(mu * t + integral)), kind="price")
 
 
 def _check_prices(paths):
@@ -138,10 +119,7 @@ def returns_from_prices(prices, mu=None):
     (the output has exactly zero mean per path); passing mu detrends by the
     given drift instead.
     """
-    if not isinstance(prices, PathEnsemble):
-        raise InputError("prices must be a PathEnsemble")
-    if prices.kind != "price":
-        raise InputError(f"prices must have kind 'price', got {prices.kind!r}")
+    check_ensemble(prices, "prices", "price")
     if prices.n_steps < 2:
         raise InputError("need at least two prices per path")
     log_m = np.log(_check_prices(prices.paths))
@@ -152,13 +130,7 @@ def returns_from_prices(prices, mu=None):
         if not np.isfinite(mu):
             raise InputError("mu must be finite")
         rate = rate - mu
-    return PathEnsemble(
-        h=prices.h,
-        paths=rate,
-        kind="return-rate",
-        master_seed=prices.master_seed,
-        stream_indices=prices.stream_indices,
-    )
+    return replace(prices, paths=rate, kind="return-rate")
 
 
 def simulate_white_returns(tau_R, variance_R, n_steps, h, n_paths, seed):
@@ -200,10 +172,4 @@ def simulate_white_returns(tau_R, variance_R, n_steps, h, n_paths, seed):
         np.cumsum(z[:, s : s + m] * grow[:m], axis=1, out=block)
         block *= fall[:m]
         block += paths[:, s - 1 : s] * fall[1 : m + 1]
-    return PathEnsemble(
-        h=h,
-        paths=paths,
-        kind="return-rate",
-        master_seed=seed,
-        stream_indices=tuple(range(n_paths)),
-    )
+    return PathEnsemble(h=h, paths=paths, kind="return-rate", master_seed=seed)

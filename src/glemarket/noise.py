@@ -195,13 +195,7 @@ def generate_colored(request):
         spec[:, : last + 1] *= weight[: last + 1]
         out = np.fft.irfft(spec, m, out=synthesized[: stop - start])
         paths[start:stop] = out[:, :n]
-    return PathEnsemble(
-        h=request.h,
-        paths=paths,
-        kind="force",
-        master_seed=request.seed,
-        stream_indices=tuple(range(request.n_paths)),
-    )
+    return PathEnsemble(h=request.h, paths=paths, kind="force", master_seed=request.seed)
 
 
 def generate_wiener_increments(n_steps, h, n_paths, seed):
@@ -214,10 +208,4 @@ def generate_wiener_increments(n_steps, h, n_paths, seed):
     for row, stream in zip(paths, path_streams(seed, "wiener", 0, n_paths)):
         stream.standard_normal(out=row)
     paths *= np.sqrt(h)
-    return PathEnsemble(
-        h=h,
-        paths=paths,
-        kind="wiener-increment",
-        master_seed=seed,
-        stream_indices=tuple(range(n_paths)),
-    )
+    return PathEnsemble(h=h, paths=paths, kind="wiener-increment", master_seed=seed)

@@ -116,7 +116,11 @@ class PathEnsemble:
 
     ``paths`` has shape (n_paths, n_steps).  ``master_seed`` and
     ``stream_indices`` record exactly which counter-based substreams
-    produced each row, so any subset can be regenerated bit for bit.
+    produced each row, so any subset can be regenerated bit for bit.  A
+    seeded ensemble given no indices is a fresh draw, rows 0 .. n_paths - 1
+    of its seed; an unseeded one keeps no indices.  Transforms build their
+    output with ``dataclasses.replace``, so it keeps its input's ``h`` and
+    lineage.
     """
 
     h: float
@@ -131,6 +135,8 @@ class PathEnsemble:
         if arr.ndim != 2 or arr.size == 0:
             raise InputError("PathEnsemble paths must be a nonempty 2-d array")
         object.__setattr__(self, "paths", arr)
+        if self.master_seed is not None and not self.stream_indices:
+            object.__setattr__(self, "stream_indices", tuple(range(arr.shape[0])))
         if self.stream_indices and len(self.stream_indices) != arr.shape[0]:
             raise InputError("stream_indices length must match the number of paths")
 
@@ -145,3 +151,11 @@ class PathEnsemble:
     @property
     def times(self):
         return self.h * np.arange(self.n_steps)
+
+
+def check_ensemble(value, name, kind=None):
+    """InputError unless ``value`` is a PathEnsemble, of ``kind`` if given."""
+    if not isinstance(value, PathEnsemble):
+        raise InputError(f"{name} must be a PathEnsemble")
+    if kind is not None and value.kind != kind:
+        raise InputError(f"{name} must have kind {kind!r}, got {value.kind!r}")

@@ -64,6 +64,7 @@ for the differential model).  Two consequences for the discretization:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -73,7 +74,7 @@ from .laplace import spectral_density  # noqa: F401  perfbench's tracer patches 
 from .market import simulate_white_returns
 from .models import CATALOG, Variant, band_variance, observable_evaluator, spectral_atom
 from .noise import NoiseRequest, generate_colored, path_streams
-from .series import AcfSeries, KernelSeries, PathEnsemble, SpectralDensity
+from .series import AcfSeries, KernelSeries, PathEnsemble, SpectralDensity, check_ensemble
 from .specfun import lambda1
 
 EULER_GAMMA = 0.5772156649015329
@@ -176,8 +177,7 @@ def integrate_gle(kernel, forcing, r0=0.0):
     ``r0`` may be a scalar or a per-path array of initial values.  Returns
     a PathEnsemble of kind "return-rate" on the forcing's grid.
     """
-    if not isinstance(forcing, PathEnsemble):
-        raise InputError("forcing must be a PathEnsemble")
+    check_ensemble(forcing, "forcing")
     if abs(kernel.h - forcing.h) > 1e-12 * kernel.h:
         raise InputError("kernel and forcing must share one time step")
     f = forcing.paths
@@ -191,13 +191,7 @@ def integrate_gle(kernel, forcing, r0=0.0):
     g, hom = _transfer(kernel.values, h, n_steps)
     r = r0[:, None] * hom
     r[:, 1:] += _fft_product(u, g[:-1], n_steps - 1)
-    return PathEnsemble(
-        h=forcing.h,
-        paths=r,
-        kind="return-rate",
-        master_seed=forcing.master_seed,
-        stream_indices=forcing.stream_indices,
-    )
+    return replace(forcing, paths=r, kind="return-rate")
 
 
 # band cells 2 L h/(pi tau_R) of a fold on a grid of L, refused above the
@@ -292,13 +286,7 @@ def simulate_stationary_ensemble(model, h, n_steps, n_paths, seed):
         NoiseRequest(n_steps=n, n_paths=n_paths, seed=seed, target_spectrum=target, h=h)
     ).paths[:, :n_steps]
     _add_spectral_line(r, model, h, seed)
-    return PathEnsemble(
-        h=h,
-        paths=np.ascontiguousarray(r),
-        kind="return-rate",
-        master_seed=seed,
-        stream_indices=tuple(range(n_paths)),
-    )
+    return PathEnsemble(h=h, paths=np.ascontiguousarray(r), kind="return-rate", master_seed=seed)
 
 
 def _add_spectral_line(r, model, h, seed):

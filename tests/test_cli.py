@@ -1401,6 +1401,33 @@ def test_gbm_ignores_a_config_return_variance(tmp_path):
                 == (tmp_path / "config" / csv_name).read_bytes())
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_sigma_zero_from_flag_or_config_refuses_max_lag(tmp_path, source):
+    # a deterministic gbm run writes no summary ACF; a config sigma of 0 once
+    # left a given --max-lag read, and --max-lag 8 and 9 wrote the same files
+    config = tmp_path / "sigma0.cfg"
+    config.write_text("model.sigma = 0\n", encoding="utf-8")
+    sigma = {"flag": ["--sigma", "0"], "config": ["--config", str(config)]}[source]
+    code, out, err = run_cli("simulate", "--model", "gbm", *sigma, "--max-lag", "5",
+                             "--n-paths", "1", "--n-steps", "64", "--h", "0.1", "--seed", "1",
+                             "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert ("simulate reads --max-lag only with a return-rate --model, or gbm with --sigma "
+            "other than 0") in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_bad_config_value_is_reported_before_an_unread_flag(tmp_path):
+    # the config pass runs before the given flags are judged
+    config = tmp_path / "bad.cfg"
+    config.write_text("seed = -1\n", encoding="utf-8")
+    code, out, err = run_cli("simulate", "--model", "gbm", "--variance", "2", "--config",
+                             str(config), "--n-paths", "1", "--n-steps", "64", "--h", "0.1",
+                             "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (2, "") and "seed must be an integer in [0, 2^64)" in err
+    assert "--variance" not in err and not (tmp_path / "out").exists()
+
+
 def read_csv_status(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
