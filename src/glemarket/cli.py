@@ -56,6 +56,7 @@ from .models import (
     CATALOG,
     ROUTES,
     Variant,
+    _solvable,
     closed_form_acf,
     force_shape,
     identity_residual,
@@ -447,30 +448,22 @@ _AUDIT_DECADES = (-2.0, 2.0)
 
 
 def _grid_residuals(model, grid):
-    """Closure residuals of a whole p grid from one identity_residual call,
-    and the mask of the points that failed to converge: only if that call
-    raises is the grid redone point by point, with nan where a point raises."""
-    failed = np.zeros(grid.size, dtype=bool)
-    try:
-        return np.asarray(identity_residual(model, grid)), failed
-    except AccuracyError:  # SolverError included
-        residuals = np.empty(grid.size)
-    for i, p in enumerate(grid):
-        try:
-            residuals[i] = identity_residual(model, p)
-        except AccuracyError:
-            residuals[i], failed[i] = np.nan, True
-    return residuals, failed
+    """Closure residuals of a p grid, one identity_residual call on the points the solver
+    reaches, and the mask of the rest (nan): scaling chains deeper than the solver's bound."""
+    ok = _solvable(model, grid)
+    residuals = np.full(grid.size, np.nan)
+    if ok.any():
+        residuals[ok] = identity_residual(model, grid[ok])
+    return residuals, ~ok
 
 
 _AUDIT_HEADER = ["check", "p_real", "p_imag", "residual", "status"]
 
 
 def _audit_rows(model, args, tolerance):
-    """Audit table lines, their failure count and worst residual, built
-    column by column.  Each p grid is one array call: identity_residual on
-    the real and on the seeded complex grid, and for differential
-    force_shape at u + du and u - du and observable_shape."""
+    """Audit table lines, their failure count and worst residual, built column by column.
+    Each p grid is at most one array call: identity_residual on its solvable points, real
+    and seeded complex, and for differential force_shape at u +/- du and observable_shape."""
     scale = 1.0 / model.corr_time
     p_real = scale * np.logspace(*_AUDIT_DECADES, args.n_real)
     grids = [p_real]
@@ -507,8 +500,8 @@ def _audit_rows(model, args, tolerance):
 
 
 def cmd_audit(args):
-    """Print (and optionally write) the audit table; exit 4 on any failed row.
-    The real grid and the complex grid each cost one identity_residual call."""
+    """Print (and optionally write) the audit table; exit 4 on a failed or no-converge row,
+    or on a solver error, before writing.  Each grid costs at most one identity_residual call."""
     model = _build_model(args)
     lines, failures, worst = _audit_rows(model, args, args.tolerance)
     table = "\n".join(lines)
@@ -615,6 +608,7 @@ FLAGS = (
     Flag("--variance", dict(type=float, default=1.0, help="equal-time second moment (default 1)"),
          {"acf": {}, "simulate": dict(read=_RETURNS), "audit": {}}, config="model.variance"),
     Flag("--route", dict(required=True, choices=ROUTES[:3]), {"acf": {}}),  # the ACF routes
+    # gbm at --sigma 0 draws nothing, and keeps --seed as its printed master_seed lineage
     Flag("--seed", dict(type=int), {
         "simulate": dict(help="master seed (required)"),
         "audit": dict(read=("--n-complex above 0", lambda args: bool(args.n_complex)),

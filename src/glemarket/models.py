@@ -347,7 +347,8 @@ def solve_functional_shape(model, p):
 
     Real p >= 0 only, by the shapes' own rule (``_validate_p``).  The returned
     values satisfy the defining equation with residual <= 1e-10 (checked;
-    SolverError otherwise).
+    SolverError otherwise, and before solving if a scaling grid's substitution
+    chain, ``_chain_depth``, is deeper than _CHAIN_MAX_DEPTH levels).
 
     The scaling equation couples p only along the lattice theta^k p, so its
     attracting solution for theta > 1 carries a bounded log-periodic
@@ -403,13 +404,7 @@ def _solve_scaling(tau_r, theta, arr):
     if not np.any(pos):
         return out, out_theta
     q = arr[pos]
-    # substitution chain p, theta p, theta^2 p, ... closed where y is known
-    # to 1e-13: y -> 1 below the floor, y -> 1/(tau_r p) above the ceiling
-    if theta < 1.0:
-        span = np.log(_CHAIN_FLOOR / (tau_r * np.max(q))) / np.log(theta)
-    else:
-        span = np.log(_CHAIN_CEILING / (tau_r * np.min(q))) / np.log(theta)
-    depth = int(np.ceil(max(span, 1.0)))
+    depth = int(np.max(_chain_depth(tau_r, theta, q)))
     if depth > _CHAIN_MAX_DEPTH:
         raise SolverError(
             f"substitution chain for theta = {theta} exceeds {_CHAIN_MAX_DEPTH} levels",
@@ -428,6 +423,22 @@ def _solve_scaling(tau_r, theta, arr):
     out_theta[pos] = y
     out[pos] = 1.0 / (tau_r * q + y)
     return out, out_theta
+
+
+def _chain_depth(tau_r, theta, q):
+    """Levels of the scaling chain q, theta q, theta^2 q, ... at each q > 0 to its closed end."""
+    edge = _CHAIN_FLOOR if theta < 1.0 else _CHAIN_CEILING
+    return np.ceil(np.maximum(np.log(edge / (tau_r * q)) / np.log(theta), 1.0))
+
+
+def _solvable(model, p):
+    """Mask of the points of p the shape solvers reach, with p validated as the shapes
+    do: all but the scaling points whose chain is deeper than _CHAIN_MAX_DEPTH."""
+    arr = _validate_p(model, p)
+    ok = np.ones(arr.shape, dtype=bool)
+    if model.variant is Variant.SCALING and model.theta not in (0.0, 1.0):
+        ok[arr > 0] = _chain_depth(model.tau_r, model.theta, arr[arr > 0]) <= _CHAIN_MAX_DEPTH
+    return ok
 
 
 # -- closed time-domain forms ------------------------------------------------

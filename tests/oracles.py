@@ -473,10 +473,10 @@ def cmd_audit_rowwise(args):
     """``cli.cmd_audit`` as a loop over rows: each row's cells are formatted
     one by one and printed with one call, the CSV is written row by row
     through csv.writer, and the worst residual is parsed back from the
-    printed cells.  No-converge rows are the points whose identity_residual
-    call raised, alone, after the whole grid's call raised.  It calls the
-    shapes and ``identity_residual`` through ``cli``, so a test that patches
-    them there patches this loop too."""
+    printed cells.  No-converge rows are the points the ``_solvable`` mask
+    leaves out; the rest of each grid is one identity_residual call.  It calls
+    the mask, the shapes and ``identity_residual`` through ``cli``, so a test
+    that patches them there patches this loop too."""
     model = cli._build_model(args)
     tolerance = args.tolerance
     scale = 1.0 / model.corr_time
@@ -489,15 +489,9 @@ def cmd_audit_rowwise(args):
         grids.append(magnitude[:, 0] + 1j * (signs * magnitude[:, 1]))
     rows = []
     for points in grids:
-        try:
-            residuals = list(cli.identity_residual(model, points))
-        except AccuracyError:
-            residuals = []
-            for p in points:
-                try:
-                    residuals.append(cli.identity_residual(model, p))
-                except AccuracyError:
-                    residuals.append(None)
+        solvable = cli._solvable(model, points)
+        solved = iter(cli.identity_residual(model, points[solvable]) if solvable.any() else ())
+        residuals = [next(solved) if ok else None for ok in solvable]
         for p, residual in zip(points, residuals):
             status = ("no-converge" if residual is None
                       else "ok" if residual <= tolerance else "FAIL")

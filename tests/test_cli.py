@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import glemarket.cli as cli
 import glemarket.laplace as laplace
+import glemarket.models as models
 import oracles
 from glemarket.cli import main, parse_config
 from glemarket import errors
@@ -973,15 +974,8 @@ class TestAudit:
         code, clean, _ = run_cli(*argv)
         assert code == 0
         rows = [line.split(",") for line in clean.splitlines() if line.startswith("closure,")]
-        marked = {complex(float(rows[i][1]), float(rows[i][2])) for i in (2, 7, 15)}
-        original = cli.identity_residual
-
-        def flaky(model, p):
-            if any(complex(q) in marked for q in np.atleast_1d(p)):
-                raise SolverError("marked point", residual=np.inf)
-            return original(model, p)
-
-        monkeypatch.setattr(cli, "identity_residual", flaky)
+        marked = [complex(float(rows[i][1]), float(rows[i][2])) for i in (2, 7, 15)]
+        patched_solvable(monkeypatch, marked)
         code, out, err = run_cli(*argv)
         assert code == 4 and "3 audit rows exceed tolerance" in err
         assert "failures = 3" in out
@@ -990,9 +984,42 @@ class TestAudit:
         for i, (row, clean_row) in enumerate(zip(broken, rows)):
             if i in (2, 7, 15):
                 assert row[:3] == clean_row[:3] and row[3:] == ["nan", "no-converge"]
-            else:  # redone one point at a time: same cells, residual to roundoff
-                assert row[:3] + row[4:] == clean_row[:3] + clean_row[4:]
-                assert abs(float(row[3]) - float(clean_row[3])) <= 1e-15
+            else:  # the rest of each grid is one call: the clean run's cells
+                assert row == clean_row
+
+    def test_unreachable_scaling_points_cost_no_solve(self, monkeypatch):
+        # 10 of these 20 points have chains deeper than the solver's bound
+        seen = []
+        original = cli.identity_residual
+
+        def counted(model, p):
+            seen.append(np.size(p))
+            return original(model, p)
+
+        monkeypatch.setattr(cli, "identity_residual", counted)
+        code, out, err = run_cli("audit", "--model", "scaling", "--theta", "1.00015",
+                                 "--n-real", "20")
+        assert code == 4 and "10 audit rows exceed tolerance" in err
+        assert seen == [10]
+        rows = [line.split(",") for line in out.splitlines() if line.startswith("closure,")]
+        assert [row[4] for row in rows] == ["no-converge"] * 10 + ["ok"] * 10
+        assert [row[3] for row in rows] == ["nan"] * 10 + ["0.0"] * 5 + [
+            "1.1102230246251565e-16", "0.0", "0.0", "0.0", "1.1102230246251565e-16"]
+        assert [float(row[1]) for row in rows] == np.logspace(-2.0, 2.0, 20).tolist()
+        assert out.endswith("checked 20 points, worst residual = 1.1102230246251565e-16, "
+                            "tolerance = 1e-10, failures = 10\n")
+
+    def test_complex_grid_is_refused_with_no_solvable_real_point(self, monkeypatch):
+        monkeypatch.setattr(models, "_CHAIN_MAX_DEPTH", 1)
+        code, _, err = run_cli("audit", "--model", "scaling", "--n-complex", "2", "--seed", "1")
+        assert code == 3 and "real axis only" in err
+
+    def test_solver_error_on_a_grid_exits_4_and_writes_nothing(self, monkeypatch, tmp_path):
+        patched_residual(monkeypatch, raise_at=grid_points(12, (3,)))
+        code, out, err = run_cli("audit", "--model", "stock", "--theta", "1.5", "--n-real", "12",
+                                 "--out-dir", str(tmp_path), "--out", "audit.csv")
+        assert code == 4 and "marked point (achieved inf)" in err
+        assert out == "" and not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv,calls", [
         (["--model", "stock", "--theta", "1.5", "--n-complex", "30", "--seed", "2"], 2),
@@ -1075,6 +1102,13 @@ def grid_points(n, picks):
     return np.logspace(-2.0, 2.0, n)[list(picks)]
 
 
+def patched_solvable(monkeypatch, unsolvable):
+    """Make cli._solvable leave out the points of ``unsolvable`` as well."""
+    original = cli._solvable
+    monkeypatch.setattr(cli, "_solvable",
+                        lambda model, p: original(model, p) & ~np.isin(p, unsolvable))
+
+
 def patched_residual(monkeypatch, raise_at=(), nan_at=()):
     """Make cli.identity_residual raise a SolverError for any call holding a
     point of ``raise_at``, and return nan at the points of ``nan_at``."""
@@ -1116,9 +1150,9 @@ def test_failing_tolerance_is_the_row_loop_byte_for_byte(audit_twice, argv):
 
 
 def test_unconverged_and_nan_rows_are_the_row_loop_byte_for_byte(audit_twice, monkeypatch):
-    # the grid call raises, so each point is redone alone: the points that
-    # raise again are no-converge, and a nan the model returns is a FAIL
-    patched_residual(monkeypatch, raise_at=grid_points(12, (2, 7)), nan_at=grid_points(12, (4,)))
+    # points the mask leaves out are no-converge, and a nan the model returns is a FAIL
+    patched_solvable(monkeypatch, grid_points(12, (2, 7)))
+    patched_residual(monkeypatch, nan_at=grid_points(12, (4,)))
     new, old = audit_twice(["--model", "stock", "--theta", "1.5", "--n-real", "12",
                             "--n-complex", "4", "--seed", "3", "--out", "audit.csv"])
     assert new == old and new[0] == 4
@@ -1145,7 +1179,7 @@ def test_nan_derivative_rows_fail(audit_twice, monkeypatch):
 
 
 def test_all_no_converge_reports_worst_zero(audit_twice, monkeypatch):
-    patched_residual(monkeypatch, raise_at=np.logspace(-2.0, 2.0, 6))
+    patched_solvable(monkeypatch, np.logspace(-2.0, 2.0, 6))
     new, old = audit_twice(["--model", "selfsim", "--n-real", "6", "--out", "audit.csv"])
     assert new == old and new[0] == 4
     assert new[1].count(",nan,no-converge\n") == 6
@@ -1415,6 +1449,23 @@ def test_sigma_zero_from_flag_or_config_refuses_max_lag(tmp_path, source):
     assert ("simulate reads --max-lag only with a return-rate --model, or gbm with --sigma "
             "other than 0") in err
     assert not (tmp_path / "out").exists()
+
+
+def test_sigma_zero_gbm_keeps_seed_as_lineage_only(tmp_path):
+    # a deterministic gbm run draws nothing: --seed is read for master_seed alone
+    outs = {}
+    for seed in ("1", "2"):
+        code, outs[seed], _ = run_cli("simulate", "--model", "gbm", "--sigma", "0", "--n-paths",
+                                      "2", "--n-steps", "64", "--h", "0.1", "--seed", seed,
+                                      "--out-dir", str(tmp_path / seed))
+        assert code == 0
+    for csv_name in ("simulate_paths.csv", "simulate_summary.csv"):
+        assert (tmp_path / "1" / csv_name).read_bytes() == (tmp_path / "2" / csv_name).read_bytes()
+    lines = {seed: out.replace(str(tmp_path / seed), "<dir>").splitlines()
+             for seed, out in outs.items()}
+    assert [(a, b) for a, b in zip(lines["1"], lines["2"]) if a != b] == [
+        ("master_seed = 1", "master_seed = 2")]
+    assert len(lines["1"]) == len(lines["2"])
 
 
 def test_a_bad_config_value_is_reported_before_an_unread_flag(tmp_path):

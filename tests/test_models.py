@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import jv
 
 from glemarket import estimate, models
-from glemarket.errors import CapabilityError, DomainError, InputError
+from glemarket.errors import CapabilityError, DomainError, InputError, SolverError
 from glemarket.laplace import spectral_density
 from glemarket.models import (
     CATALOG,
@@ -246,6 +246,39 @@ def test_fractional_residual_solves_once_per_grid(monkeypatch, theta):
     m = ModelSpec.fractional(tau_r=1.0, theta=theta)
     identity_residual(m, np.geomspace(1e-2, 1e2, 300))
     assert calls == [300]
+
+
+@pytest.mark.parametrize("theta,grid", [(1.01, np.geomspace(1e2, 1e6, 40)),
+                                        (0.99, np.geomspace(1e-7, 1e-3, 40))])
+def test_solvable_is_where_a_one_point_solve_does_not_raise(monkeypatch, theta, grid):
+    # with the bound at 2000 levels the chain depth crosses it inside each grid
+    monkeypatch.setattr(models, "_CHAIN_MAX_DEPTH", 2000)
+    m = ModelSpec.scaling(tau_r=1.0, theta=theta)
+    solved = []
+    for p in grid:
+        try:
+            solve_functional_shape(m, p)
+            solved.append(True)
+        except SolverError as err:
+            assert str(err) == (f"substitution chain for theta = {theta} exceeds 2000 levels "
+                                "(achieved inf)")
+            solved.append(False)
+    assert 0 < sum(solved) < grid.size
+    assert models._solvable(m, grid).tolist() == solved
+    # the whole grid, with its unreachable points, raises as one point does
+    with pytest.raises(SolverError, match="exceeds 2000 levels"):
+        identity_residual(m, grid)
+
+
+def test_solvable_validates_p_as_the_shapes_do():
+    scaling = ModelSpec.scaling(tau_r=1.0, theta=1.00015)
+    assert models._solvable(scaling, [0.0, 0.01, 100.0]).tolist() == [True, False, True]
+    assert models._solvable(ModelSpec.scaling(tau_r=1.0, theta=1.0), [1e300]).all()
+    assert models._solvable(ModelSpec.stock_theta(tau_r=1.0, theta=1.5), 1.0 + 2.0j).all()
+    with pytest.raises(CapabilityError, match="real axis only"):
+        models._solvable(ModelSpec.scaling(tau_r=1.0, theta=1.5), [1.0 + 1.0j])
+    with pytest.raises(DomainError):
+        models._solvable(ModelSpec.fractional(tau_r=1.0, theta=1.5), [-1.0])
 
 
 @settings(max_examples=150, deadline=None)
