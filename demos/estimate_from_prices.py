@@ -2,23 +2,18 @@
 
 Generates an ensemble of return paths for a stock model with a chosen
 memory exponent, converts one path to prices, and recovers the memory
-class from the price series with the library's estimation steps: sample-mean
-detrended log returns, their autocorrelation up to a fixed 320 lags, and a
-fit of the memory exponent over a 40-time-unit window, with its class label.
-This is close to, but not the same as, `glemarket estimate`: the command caps
-the lags at min(n // 4, --max-lag) with a default of 400, and refuses a
-series whose returns have zero variance, which this demo does not check.
+class from the price series with ``fit_prices``, over a 40-time-unit
+window: it estimates exactly as `glemarket estimate --lag-window 40` does,
+and the figure shows the ACF that the call fitted.
 """
 
 import numpy as np
 
 from glemarket import (
     ModelSpec,
-    fit_theta,
+    fit_prices,
     model_curve,
     price_from_returns,
-    returns_from_prices,
-    sample_acf,
     simulate_stationary_ensemble,
 )
 
@@ -31,9 +26,7 @@ def main():
     prices = price_from_returns(ensemble, mu=0.03, M0=100.0)
     print(f"synthesized {n_steps} prices, true theta = {true_theta}, drift 0.03")
 
-    returns = returns_from_prices(prices)  # sample-mean detrended
-    acf = sample_acf(returns.paths[0], max_lag=320, h=h)
-    report = fit_theta(acf, lag_window=40.0)
+    report, acf = fit_prices(prices, lag_window=40.0)
 
     print(f"fitted theta    = {report.theta:.4f}")
     print(f"fitted tau_r    = {report.tau_r:.4f}")

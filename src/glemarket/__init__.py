@@ -18,7 +18,8 @@ function are linked through their Laplace images.  The package provides
 * ``market``   -- geometric-Brownian price paths, exact white-noise return
   sampling, and conversions between prices and detrended return rates;
 * ``estimate`` -- sample autocorrelations and the memory-exponent fit
-  with class labels (heavy / neutral / light / ultra-light);
+  with class labels (heavy / neutral / light / ultra-light), from an ACF
+  or from one price path;
 * ``cli``      -- the ``glemarket`` command-line interface.
 """
 
@@ -33,7 +34,7 @@ from .errors import (
     SolverError,
     SpectralPositivityError,
 )
-from .estimate import FitReport, ensemble_acf, fit_theta, model_curve, sample_acf
+from .estimate import FitReport, ensemble_acf, fit_prices, fit_theta, model_curve, sample_acf
 from .laplace import invert, invert_at, spectral_density
 from .market import (
     MarketParams,
@@ -100,6 +101,7 @@ __all__ = [
     "closed_form_acf",
     "differential_acf",
     "ensemble_acf",
+    "fit_prices",
     "fit_theta",
     "force_evaluator",
     "force_shape",

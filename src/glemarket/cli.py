@@ -34,14 +34,13 @@ import io
 import itertools
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import (
     AccuracyError,
     CapabilityError,
-    DegenerateSeriesError,
     GleMarketError,
     InputError,
     ParseError,
@@ -49,12 +48,14 @@ from .errors import (
     check_positive,
     check_seed,
 )
-from .estimate import ensemble_acf, fit_theta, sample_acf
+from .estimate import FitReport, _usable_lags, ensemble_acf, fit_prices
+from .estimate import fit_theta, sample_acf  # noqa: F401  unused; perfbench's SITES patches them here
 from .laplace import invert
 from .market import MarketParams, price_from_returns, returns_from_prices, simulate_gbm
 from .models import (
     CATALOG,
     ROUTES,
+    StockClass,
     Variant,
     _solvable,
     closed_form_acf,
@@ -310,7 +311,7 @@ def _summarize_returns(args, ensemble, base):
         print(f"wrote {summary_file} (deterministic run: zero return variance, ACF omitted)")
         print("variance = 0.0")
         return
-    max_lag = min(ensemble.n_steps // 4, args.max_lag)
+    max_lag = _usable_lags(ensemble.n_steps, args.max_lag)
     acf, se = ensemble_acf(ensemble, max_lag)
     lags = acf.h * np.arange(max_lag + 1)
     _write_columns(summary_file, ["lag", "acf_mean", "acf_se"], lags, acf.values, se)
@@ -401,36 +402,19 @@ def _infer_h(args, t):
     return h
 
 
+def _report_cell(value):
+    """A FitReport field as ``estimate`` prints it: repr, but the class label and lower-case flags."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value.value if isinstance(value, StockClass) else repr(value)
+
+
 def cmd_estimate(args):
     t, price_row = _read_price_csv(args.input)
-    h = _infer_h(args, t)
-    prices = PathEnsemble(h=h, paths=price_row[None, :], kind="price")
-    mu = None if args.detrend == "sample-mean" else 0.0
-    returns = returns_from_prices(prices, mu=mu)
-    series = returns.paths[0]
-    # a deterministic price series leaves only log/exp roundoff after
-    # detrending; refuse to fit that noise rather than report a bogus model
-    raw_scale = float(np.sqrt(np.mean(np.square(np.diff(np.log(price_row)) / h))))
-    if float(np.sqrt(np.mean(series * series))) <= 1e-12 * raw_scale:
-        raise DegenerateSeriesError("series has zero variance after detrending")
-    n = series.size
-    max_lag = min(n // 4, args.max_lag)
-    if max_lag < 8:
-        raise InputError("series too short: fewer than 8 usable ACF lags")
-    acf = sample_acf(series, max_lag, h=h)
-    lag_window = args.lag_window if args.lag_window is not None else max_lag * h
-    report = fit_theta(acf, lag_window)
-    lines = [
-        ("tau_r", repr(float(report.tau_r))),
-        ("theta", repr(float(report.theta))),
-        ("variance", repr(float(report.variance))),
-        ("residual", repr(float(report.residual))),
-        ("stock_class", report.stock_class.value),
-        ("lags_used", str(report.lags_used)),
-        ("degenerate", str(report.degenerate).lower()),
-        ("window_ok", str(report.window_ok).lower()),
-    ]
-    for key, value in lines:
+    prices = PathEnsemble(h=_infer_h(args, t), paths=price_row[None, :], kind="price")
+    report, _ = fit_prices(prices, args.max_lag, args.lag_window, args.detrend)
+    cells = {field.name: _report_cell(getattr(report, field.name)) for field in fields(FitReport)}
+    for key, value in cells.items():
         print(f"{key} = {value}")
     if not report.window_ok:
         print("note: lag window shorter than 3 fitted correlation times", file=sys.stderr)
@@ -438,7 +422,7 @@ def cmd_estimate(args):
         print("note: objective is flat near the optimum (non-identifiable fit)", file=sys.stderr)
     if args.out is not None:
         path = _out_path(args, args.out)
-        _write_csv(path, [[k for k, _ in lines], [v for _, v in lines]])
+        _write_csv(path, [list(cells), list(cells.values())])
         print(f"wrote {path}")
     return 0
 

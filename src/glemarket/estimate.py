@@ -30,6 +30,11 @@ value), built once with it; the unit grid, the coarse thetas and the
 relative tau_r spans of the scans are module constants.  The cache is a
 read-mostly dict, safe under concurrent fits because entries are
 write-once.
+
+fit_prices, the call behind ``glemarket estimate``, runs the recipe on one
+price path: detrended log returns (refused when only roundoff is left),
+their sample ACF to min(n // 4, max_lag) lags, at least 8, and fit_theta
+over lag_window, max_lag * h by default.
 """
 
 from dataclasses import dataclass
@@ -40,6 +45,7 @@ from .errors import DegenerateSeriesError, InputError, check_count, check_positi
 # unused since model curves come from the series, but perfbench's tracer
 # patches glemarket.estimate.invert_at and fails if the name is missing
 from .laplace import invert_at  # noqa: F401
+from .market import returns_from_prices
 from .models import ModelSpec, StockClass, classify_theta, closed_form_acf
 from .series import AcfSeries, PathEnsemble, check_ensemble
 from .volterra import _five_smooth
@@ -373,10 +379,46 @@ def fit_theta(acf, lag_window):
     return FitReport(
         tau_r=float(tau_best),
         theta=float(theta_best),
-        variance=acf.variance,
+        variance=float(acf.variance),
         residual=float(np.sqrt(f_best)),
         stock_class=classify_theta(theta_best),
         lags_used=n_fit + 1,
         degenerate=degenerate,
         window_ok=bool(lags[-1] >= 3.0 * tau_best),
     )
+
+
+def _usable_lags(n_steps, max_lag):
+    """ACF lags that n_steps samples support under a max_lag cap: ensemble_acf
+    needs n_steps >= 4 * max_lag."""
+    return min(n_steps // 4, max_lag)
+
+
+def fit_prices(prices, max_lag=400, lag_window=None, detrend="sample-mean"):
+    """(FitReport, AcfSeries): the fit to the return ACF of one price path,
+    and that ACF.
+
+    ``prices`` is a one-path PathEnsemble of kind "price".  Its log returns
+    are detrended by their sample mean ("sample-mean") or not at all
+    ("none"), their sample ACF is taken to min(n // 4, max_lag) lags, and
+    fit_theta fits it over ``lag_window`` time units (default max_lag * h).
+    """
+    check_ensemble(prices, "prices", "price")
+    if prices.n_paths != 1:
+        raise InputError(f"prices must hold one path, got {prices.n_paths}")
+    if detrend not in ("sample-mean", "none"):
+        raise InputError(f"detrend must be 'sample-mean' or 'none', got {detrend!r}")
+    max_lag = check_count(max_lag, "max_lag", 1)
+    series = returns_from_prices(prices, mu=None if detrend == "sample-mean" else 0.0).paths[0]
+    # a deterministic price series leaves only log/exp roundoff after
+    # detrending; refuse to fit that noise rather than report a bogus model
+    raw_scale = float(np.sqrt(np.mean(np.square(np.diff(np.log(prices.paths[0])) / prices.h))))
+    if float(np.sqrt(np.mean(series * series))) <= 1e-12 * raw_scale:
+        raise DegenerateSeriesError("series has zero variance after detrending")
+    max_lag = _usable_lags(series.size, max_lag)
+    if max_lag < 8:
+        raise InputError("series too short: fewer than 8 usable ACF lags")
+    acf = sample_acf(series, max_lag, h=prices.h)
+    if lag_window is None:
+        lag_window = max_lag * prices.h
+    return fit_theta(acf, lag_window), acf

@@ -366,7 +366,7 @@ def solve_functional_shape(model, p):
     else:
         y, y_at_theta_p = _solve_scaling(tau_r, theta, arr)
         resid = np.abs(y * (tau_r * arr + y_at_theta_p) - 1.0)
-    worst = float(np.max(resid))
+    worst = float(np.max(resid, initial=0.0))
     if worst > RESIDUAL_LIMIT:
         raise SolverError("functional shape residual above 1e-10", residual=worst)
     return _return_like(p, y)

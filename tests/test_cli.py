@@ -25,8 +25,11 @@ import oracles
 from glemarket.cli import main, parse_config
 from glemarket import errors
 from glemarket.errors import AccuracyError, ParseError, SolverError
-from glemarket.models import (CATALOG, ROUTES, Variant, force_shape, identity_residual,
+from glemarket.estimate import fit_prices
+from glemarket.market import price_from_returns
+from glemarket.models import (CATALOG, ROUTES, ModelSpec, Variant, force_shape, identity_residual,
                               observable_shape)
+from glemarket.volterra import simulate_stationary_ensemble
 
 
 def run_cli(*argv):
@@ -811,6 +814,30 @@ class TestEstimate:
         assert header[:4] == ["tau_r", "theta", "variance", "residual"]
         assert header[4:] == ["stock_class", "lags_used", "degenerate", "window_ok"]
         assert len(rows) == 1 and rows[0][4] == "heavy"
+
+    @pytest.mark.parametrize("n_steps", [1200, 4096])  # n // 4 below and above --max-lag 400
+    @pytest.mark.parametrize("detrend", ["sample-mean", "none"])
+    @pytest.mark.parametrize("lag_window", [None, 20.0])
+    def test_prints_the_report_of_fit_prices(self, tmp_path, n_steps, detrend, lag_window):
+        h = 0.125
+        model = ModelSpec.stock_theta(tau_r=1.0, theta=1.0)
+        returns = simulate_stationary_ensemble(model, h, n_steps, 1, seed=4)
+        prices = price_from_returns(returns, mu=0.03, M0=100.0)
+        write_prices(tmp_path / "p.csv", prices.paths[0], times=h * np.arange(prices.n_steps))
+        argv = ["--detrend", detrend] + ([] if lag_window is None else ["--lag-window", repr(lag_window)])
+        code, out, _ = run_cli("estimate", "--input", str(tmp_path / "p.csv"), *argv)
+        report, _ = fit_prices(prices, lag_window=lag_window, detrend=detrend)
+        assert code == 0
+        assert out.splitlines() == [
+            f"tau_r = {report.tau_r!r}",
+            f"theta = {report.theta!r}",
+            f"variance = {report.variance!r}",
+            f"residual = {report.residual!r}",
+            f"stock_class = {report.stock_class.value}",
+            f"lags_used = {report.lags_used}",
+            f"degenerate = {str(report.degenerate).lower()}",
+            f"window_ok = {str(report.window_ok).lower()}",
+        ]
 
 
 # -- audit -------------------------------------------------------------------------
@@ -1665,7 +1692,7 @@ def test_each_error_class_exits_with_its_code(tmp_path, monkeypatch, error, code
     ("acf", "invert", ["--model", "stock", "--theta", "1", "--route", "laplace",
                        "--h", "0.1", "--n-points", "10"]),
     ("audit", "identity_residual", ["--model", "stock", "--theta", "1"]),
-    ("estimate", "fit_theta", None),
+    ("estimate", "fit_prices", None),
 ])
 def test_memory_error_maps_to_exit_2_in_every_subcommand(tmp_path, monkeypatch,
                                                          command, target, argv):

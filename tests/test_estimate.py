@@ -485,3 +485,43 @@ def test_pruned_fit_equals_the_unpruned_search(case, monkeypatch):
     if case.startswith("white"):
         # a polished bracket reaches u > _U_MAX, where the objective is inf
         assert max(brackets[:polished]) > estimate._U_MAX
+
+
+def price_path(n_prices, h=0.125, seed=5):
+    """A one-path random-walk price ensemble of ``n_prices`` samples."""
+    steps = np.random.default_rng(seed).normal(0.0, 0.01, n_prices - 1)
+    return PathEnsemble(h=h, paths=np.exp(np.concatenate([[0.0], np.cumsum(steps)]))[None, :],
+                        kind="price")
+
+
+class TestFitPrices:
+    @pytest.mark.parametrize("prices,kwargs,error,message", [
+        (PathEnsemble(h=0.1, paths=np.full((1, 200), 42.0), kind="price"), {},
+         DegenerateSeriesError, "series has zero variance after detrending"),
+        (price_path(20), {}, InputError, "series too short: fewer than 8 usable ACF lags"),
+        (PathEnsemble(h=0.1, paths=np.ones((1, 200))), {},
+         InputError, "prices must have kind 'price', got 'return-rate'"),
+        (PathEnsemble(h=0.1, paths=np.ones((2, 200)), kind="price"), {},
+         InputError, "prices must hold one path, got 2"),
+        (price_path(400), {"detrend": "linear"},
+         InputError, "detrend must be 'sample-mean' or 'none', got 'linear'"),
+        (price_path(400), {"max_lag": 40.0}, InputError, "max_lag must be an integer"),
+    ], ids=["constant", "20-prices", "return-rate", "2-paths", "linear-detrend", "float-max-lag"])
+    def test_refusals(self, prices, kwargs, error, message):
+        with pytest.raises(InputError) as info:
+            estimate.fit_prices(prices, **kwargs)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_returns_the_report_of_the_acf_it_fitted(self):
+        prices = price_path(1200)
+        report, acf = estimate.fit_prices(prices, max_lag=400, lag_window=20.0, detrend="none")
+        # 1199 returns support 299 lags, below the cap of 400
+        assert len(acf) == 300 and acf.h == prices.h
+        log_returns = np.diff(np.log(prices.paths[0])) / prices.h
+        want = sample_acf(log_returns, 299, h=prices.h)
+        assert acf.values.tobytes() == want.values.tobytes()
+        assert report == fit_theta(want, 20.0)
+
+    def test_variance_is_a_python_float(self):
+        report, acf = estimate.fit_prices(price_path(1200))
+        assert type(report.variance) is float and report.variance == acf.variance

@@ -233,6 +233,23 @@ def test_identity_residual_is_the_closure_of_the_two_shapes_bit_for_bit(m):
             assert np.float64(identity_residual(m, q)).tobytes() == np.float64(want).tobytes()
 
 
+EMPTY_GRID_CASES = [
+    *((variant, shape) for variant in CATALOG
+      for shape in (observable_shape, force_shape, identity_residual)),
+    (Variant.SCALING, solve_functional_shape),
+    (Variant.FRACTIONAL, solve_functional_shape),
+]
+
+
+@pytest.mark.parametrize("variant,shape", EMPTY_GRID_CASES,
+                         ids=lambda case: getattr(case, "value", getattr(case, "__name__", None)))
+def test_an_empty_p_grid_gives_an_empty_array(variant, shape):
+    row = CATALOG[variant]
+    m = row.make(tau_r=1.0, theta=1.5) if row.family == "stock" else row.make(1.0)
+    out = shape(m, np.array([]))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
 @pytest.mark.parametrize("theta", [0.5, 1.5, 3.0])
 def test_fractional_residual_solves_once_per_grid(monkeypatch, theta):
     calls = []
