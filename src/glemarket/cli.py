@@ -31,7 +31,6 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -319,31 +318,40 @@ def _summarize_returns(args, ensemble, base):
     print(f"variance = {float(acf.variance)!r}")
 
 
-def _split_price_csv(text):
-    """(t, prices) of a plain price CSV by ``str.split``, or None.
+# characters that keep a file off the split parse: csv.reader ends a row at
+# a carriage return, and np.loadtxt strips the separators \x1c-\x1f from a
+# cell as whitespace where float() refuses them
+_SPLIT_REFUSED = "\r\x1c\x1d\x1e\x1f"
 
-    Plain is what csv.reader reads as one row per line: no carriage return
-    (a row end to csv.reader, whitespace to float), a known header, at
-    least 3 samples, and on every line as many cells as the header, each a
-    float.  A quote or a NUL fails float, so it reaches the csv.reader
-    loop, which parses everything else and words every error.
+
+def _split_price_csv(text):
+    """(t, prices) of a plain price CSV by numpy's C reader, or None.
+
+    Plain is what csv.reader reads as one row per line: none of
+    ``_SPLIT_REFUSED``, a known header, at least 3 samples, no blank line,
+    and on every line as many cells as the header, each a float.
+    np.loadtxt converts a cell with the parser float() uses, so the arrays
+    are the csv.reader loop's bit for bit.  A cell float() takes but the
+    reader refuses (``1_0``, a non-ASCII digit, a quote, a NUL), a blank
+    line, which the reader would skip, and a ``#``, which ``comments=None``
+    keeps a cell character, all reach the csv.reader loop, which parses
+    everything else and words every error.
     """
-    if "\r" in text:
+    if any(char in text for char in _SPLIT_REFUSED):
         return None
     head, _, body = text.partition("\n")
     header = [cell.strip() for cell in head.split(",")]
-    if body.endswith("\n"):
-        body = body[:-1]
-    lines = body.split("\n")
-    if header not in (["t", "price"], ["price"]) or len(lines) < 3:
+    # loadtxt warns on a body without data; the csv.reader loop words it
+    if header not in (["t", "price"], ["price"]) or not body or body.isspace():
         return None
-    if set(map(str.count, lines, itertools.repeat(","))) != {len(header) - 1}:
-        return None
+    lines = body.count("\n") + (not body.endswith("\n"))
     try:
-        cells = np.array(list(map(float, body.replace("\n", ",").split(","))))
+        cells = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    columns = cells.reshape(len(lines), len(header)).T.copy()
+    if cells.shape != (lines, len(header)) or lines < 3:
+        return None
+    columns = cells.T.copy()
     return (columns[0] if len(header) == 2 else None), columns[-1]
 
 

@@ -7,6 +7,10 @@ Conventions used throughout the package:
 * Kernels are dimensionful (1/time^2): the memory kernel of the evolution
   equation is the force ACF divided by the observable's variance.
 * All series share one uniform lag/time step ``h``.
+
+``_five_smooth`` picks the FFT length of every transform over a series:
+the GLE march's products, the stationary sampler's grid and the ACF
+estimator.
 """
 
 from dataclasses import dataclass, field
@@ -159,3 +163,17 @@ def check_ensemble(value, name, kind=None):
         raise InputError(f"{name} must be a PathEnsemble")
     if kind is not None and value.kind != kind:
         raise InputError(f"{name} must have kind {kind!r}, got {value.kind!r}")
+
+
+def _five_smooth(n):
+    """Smallest 2^i 3^j 5^k >= n: an FFT length pocketfft factors cheaply."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # odd times the least power of two reaching n
+            best = min(best, odd << ((n - 1) // odd).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best

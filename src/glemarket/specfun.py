@@ -50,13 +50,18 @@ def _j_asymptotic(x, nu):
     q_sum = np.zeros_like(xa)
     four_nu2 = 4.0 * nu * nu
     sign = 1.0
+    term = np.empty_like(xa)
     for m in range(1, _HANKEL_TERMS + 1):
-        a = a * (four_nu2 - (2 * m - 1) ** 2) / (8.0 * m) * inv_x
+        # a = a * (4 nu^2 - (2m - 1)^2) / (8m) * inv_x, in place
+        np.multiply(a, four_nu2 - (2 * m - 1) ** 2, a)
+        np.divide(a, 8.0 * m, a)
+        np.multiply(a, inv_x, a)
+        np.multiply(a, sign, term)
         if m % 2 == 1:
-            q_sum = q_sum + sign * a
+            np.add(q_sum, term, q_sum)
             sign = -sign             # flips after each (odd, even) pair
         else:
-            p_sum = p_sum + sign * a
+            np.add(p_sum, term, p_sum)
     chi = xa - (0.5 * nu + 0.25) * np.pi
     return np.sqrt(2.0 / (np.pi * xa)) * (p_sum * np.cos(chi) - q_sum * np.sin(chi))
 
@@ -127,6 +132,9 @@ _NEUMANN_COEF_FLOOR = 1e-17
 # a fit_theta curve at theta = 0.0125 costs 4e7)
 _NEUMANN_ORDER_COST = 4096
 NEUMANN_WORK_BOUND = 2e9
+# the recurrence slices its active suffix once per block of this many
+# steps, two orders each
+_NEUMANN_BLOCK_STEPS = 8
 
 
 def neumann_series(x, first, ratio):
@@ -140,10 +148,19 @@ def neumann_series(x, first, ratio):
     dropped once |a_n| < 1e-17.  Arguments below 1e-3 use the series' Taylor
     polynomial; x = 0 gives ``first``.
 
-    Cost is sum_i N(x_i) array steps plus a fixed loop cost for each of the
-    N(max x) orders (for the stock ACF, N(x) is about 2 t/(theta tau_r));
-    a call whose count exceeds NEUMANN_WORK_BOUND raises InputError before
-    any work.  Memory is O(len(x) + N(max x)).
+    The loop slices the active suffix once per block of 8 steps (16
+    orders), taking every argument that starts within the block: one that
+    has not started yet is all +0.0 and stays so under every step
+    (0 * x = +-0, +0 + +-0 = +0, +0 - +0 = +0) until its f_lo = 1.0 is set
+    at its own start order, so the sums are those of a per-order suffix
+    bit for bit.  Each step calls the ufuncs with positional outputs and
+    Python-float factors.
+
+    Cost is sum_i N(x_i) array steps, plus at most 16 idle orders per
+    argument, plus a fixed loop cost of about 3 us per order (a 2-vCPU Xeon,
+    numpy 2.4) for each of the N(max x) orders; for the stock ACF, N(x) is
+    about 2 t/(theta tau_r).  A call whose count exceeds NEUMANN_WORK_BOUND
+    raises InputError before any work.  Memory is O(len(x) + N(max x)).
     """
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)) or np.any(xa < 0):
@@ -174,7 +191,8 @@ def neumann_series(x, first, ratio):
             )
         n = np.arange(top // 2)
         a = first * ratio**n  # |a_n| never grows, so the kept terms are a prefix
-        coef = (a * (2 * n + 1))[: np.count_nonzero(np.abs(a) >= _NEUMANN_COEF_FLOOR)]
+        coef = (a * (2 * n + 1))[: np.count_nonzero(np.abs(a) >= _NEUMANN_COEF_FLOOR)].tolist()
+        n_coef = len(coef)
         size = xs.size
         inv = 2.0 / xs
         f_hi = np.zeros(size)   # f_{k+1}, then f_{k-1}
@@ -183,23 +201,29 @@ def neumann_series(x, first, ratio):
         odd = np.zeros(size)
         tmp = np.empty(size)
         # arguments [first_at[k]:] have started by order k
-        first_at = np.searchsorted(start, np.arange(top + 2))
-        for k in range(top, 0, -2):
-            lo = first_at[k]
-            f_lo[lo:first_at[k + 1]] = 1.0
+        first_at = np.searchsorted(start, np.arange(top + 2)).tolist()
+        mul, add, sub = np.multiply, np.add, np.subtract
+        for block in range(top, 0, -2 * _NEUMANN_BLOCK_STEPS):
+            # one suffix serves the block's orders: an argument in it that
+            # has not started stays +0.0 until its own start order
+            end = max(block - 2 * _NEUMANN_BLOCK_STEPS, 0)
+            lo = first_at[end]
             hi_v, lo_v, inv_v, tmp_v = f_hi[lo:], f_lo[lo:], inv[lo:], tmp[lo:]
-            norm[lo:] += lo_v
-            # f_{k-1} = (2k/x) f_k - f_{k+1}, then f_{k-2} = (2(k-1)/x) f_{k-1} - f_k
-            np.multiply(inv_v, lo_v, out=tmp_v)
-            tmp_v *= k
-            np.subtract(tmp_v, hi_v, out=hi_v)
-            j = k // 2 - 1
-            if j < coef.size:
-                np.multiply(hi_v, coef[j], out=tmp_v)
-                odd[lo:] += tmp_v
-            np.multiply(inv_v, hi_v, out=tmp_v)
-            tmp_v *= k - 1
-            np.subtract(tmp_v, lo_v, out=lo_v)
+            norm_v, odd_v = norm[lo:], odd[lo:]
+            for k in range(block, end, -2):
+                f_lo[first_at[k]:first_at[k + 1]] = 1.0
+                add(norm_v, lo_v, norm_v)
+                # f_{k-1} = (2k/x) f_k - f_{k+1}, then f_{k-2} = (2(k-1)/x) f_{k-1} - f_k
+                mul(inv_v, lo_v, tmp_v)
+                mul(tmp_v, k * 1.0, tmp_v)
+                sub(tmp_v, hi_v, hi_v)
+                j = k // 2 - 1
+                if j < n_coef:
+                    mul(hi_v, coef[j], tmp_v)
+                    add(odd_v, tmp_v, odd_v)
+                mul(inv_v, hi_v, tmp_v)
+                mul(tmp_v, k - 1.0, tmp_v)
+                sub(tmp_v, lo_v, lo_v)
         out[small:] = inv * odd / (2.0 * norm + f_lo)
     result = np.empty_like(out)
     result[order] = out

@@ -74,7 +74,7 @@ from .laplace import spectral_density  # noqa: F401  perfbench's tracer patches 
 from .market import simulate_white_returns
 from .models import CATALOG, Variant, band_variance, observable_evaluator, spectral_atom
 from .noise import NoiseRequest, generate_colored, path_streams
-from .series import AcfSeries, KernelSeries, PathEnsemble, SpectralDensity, check_ensemble
+from .series import AcfSeries, KernelSeries, PathEnsemble, SpectralDensity, _five_smooth, check_ensemble
 from .specfun import lambda1
 
 EULER_GAMMA = 0.5772156649015329
@@ -102,20 +102,6 @@ def memory_kernel(model, h, n_points):
 def _check_grid(h, n_points):
     check_positive(h, "h")
     check_count(n_points, "n_points", 2)
-
-
-def _five_smooth(n):
-    """Smallest 2^i 3^j 5^k >= n: an FFT length pocketfft factors cheaply."""
-    best = 1 << (n - 1).bit_length()
-    odd5 = 1
-    while odd5 < best:
-        odd = odd5
-        while odd < best:
-            # odd times the least power of two reaching n
-            best = min(best, odd << ((n - 1) // odd).bit_length())
-            odd *= 3
-        odd5 *= 5
-    return best
 
 
 def _fft_product(a, b, n):

@@ -18,6 +18,10 @@ ranges of paths at once, so the two samplers can be compared draw for draw.
 Its spectrum is either the package's closed-form fold or the midpoint-rule
 fold (``midpoint_folded_spectrum``) the package used before it.
 
+``neumann_series_stepwise`` and ``j_asymptotic_stepwise`` are the
+package's own Miller and Hankel loops as they were before their in-place
+forms, kept verbatim so the leaner loops can be held to them bit for bit.
+
 The audit command at the end (``cmd_audit_rowwise``) does share the
 package's shapes and model construction: it is the CLI's table built and
 printed row by row, so the column-built command must print and write the
@@ -31,8 +35,10 @@ import mpmath as mp
 import numpy as np
 
 from glemarket import cli, estimate, laplace, models, noise, volterra
-from glemarket.errors import AccuracyError
+from glemarket.errors import AccuracyError, DomainError, InputError
 from glemarket.series import SpectralDensity
+from glemarket.specfun import (_HANKEL_TERMS, _NEUMANN_COEF_FLOOR, _NEUMANN_ORDER_COST, _NEUMANN_TAYLOR_BELOW,
+                               NEUMANN_WORK_BOUND, _return_like)
 
 mp.mp.dps = 60
 
@@ -343,6 +349,108 @@ def stationary_ensemble_full_draw(model, h, n_steps, n_paths, seed, fold=volterr
     r = colored_full_draw(noise.circulant_spectrum(request), n_paths, seed)[:, :n_steps]
     add_spectral_line(r, model, h, seed)
     return np.ascontiguousarray(r)
+
+
+# -- the Hankel and Miller loops before their in-place forms, verbatim: the
+# Hankel sum allocating every term, the recurrence slicing its suffix at
+# every order
+
+
+def j_asymptotic_stepwise(x, nu):
+    """Hankel expansion for J_nu at x >= ~17, truncated before divergence."""
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    inv_x = 1.0 / xa
+    a = np.ones_like(xa)          # running (nu,m) / x^m
+    p_sum = np.ones_like(xa)      # + A0
+    q_sum = np.zeros_like(xa)
+    four_nu2 = 4.0 * nu * nu
+    sign = 1.0
+    for m in range(1, _HANKEL_TERMS + 1):
+        a = a * (four_nu2 - (2 * m - 1) ** 2) / (8.0 * m) * inv_x
+        if m % 2 == 1:
+            q_sum = q_sum + sign * a
+            sign = -sign             # flips after each (odd, even) pair
+        else:
+            p_sum = p_sum + sign * a
+    chi = xa - (0.5 * nu + 0.25) * np.pi
+    return np.sqrt(2.0 / (np.pi * xa)) * (p_sum * np.cos(chi) - q_sum * np.sin(chi))
+
+
+def neumann_series_stepwise(x, first, ratio):
+    """sum_n a_n [J_2n(x) + J_2n+2(x)] with a_n = first * ratio**n, |ratio| <= 1.
+
+    Evaluated as (2/x) sum_n a_n (2n+1) J_2n+1(x) by one Miller backward
+    recurrence vectorized over the arguments: they are sorted, and each
+    starts at its own even order N(x) = x + 10 x^(1/3) + 40, so the active
+    arguments form a suffix and small ones never pay for the largest.  The
+    recurrence is normalized by J0 + 2 sum_k J_2k = 1, and coefficients are
+    dropped once |a_n| < 1e-17.  Arguments below 1e-3 use the series' Taylor
+    polynomial; x = 0 gives ``first``.
+
+    Cost is sum_i N(x_i) array steps plus a fixed loop cost for each of the
+    N(max x) orders (for the stock ACF, N(x) is about 2 t/(theta tau_r));
+    a call whose count exceeds NEUMANN_WORK_BOUND raises InputError before
+    any work.  Memory is O(len(x) + N(max x)).
+    """
+    xa = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xa)) or np.any(xa < 0):
+        raise DomainError("neumann_series requires finite x >= 0")
+    if not (np.isfinite(first) and abs(ratio) <= 1.0):
+        raise DomainError("neumann_series requires finite first and |ratio| <= 1")
+    flat = xa.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    xs = flat[order]
+    out = np.empty(xs.size)
+    a1 = first * ratio
+    small = int(np.searchsorted(xs, _NEUMANN_TAYLOR_BELOW))
+    x2 = xs[:small] ** 2
+    out[:small] = first - (first - a1) * x2 / 8.0 + (
+        first / 192.0 - a1 / 128.0 + a1 * ratio / 384.0
+    ) * (x2 * x2)
+    xs = xs[small:]
+    if xs.size:
+        start = np.ceil(xs + 10.0 * np.cbrt(xs) + 40.0).astype(np.int64)
+        start += start % 2
+        top = int(start[-1])
+        work = float(start.sum()) + _NEUMANN_ORDER_COST * top
+        if work > NEUMANN_WORK_BOUND:
+            raise InputError(
+                f"Neumann series too costly: {xs.size} arguments up to x = {xs[-1]:.6g} "
+                f"need {work:.3g} recurrence steps (bound {NEUMANN_WORK_BOUND:.3g}); "
+                f"--route laplace sums no series"
+            )
+        n = np.arange(top // 2)
+        a = first * ratio**n  # |a_n| never grows, so the kept terms are a prefix
+        coef = (a * (2 * n + 1))[: np.count_nonzero(np.abs(a) >= _NEUMANN_COEF_FLOOR)]
+        size = xs.size
+        inv = 2.0 / xs
+        f_hi = np.zeros(size)   # f_{k+1}, then f_{k-1}
+        f_lo = np.zeros(size)   # f_k, then f_{k-2}
+        norm = np.zeros(size)
+        odd = np.zeros(size)
+        tmp = np.empty(size)
+        # arguments [first_at[k]:] have started by order k
+        first_at = np.searchsorted(start, np.arange(top + 2))
+        for k in range(top, 0, -2):
+            lo = first_at[k]
+            f_lo[lo:first_at[k + 1]] = 1.0
+            hi_v, lo_v, inv_v, tmp_v = f_hi[lo:], f_lo[lo:], inv[lo:], tmp[lo:]
+            norm[lo:] += lo_v
+            # f_{k-1} = (2k/x) f_k - f_{k+1}, then f_{k-2} = (2(k-1)/x) f_{k-1} - f_k
+            np.multiply(inv_v, lo_v, out=tmp_v)
+            tmp_v *= k
+            np.subtract(tmp_v, hi_v, out=hi_v)
+            j = k // 2 - 1
+            if j < coef.size:
+                np.multiply(hi_v, coef[j], out=tmp_v)
+                odd[lo:] += tmp_v
+            np.multiply(inv_v, hi_v, out=tmp_v)
+            tmp_v *= k - 1
+            np.subtract(tmp_v, lo_v, out=lo_v)
+        out[small:] = inv * odd / (2.0 * norm + f_lo)
+    result = np.empty_like(out)
+    result[order] = out
+    return _return_like(x, result.reshape(xa.shape))
 
 
 # -- the memoryless return process, the ensemble ACF and the memory-exponent

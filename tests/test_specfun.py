@@ -12,7 +12,7 @@ import mpmath as mp
 from scipy import special as scipy_special
 from scipy.special import lambertw
 
-from glemarket import specfun
+from glemarket import estimate, models, specfun
 from glemarket.errors import DomainError
 
 import oracles
@@ -326,3 +326,59 @@ def test_neumann_series_domain():
         specfun.neumann_series(np.nan, 1.0, 0.5)
     with pytest.raises(DomainError):
         specfun.neumann_series(1.0, 1.0, 1.5)
+
+
+# the earlier per-order loops (tests/oracles.py): unsorted, repeated and 2-D
+# arguments, zeros, the Taylor range below 1e-3 and arguments up to 700
+_NEUMANN_X = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e-3),
+    st.floats(0.0, 40.0),
+    st.floats(0.0, 700.0),
+)
+_NEUMANN_RATIO = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@given(
+    x=st.lists(_NEUMANN_X, min_size=1, max_size=40),
+    repeat=st.integers(1, 3),
+    rows=st.sampled_from([0, 1, 2]),
+    first=st.floats(-5.0, 5.0),
+    ratio=_NEUMANN_RATIO,
+)
+@settings(max_examples=150, deadline=None)
+def test_neumann_series_matches_the_stepwise_loop(x, repeat, rows, first, ratio):
+    xa = np.array(x * repeat)
+    if rows:  # 2-D: the flat order is the caller's, not the sorted one
+        xa = np.tile(xa, (rows, 1))
+    assert _same_bits(specfun.neumann_series(xa, first, ratio),
+                      oracles.neumann_series_stepwise(xa, first, ratio))
+    scalar = specfun.neumann_series(x[0], first, ratio)
+    want = oracles.neumann_series_stepwise(x[0], first, ratio)
+    assert type(scalar) is type(want) is float and _same_bits(scalar, want)
+
+
+@given(x=st.lists(st.floats(17.0, 1e8), min_size=1, max_size=30), nu=st.sampled_from([0, 1]))
+@settings(max_examples=60, deadline=None)
+def test_hankel_sum_matches_the_stepwise_loop(x, nu):
+    assert _same_bits(specfun._j_asymptotic(np.array(x), nu),
+                      oracles.j_asymptotic_stepwise(np.array(x), nu))
+
+
+def test_fit_curves_match_the_stepwise_loops(monkeypatch):
+    """Every curve a fit reads: the coarse thetas and the descent lattice."""
+    thetas = sorted({*estimate._COARSE_THETAS.tolist(),
+                     *(round(i * estimate._THETA_STEP, 6) for i in range(1, 321))})
+    specs = [models.ModelSpec.stock_theta(tau_r=1.0, theta=theta) for theta in thetas]
+    curves = [models.closed_form_acf(spec, estimate._GRID) for spec in specs]
+    monkeypatch.setattr(specfun, "neumann_series", oracles.neumann_series_stepwise)
+    monkeypatch.setattr(specfun, "_j_asymptotic", oracles.j_asymptotic_stepwise)
+    monkeypatch.setattr(models, "neumann_series", oracles.neumann_series_stepwise)
+    for theta, spec, curve in zip(thetas, specs, curves):
+        assert _same_bits(curve, models.closed_form_acf(spec, estimate._GRID)), theta
