@@ -21,113 +21,55 @@ function are linked through their Laplace images.  The package provides
   with class labels (heavy / neutral / light / ultra-light), from an ACF
   or from one price path;
 * ``cli``      -- the ``glemarket`` command-line interface.
+
+Submodules load on first use: ``import glemarket`` imports none of them,
+and a name of ``__all__`` (``glemarket.fit_theta``, or ``from glemarket
+import fit_theta``) or a submodule (``glemarket.models``) imports its
+module when it is first read.
 """
 
-from .errors import (
-    AccuracyError,
-    CapabilityError,
-    DegenerateSeriesError,
-    DomainError,
-    GleMarketError,
-    InputError,
-    ParseError,
-    SolverError,
-    SpectralPositivityError,
-)
-from .estimate import FitReport, ensemble_acf, fit_prices, fit_theta, model_curve, sample_acf
-from .laplace import invert, invert_at, spectral_density
-from .market import (
-    MarketParams,
-    price_from_returns,
-    returns_from_prices,
-    sigma_from_tau,
-    simulate_gbm,
-    simulate_white_returns,
-    tau_from_volatility,
-)
-from .models import (
-    ModelSpec,
-    StockClass,
-    Variant,
-    classify_theta,
-    closed_form_acf,
-    force_evaluator,
-    force_shape,
-    identity_residual,
-    observable_evaluator,
-    observable_shape,
-    solve_functional_shape,
-    spectral_atom,
-)
-from .noise import NoiseRequest, circulant_spectrum, generate_colored, generate_wiener_increments
-from .series import AcfSeries, KernelSeries, PathEnsemble, SpectralDensity
-from .specfun import bessel_j0, bessel_j1, lambda0, lambda1, lambert_w0_exp
-from .volterra import (
-    boltzmann_acf,
-    differential_acf,
-    integrate_gle,
-    memory_kernel,
-    propagate_acf,
-    simulate_stationary_ensemble,
-)
+import importlib
+
+# each exported name (__all__) and the submodule that defines it, one group per module
+_EXPORTS = {
+    **dict.fromkeys(("AccuracyError", "CapabilityError", "DegenerateSeriesError", "DomainError",
+                     "GleMarketError", "InputError", "ParseError", "SolverError",
+                     "SpectralPositivityError"), "errors"),
+    **dict.fromkeys(("FitReport", "ensemble_acf", "fit_prices", "fit_theta", "model_curve",
+                     "sample_acf"), "estimate"),
+    **dict.fromkeys(("invert", "invert_at", "spectral_density"), "laplace"),
+    **dict.fromkeys(("MarketParams", "price_from_returns", "returns_from_prices", "sigma_from_tau",
+                     "simulate_gbm", "simulate_white_returns", "tau_from_volatility"), "market"),
+    **dict.fromkeys(("ModelSpec", "StockClass", "Variant", "classify_theta", "closed_form_acf",
+                     "force_evaluator", "force_shape", "identity_residual", "observable_evaluator",
+                     "observable_shape", "solve_functional_shape", "spectral_atom"), "models"),
+    **dict.fromkeys(("NoiseRequest", "circulant_spectrum", "generate_colored",
+                     "generate_wiener_increments"), "noise"),
+    **dict.fromkeys(("AcfSeries", "KernelSeries", "PathEnsemble", "SpectralDensity"), "series"),
+    **dict.fromkeys(("bessel_j0", "bessel_j1", "lambda0", "lambda1", "lambert_w0_exp"), "specfun"),
+    **dict.fromkeys(("boltzmann_acf", "differential_acf", "integrate_gle", "memory_kernel",
+                     "propagate_acf", "simulate_stationary_ensemble"), "volterra"),
+}
+
+_SUBMODULES = (*dict.fromkeys(_EXPORTS.values()), "cli")
+
+
+def __getattr__(name):
+    """Import a submodule, or the module of an exported name, on its first
+    access (PEP 562); an exported name is then bound here."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyError",
-    "AcfSeries",
-    "CapabilityError",
-    "DegenerateSeriesError",
-    "DomainError",
-    "FitReport",
-    "GleMarketError",
-    "InputError",
-    "KernelSeries",
-    "MarketParams",
-    "ModelSpec",
-    "NoiseRequest",
-    "ParseError",
-    "PathEnsemble",
-    "SolverError",
-    "SpectralDensity",
-    "SpectralPositivityError",
-    "StockClass",
-    "Variant",
-    "bessel_j0",
-    "bessel_j1",
-    "boltzmann_acf",
-    "circulant_spectrum",
-    "classify_theta",
-    "closed_form_acf",
-    "differential_acf",
-    "ensemble_acf",
-    "fit_prices",
-    "fit_theta",
-    "force_evaluator",
-    "force_shape",
-    "generate_colored",
-    "generate_wiener_increments",
-    "identity_residual",
-    "integrate_gle",
-    "invert",
-    "invert_at",
-    "lambda0",
-    "lambda1",
-    "lambert_w0_exp",
-    "memory_kernel",
-    "model_curve",
-    "observable_evaluator",
-    "observable_shape",
-    "price_from_returns",
-    "propagate_acf",
-    "returns_from_prices",
-    "sample_acf",
-    "sigma_from_tau",
-    "simulate_gbm",
-    "simulate_stationary_ensemble",
-    "simulate_white_returns",
-    "solve_functional_shape",
-    "spectral_atom",
-    "spectral_density",
-    "tau_from_volatility",
-]
+__all__ = sorted(_EXPORTS)

@@ -30,6 +30,7 @@ Conventions shared by every subcommand:
 import argparse
 import csv
 import functools
+import importlib
 import io
 import os
 import sys
@@ -47,10 +48,6 @@ from .errors import (
     check_positive,
     check_seed,
 )
-from .estimate import FitReport, _usable_lags, ensemble_acf, fit_prices
-from .estimate import fit_theta, sample_acf  # noqa: F401  unused; perfbench's SITES patches them here
-from .laplace import invert
-from .market import MarketParams, price_from_returns, returns_from_prices, simulate_gbm
 from .models import (
     CATALOG,
     ROUTES,
@@ -67,8 +64,38 @@ from .models import (
 from .noise import LANES, generate_wiener_increments
 from .series import PathEnsemble
 from .specfun import lambda0, lambda1
-from .volterra import (_circulant_length, boltzmann_acf, differential_acf, memory_kernel,
-                       propagate_acf, simulate_stationary_ensemble)
+
+# the names the subcommands call from the modules only some of them run, per
+# module; each is bound in this module when first needed: by main() for the
+# modules of the chosen command (_COMMANDS), or on attribute access, the way
+# perfbench's tracer and a test's monkeypatch reach it.  An already bound name
+# is kept, so a patched one is the one called.  fit_theta and sample_acf are
+# not called here: the tracer patches them at this name
+_DEFERRED = {
+    "estimate": ("FitReport", "_usable_lags", "ensemble_acf", "fit_prices", "fit_theta", "sample_acf"),
+    "laplace": ("invert",),
+    "market": ("MarketParams", "price_from_returns", "returns_from_prices", "simulate_gbm"),
+    "volterra": ("_circulant_length", "boltzmann_acf", "differential_acf", "memory_kernel",
+                 "propagate_acf", "simulate_stationary_ensemble"),
+}
+_DEFERRED_MODULE = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def _bind(module):
+    """Bind here each deferred name of ``module`` that is not bound yet."""
+    namespace = globals()
+    unbound = [name for name in _DEFERRED[module] if name not in namespace]
+    if unbound:
+        source = importlib.import_module(f"{__package__}.{module}")
+        namespace.update((name, getattr(source, name)) for name in unbound)
+
+
+def __getattr__(name):
+    if name not in _DEFERRED_MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_DEFERRED_MODULE[name])
+    return globals()[name]
+
 
 CAPABILITY_MATRIX = (
     "Model capability matrix: a note starting with 'no' refuses its route, and volterra\n"
@@ -542,21 +569,25 @@ def _check_fd_step(step, name):
         )
 
 
-# each command's function, one-line help and description
+# each command's function, the modules of the deferred names it calls (bound
+# by main() before it runs), its one-line help and description
 _COMMANDS = {
-    "fig1": (cmd_fig1, "emit the two market-ACF reference curves vs dimensionless lag",
+    "fig1": (cmd_fig1, (), "emit the two market-ACF reference curves vs dimensionless lag",
              "CSV columns: lag_ratio (tau/tau_R), lambda1(2 tau/tau_R), lambda0(2 tau/tau_R);\n"
              "the first row is (0, 1, 1)."),
-    "acf": (cmd_acf, "evaluate a model ACF by the closed, laplace, or volterra route",
+    "acf": (cmd_acf, ("laplace", "volterra"),
+            "evaluate a model ACF by the closed, laplace, or volterra route",
             "Emits CSV columns (lag, acf).\n\n" + CAPABILITY_MATRIX),
-    "simulate": (cmd_simulate, "synthesize a seeded path ensemble plus an ACF/variance summary",
+    "simulate": (cmd_simulate, ("estimate", "market", "volterra"),
+                 "synthesize a seeded path ensemble plus an ACF/variance summary",
                  "gbm draws geometric Brownian prices from --mu, --sigma and --M0; the\n"
                  "catalog models draw stationary return rates (simulate column below).\n"
                  + _LANE_LEGEND + "\n\n" + CAPABILITY_MATRIX),
-    "estimate": (cmd_estimate, "fit (tau_r, theta) and the stock class to a price series CSV",
+    "estimate": (cmd_estimate, ("estimate",),
+                 "fit (tau_r, theta) and the stock class to a price series CSV",
                  "Input CSV header must be 't,price' or 'price'.\n"
                  "The fitted report is printed as key = value lines."),
-    "audit": (cmd_audit, "evaluate closure-identity residuals on a p grid and flag failures",
+    "audit": (cmd_audit, (), "evaluate closure-identity residuals on a p grid and flag failures",
               "Rows: closure residual |y (tau p + g) - 1| on a real log grid, plus --n-complex random\n"
               "right-half-plane points; for differential, central-difference rows of dg/du = y.\n\n"
               + CAPABILITY_MATRIX),
@@ -712,7 +743,7 @@ def _build_parser():
         epilog=CAPABILITY_MATRIX,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, help, description) in _COMMANDS.items():
+    for command, (func, _, help, description) in _COMMANDS.items():
         p = sub.add_parser(command, help=help, description=description,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         for flag, cell, _ in _CELLS[command]:
@@ -733,6 +764,8 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    for module in _COMMANDS[args.command][1]:
+        _bind(module)
     try:
         _resolve_flags(args)
         return args.func(args)

@@ -37,17 +37,33 @@ their sample ACF to min(n // 4, max_lag) lags, at least 8, and fit_theta
 over lag_window, max_lag * h by default.
 """
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSeriesError, InputError, check_count, check_positive
-# unused since model curves come from the series, but perfbench's tracer
-# patches glemarket.estimate.invert_at and fails if the name is missing
-from .laplace import invert_at  # noqa: F401
 from .market import returns_from_prices
 from .models import ModelSpec, StockClass, classify_theta, closed_form_acf
 from .series import AcfSeries, PathEnsemble, _five_smooth, check_ensemble
+
+
+def __getattr__(name):
+    """``invert_at``, imported from laplace when first read (PEP 562).
+
+    Nothing here calls it since the model curves come from the series, but
+    perfbench's tracer patches glemarket.estimate.invert_at and fails if the
+    name is missing; read only then, it leaves laplace out of a fit.  The
+    tracer wraps laplace.invert_at first, so a wrapper found there is looked
+    through (``__wrapped__``) to laplace's own function, the one an import
+    at load time bound: uninstalling the tracer then leaves no wrapper here.
+    """
+    if name == "invert_at":
+        from .laplace import invert_at
+
+        return inspect.unwrap(invert_at)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # unit-tau_r lag grid for cached model curves; fits are restricted to
 # lag/tau_r <= _U_MAX so interpolation never extrapolates

@@ -22,3 +22,36 @@ spans = _load_spans()
 @pytest.mark.parametrize("path,attr", sorted({(path, attr) for path, attr, _, _ in spans.SITES}))
 def test_site_resolves(path, attr):
     assert hasattr(spans._resolve(path), attr)
+
+
+def test_a_traced_run_records_each_layer_and_uninstall_restores_it(tmp_path, monkeypatch):
+    # the tracer resolves each site itself, including the names glemarket.cli
+    # and glemarket.estimate resolve on first use, and a command calls what
+    # the tracer put there; as in a fresh child process, none is bound yet
+    from contextlib import redirect_stdout
+    from io import StringIO
+
+    from glemarket import cli, estimate
+
+    originals = {(path, attr): getattr(spans._resolve(path), attr) for path, attr, _, _ in spans.SITES}
+    for name in cli._DEFERRED_MODULE:
+        monkeypatch.delitem(vars(cli), name, raising=False)
+    monkeypatch.delitem(vars(estimate), "invert_at", raising=False)
+    out = ["--out-dir", str(tmp_path)]
+    tracer = spans.Tracer().install()
+    try:
+        with redirect_stdout(StringIO()):
+            codes = [
+                cli.main(["acf", "--model", "selfsim", "--route", "laplace", "--h", "0.05",
+                          "--n-points", "100", *out]),
+                cli.main(["simulate", "--model", "stock", "--theta", "1.5", "--n-paths", "1",
+                          "--n-steps", "512", "--h", "0.125", "--seed", "3", "--emit-prices", *out]),
+                cli.main(["estimate", "--input", str(tmp_path / "simulate_prices.csv")]),
+            ]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0]
+    recorded = {name for name, _, _, _ in tracer.spans}
+    assert {"laplace.invert", "volterra.simulate_stationary_ensemble", "estimate.fit_theta"} <= recorded
+    restored = {(path, attr): getattr(spans._resolve(path), attr) for path, attr, _, _ in spans.SITES}
+    assert all(restored[site] is original for site, original in originals.items())

@@ -232,6 +232,36 @@ def test_unforced_relaxation_reproduces_acf_route():
     assert np.max(np.abs(r.paths[0] - acf.values)) < 1e-13
 
 
+# constant force F = 1 from r0 = 0: R(t) = int_0^t c(s) ds, since R's image
+# is the ACF image over p.  At h = 0.05 on t <= 20 the measured max errors
+# were 1.93e-4 (stock theta = 1.5) and 1.38e-4 (selfsim), falling to
+# 4.82e-5 and 3.46e-5 at h/2: a ratio of 4.00, and C = 0.0771 and 0.0554 in
+# C h^2.  The bounds pin C with a few per cent to spare.
+STEP_RESPONSE_CASES = [
+    (ModelSpec.stock_theta(tau_r=1.0, theta=1.5), 0.08),
+    (ModelSpec.linear_self_similar(tau_R=1.0), 0.058),
+]
+
+
+@pytest.mark.parametrize("model,c_bound", STEP_RESPONSE_CASES, ids=["stock1.5", "selfsim"])
+def test_constant_force_response_converges_at_second_order(model, c_bound):
+    # F = 0 would only replay propagate_acf's own recurrence; a force does not
+    span, fine = 20.0, 16
+
+    def max_error(h):
+        n = int(round(span / h)) + 1
+        force = PathEnsemble(h=h, paths=np.ones((1, n)), kind="force")
+        r = integrate_gle(memory_kernel(model, h, n), force, r0=0.0).paths[0]
+        c = closed_form_acf(model, (h / fine) * np.arange(fine * (n - 1) + 1))
+        integral = np.concatenate([[0.0], np.cumsum(0.5 * (h / fine) * (c[1:] + c[:-1]))])
+        return np.max(np.abs(r - integral[::fine]))
+
+    h = 0.05
+    coarse, halved = max_error(h), max_error(h / 2)
+    assert 3.9 < coarse / halved < 4.1
+    assert coarse < c_bound * h**2 and halved < c_bound * (h / 2) ** 2
+
+
 def test_integration_preserves_stream_metadata():
     pe = PathEnsemble(
         h=0.1,
