@@ -13,13 +13,17 @@ function are linked through their Laplace images.  The package provides
   spectral densities;
 * ``volterra`` -- time-domain propagation: memory-kernel convolution
   equations, driven-integration of the GLE, stationary ensembles;
+* ``lambert``  -- the Lambert-type (Boltzmann, differential) ACFs, marched
+  from a Laplace-inverted startup window;
+* ``series``   -- the sampled-data containers (ACFs, kernels, spectra, path
+  ensembles) and the ensemble ACF estimator;
 * ``noise``    -- seeded Gaussian noise with a prescribed spectrum, and
   the seed-lane table every per-path stream is drawn from;
 * ``market``   -- geometric-Brownian price paths, exact white-noise return
   sampling, and conversions between prices and detrended return rates;
-* ``estimate`` -- sample autocorrelations and the memory-exponent fit
-  with class labels (heavy / neutral / light / ultra-light), from an ACF
-  or from one price path;
+* ``estimate`` -- the one-path sample ACF and the memory-exponent fit with
+  class labels (heavy / neutral / light / ultra-light), from an ACF or from
+  one price path;
 * ``cli``      -- the ``glemarket`` command-line interface.
 
 Submodules load on first use: ``import glemarket`` imports none of them,
@@ -35,8 +39,8 @@ _EXPORTS = {
     **dict.fromkeys(("AccuracyError", "CapabilityError", "DegenerateSeriesError", "DomainError",
                      "GleMarketError", "InputError", "ParseError", "SolverError",
                      "SpectralPositivityError"), "errors"),
-    **dict.fromkeys(("FitReport", "ensemble_acf", "fit_prices", "fit_theta", "model_curve",
-                     "sample_acf"), "estimate"),
+    **dict.fromkeys(("FitReport", "fit_prices", "fit_theta", "model_curve", "sample_acf"),
+                    "estimate"),
     **dict.fromkeys(("invert", "invert_at", "spectral_density"), "laplace"),
     **dict.fromkeys(("MarketParams", "price_from_returns", "returns_from_prices", "sigma_from_tau",
                      "simulate_gbm", "simulate_white_returns", "tau_from_volatility"), "market"),
@@ -45,10 +49,12 @@ _EXPORTS = {
                      "observable_shape", "solve_functional_shape", "spectral_atom"), "models"),
     **dict.fromkeys(("NoiseRequest", "circulant_spectrum", "generate_colored",
                      "generate_wiener_increments"), "noise"),
-    **dict.fromkeys(("AcfSeries", "KernelSeries", "PathEnsemble", "SpectralDensity"), "series"),
+    **dict.fromkeys(("AcfSeries", "KernelSeries", "PathEnsemble", "SpectralDensity", "ensemble_acf"),
+                    "series"),
     **dict.fromkeys(("bessel_j0", "bessel_j1", "lambda0", "lambda1", "lambert_w0_exp"), "specfun"),
-    **dict.fromkeys(("boltzmann_acf", "differential_acf", "integrate_gle", "memory_kernel",
-                     "propagate_acf", "simulate_stationary_ensemble"), "volterra"),
+    **dict.fromkeys(("integrate_gle", "memory_kernel", "propagate_acf",
+                     "simulate_stationary_ensemble"), "volterra"),
+    **dict.fromkeys(("boltzmann_acf", "differential_acf"), "lambert"),
 }
 
 _SUBMODULES = (*dict.fromkeys(_EXPORTS.values()), "cli")

@@ -62,21 +62,22 @@ from .models import (
     render_catalog,
 )
 from .noise import LANES, generate_wiener_increments
-from .series import PathEnsemble
+from .series import PathEnsemble, _usable_lags, ensemble_acf
 from .specfun import lambda0, lambda1
 
 # the names the subcommands call from the modules only some of them run, per
 # module; each is bound in this module when first needed: by main() for the
-# modules of the chosen command (_COMMANDS), or on attribute access, the way
+# modules every run of the chosen command needs (_COMMANDS), by the command
+# for those of one route or model, or on attribute access, the way
 # perfbench's tracer and a test's monkeypatch reach it.  An already bound name
 # is kept, so a patched one is the one called.  fit_theta and sample_acf are
 # not called here: the tracer patches them at this name
 _DEFERRED = {
-    "estimate": ("FitReport", "_usable_lags", "ensemble_acf", "fit_prices", "fit_theta", "sample_acf"),
+    "estimate": ("FitReport", "fit_prices", "fit_theta", "sample_acf"),
+    "lambert": ("boltzmann_acf", "differential_acf"),
     "laplace": ("invert",),
     "market": ("MarketParams", "price_from_returns", "returns_from_prices", "simulate_gbm"),
-    "volterra": ("_circulant_length", "boltzmann_acf", "differential_acf", "memory_kernel",
-                 "propagate_acf", "simulate_stationary_ensemble"),
+    "volterra": ("_circulant_length", "memory_kernel", "propagate_acf", "simulate_stationary_ensemble"),
 }
 _DEFERRED_MODULE = {name: module for module, names in _DEFERRED.items() for name in names}
 
@@ -180,15 +181,17 @@ def _write_columns(path, header, *columns):
     the bytes are a csv.writer file's.  The rows go out in blocks of at
     most _CSV_BLOCK rows and _CSV_CELLS cells (one row at the least), each
     formatted as one string and written with one call, so only one block
-    of Python values is alive at once, however wide the file.
+    of Python values is alive at once, however wide the file.  A column
+    given as a list holds its cells already formatted so.
     """
-    columns = [np.asarray(c) for c in columns]
+    columns = [c if isinstance(c, list) else np.asarray(c) for c in columns]
     n_rows = min((len(c) for c in columns), default=0)
     rows = max(1, min(_CSV_BLOCK, _CSV_CELLS // max(1, len(columns))))
 
     def blocks():
         for lo in range(0, n_rows, rows):
-            cells = [map(repr, c[lo : lo + rows].tolist()) for c in columns]
+            cells = [c[lo : lo + rows] if isinstance(c, list) else map(repr, c[lo : lo + rows].tolist())
+                     for c in columns]
             yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
     _write_csv(path, [header], blocks())
@@ -238,11 +241,15 @@ def _acf_by_route(model, route, h, n_points, tolerance):
     if route == "closed":
         return closed_form_acf(model, h * np.arange(n_points))
     if route == "laplace":
+        _bind("laplace")
         return invert(observable_evaluator(model), h, n_points, tolerance=tolerance).values
     if model.variant is Variant.BOLTZMANN:  # the volterra route from here on
+        _bind("lambert")
         return boltzmann_acf(model, h, n_points).values
     if model.variant is Variant.DIFFERENTIAL:
+        _bind("lambert")
         return differential_acf(model, h, n_points).values
+    _bind("volterra")
     return propagate_acf(memory_kernel(model, h, n_points), n_points).values
 
 
@@ -286,6 +293,8 @@ def _simulate_size(args, model):
 def cmd_simulate(args):
     seed = _resolved_seed(args)
     model = None if args.model == "gbm" else _build_model(args)
+    if model is not None:  # the stationary sampler, whose grid _simulate_size reads
+        _bind("volterra")
     size = _simulate_size(args, model)
     try:
         return _run_simulate(args, model, seed)
@@ -313,14 +322,18 @@ def _run_simulate(args, model, seed):
         returns = returns_from_prices(prices) if params.sigma > 0.0 else None
     else:
         returns = simulate_stationary_ensemble(model, args.h, args.n_steps, args.n_paths, seed)
+        times = returns.times
         if args.emit_prices:  # built first: it validates --mu and --M0 before any write
             prices = price_from_returns(returns, mu=args.mu, M0=args.M0)
+            # the return grid is the price grid's first n points, bit for
+            # bit, so both files take one formatting of the time cells
+            times = list(map(repr, prices.times.tolist()))
         paths_file = _out_path(args, f"{base}_paths.csv")
-        _write_paths_csv(paths_file, returns.times, returns.paths)
+        _write_paths_csv(paths_file, times[: returns.n_steps], returns.paths)
         print(f"wrote {paths_file} (return rates, {returns.n_paths} paths x {returns.n_steps} samples)")
         if args.emit_prices:
             prices_file = _out_path(args, f"{base}_prices.csv")
-            _write_paths_csv(prices_file, prices.times, prices.paths, prices=True)
+            _write_paths_csv(prices_file, times, prices.paths, prices=True)
             print(f"wrote {prices_file} (prices via exp integral, mu={args.mu!r}, M0={args.M0!r})")
     _summarize_returns(args, returns, base)
     print(f"master_seed = {seed}")
@@ -569,16 +582,17 @@ def _check_fd_step(step, name):
         )
 
 
-# each command's function, the modules of the deferred names it calls (bound
-# by main() before it runs), its one-line help and description
+# each command's function, the modules of the deferred names every run of it
+# calls (bound by main() before it runs; a route or model binds its own), its
+# one-line help and description
 _COMMANDS = {
     "fig1": (cmd_fig1, (), "emit the two market-ACF reference curves vs dimensionless lag",
              "CSV columns: lag_ratio (tau/tau_R), lambda1(2 tau/tau_R), lambda0(2 tau/tau_R);\n"
              "the first row is (0, 1, 1)."),
-    "acf": (cmd_acf, ("laplace", "volterra"),
+    "acf": (cmd_acf, (),
             "evaluate a model ACF by the closed, laplace, or volterra route",
             "Emits CSV columns (lag, acf).\n\n" + CAPABILITY_MATRIX),
-    "simulate": (cmd_simulate, ("estimate", "market", "volterra"),
+    "simulate": (cmd_simulate, ("market",),
                  "synthesize a seeded path ensemble plus an ACF/variance summary",
                  "gbm draws geometric Brownian prices from --mu, --sigma and --M0; the\n"
                  "catalog models draw stationary return rates (simulate column below).\n"

@@ -101,6 +101,13 @@ def check_count(value, name, minimum):
     return int(value)
 
 
+def check_grid(h, n_points):
+    """InputError unless the step ``h`` is positive and finite and the grid
+    holds at least 2 points."""
+    check_positive(h, "h")
+    check_count(n_points, "n_points", 2)
+
+
 def check_seed(seed):
     """``seed`` as an int, if it is an integer (not a bool) in [0, 2^64);
     else InputError."""

@@ -1,16 +1,10 @@
 """Statistical inverse path: sample ACF estimation and memory-ratio fitting.
 
 The forward theory maps (tau_r, theta) to an observable ACF; this module
-goes the other way.  sample_acf/ensemble_acf estimate a normalized ACF from
-return-rate series with the biased (divide-by-N) estimator, which keeps the
-estimate positive semidefinite as a sequence.  ensemble_acf transforms the
-paths in blocks of _ACF_BLOCK, one batched rfft/irfft per block, so its
-transient memory does not grow with the path count; the FFT length is the
-smallest 5-smooth L >= n + max_lag, the shortest at which the circular
-correlation wraps no product into a lag <= max_lag.  One zero-padded input
-buffer and one output buffer serve every block of a call: a block's paths
-overwrite the head of each input row and the zero tail is never written,
-which takes the same bits as letting rfft pad each block.  fit_theta then
+goes the other way.  sample_acf estimates a normalized ACF from one
+return-rate series as the one-path ``ensemble_acf``; that estimator moved
+to ``series``, so that ``simulate``'s summary reads it without loading the
+fitter, and is re-exported here under its old name.  fit_theta then
 least-squares matches the estimate against the two-relaxation-time stock
 family, scanning a coarse (tau_r, theta) grid and refining by coordinate
 descent.  The coarse thetas share one tau_r grid and the curves one unit
@@ -45,7 +39,9 @@ import numpy as np
 from .errors import DegenerateSeriesError, InputError, check_count, check_positive
 from .market import returns_from_prices
 from .models import ModelSpec, StockClass, classify_theta, closed_form_acf
-from .series import AcfSeries, PathEnsemble, _five_smooth, check_ensemble
+# ensemble_acf and _usable_lags live in series; sample_acf and fit_prices call
+# them by these names, and perfbench's tracer patches ensemble_acf here
+from .series import AcfSeries, PathEnsemble, _usable_lags, check_ensemble, ensemble_acf
 
 
 def __getattr__(name):
@@ -73,9 +69,6 @@ _THETA_KEY_DECIMALS = 6
 # all fitted thetas live on this lattice so the curve cache is shared
 # across fits
 _THETA_STEP = 0.0125
-# paths per batched FFT in ensemble_acf: its transient memory is
-# O(_ACF_BLOCK * L) whatever the path count
-_ACF_BLOCK = 128
 # a polish is skipped when its bracket floor exceeds the value to beat by
 # this relative margin, which keeps the skip exact under summation roundoff
 _PRUNE_SLACK = 1e-9
@@ -124,49 +117,6 @@ def sample_acf(series, max_lag, h=1.0):
     x = _as_clean_series(series)
     check_positive(h, "h")
     return ensemble_acf(PathEnsemble(h=h, paths=x[None, :]), max_lag)[0]
-
-
-def ensemble_acf(ensemble, max_lag):
-    """Ensemble-mean ACF with standard errors.
-
-    Averages the per-path biased autocovariance, normalizes by the mean
-    lag-0 value, and returns (AcfSeries, se) where se holds the standard
-    error of each normalized mean lag.
-    """
-    check_ensemble(ensemble, "ensemble")
-    max_lag = check_count(max_lag, "max_lag", 1)
-    if ensemble.n_steps < 4 * max_lag:
-        raise InputError(
-            f"paths of length {ensemble.n_steps} are too short for "
-            f"max_lag={max_lag} (need >= 4*max_lag samples)"
-        )
-    # a circular correlation of length L >= n + max_lag wraps no product
-    # into lags <= max_lag
-    n = ensemble.n_steps
-    size = _five_smooth(n + max_lag)
-    rows = np.empty((ensemble.n_paths, max_lag + 1))
-    # the block's paths fill [:, :n] and the zero tail [n, size) is never
-    # written, so the input is padded once, not by every rfft
-    block = min(ensemble.n_paths, _ACF_BLOCK)
-    padded = np.zeros((block, size))
-    acov = np.empty((block, size))
-    for lo in range(0, ensemble.n_paths, _ACF_BLOCK):
-        paths = ensemble.paths[lo : lo + _ACF_BLOCK]
-        m = paths.shape[0]
-        padded[:m, :n] = paths
-        spec = np.fft.rfft(padded[:m], axis=1)
-        # spec * conj(spec) as written: an in-place product changes the bits
-        np.fft.irfft(spec * np.conj(spec), size, axis=1, out=acov[:m])
-        np.divide(acov[:m, : max_lag + 1], n, out=rows[lo : lo + m])
-    mean = rows.mean(axis=0)
-    if mean[0] <= 0.0:
-        raise DegenerateSeriesError("ensemble has zero variance")
-    if ensemble.n_paths > 1:
-        se = rows.std(axis=0, ddof=1) / np.sqrt(ensemble.n_paths)
-    else:
-        se = np.zeros(max_lag + 1)
-    acf = AcfSeries(h=ensemble.h, values=mean / mean[0], variance=mean[0])
-    return acf, se / mean[0]
 
 
 class _ModelCurve(tuple):
@@ -401,12 +351,6 @@ def fit_theta(acf, lag_window):
         degenerate=degenerate,
         window_ok=bool(lags[-1] >= 3.0 * tau_best),
     )
-
-
-def _usable_lags(n_steps, max_lag):
-    """ACF lags that n_steps samples support under a max_lag cap: ensemble_acf
-    needs n_steps >= 4 * max_lag."""
-    return min(n_steps // 4, max_lag)
 
 
 def fit_prices(prices, max_lag=400, lag_window=None, detrend="sample-mean"):

@@ -11,18 +11,34 @@ Conventions used throughout the package:
 ``_five_smooth`` picks the FFT length of every transform over a series:
 the GLE march's products, the stationary sampler's grid and the ACF
 estimator.
+
+The ACF estimator, ``ensemble_acf``, lives here too (it moved from
+``estimate``, which re-exports it): ``simulate``'s summary and the fitter
+both read it.  It is the biased (divide-by-N) estimator, which keeps the
+estimate positive semidefinite as a sequence.  It transforms the paths in
+blocks of _ACF_BLOCK, one batched rfft/irfft per block, so its transient
+memory does not grow with the path count; the FFT length is the smallest
+5-smooth L >= n + max_lag, the shortest at which the circular correlation
+wraps no product into a lag <= max_lag.  One zero-padded input buffer and
+one output buffer serve every block of a call: a block's paths overwrite
+the head of each input row and the zero tail is never written, which
+takes the same bits as letting rfft pad each block.  ``_usable_lags`` is
+the one rule for how many lags a path length supports.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, check_positive
+from .errors import DegenerateSeriesError, InputError, check_count, check_positive
 
 # The Boltzmann-class ACF genuinely overshoots 1 near lag zero (peak ~1.213
 # around 0.2 tau_R; its force spectrum is not positive), so the plausibility
 # bound is deliberately loose.
 ACF_OVERSHOOT_LIMIT = 1.35
+# paths per batched FFT in ensemble_acf: its transient memory is
+# O(_ACF_BLOCK * L) whatever the path count
+_ACF_BLOCK = 128
 
 
 def _as_1d(values, name):
@@ -177,3 +193,52 @@ def _five_smooth(n):
             odd *= 3
         odd5 *= 5
     return best
+
+
+def ensemble_acf(ensemble, max_lag):
+    """Ensemble-mean ACF with standard errors.
+
+    Averages the per-path biased autocovariance, normalizes by the mean
+    lag-0 value, and returns (AcfSeries, se) where se holds the standard
+    error of each normalized mean lag.
+    """
+    check_ensemble(ensemble, "ensemble")
+    max_lag = check_count(max_lag, "max_lag", 1)
+    if ensemble.n_steps < 4 * max_lag:
+        raise InputError(
+            f"paths of length {ensemble.n_steps} are too short for "
+            f"max_lag={max_lag} (need >= 4*max_lag samples)"
+        )
+    # a circular correlation of length L >= n + max_lag wraps no product
+    # into lags <= max_lag
+    n = ensemble.n_steps
+    size = _five_smooth(n + max_lag)
+    rows = np.empty((ensemble.n_paths, max_lag + 1))
+    # the block's paths fill [:, :n] and the zero tail [n, size) is never
+    # written, so the input is padded once, not by every rfft
+    block = min(ensemble.n_paths, _ACF_BLOCK)
+    padded = np.zeros((block, size))
+    acov = np.empty((block, size))
+    for lo in range(0, ensemble.n_paths, _ACF_BLOCK):
+        paths = ensemble.paths[lo : lo + _ACF_BLOCK]
+        m = paths.shape[0]
+        padded[:m, :n] = paths
+        spec = np.fft.rfft(padded[:m], axis=1)
+        # spec * conj(spec) as written: an in-place product changes the bits
+        np.fft.irfft(spec * np.conj(spec), size, axis=1, out=acov[:m])
+        np.divide(acov[:m, : max_lag + 1], n, out=rows[lo : lo + m])
+    mean = rows.mean(axis=0)
+    if mean[0] <= 0.0:
+        raise DegenerateSeriesError("ensemble has zero variance")
+    if ensemble.n_paths > 1:
+        se = rows.std(axis=0, ddof=1) / np.sqrt(ensemble.n_paths)
+    else:
+        se = np.zeros(max_lag + 1)
+    acf = AcfSeries(h=ensemble.h, values=mean / mean[0], variance=mean[0])
+    return acf, se / mean[0]
+
+
+def _usable_lags(n_steps, max_lag):
+    """ACF lags that n_steps samples support under a max_lag cap: ensemble_acf
+    needs n_steps >= 4 * max_lag."""
+    return min(n_steps // 4, max_lag)

@@ -11,7 +11,13 @@ catalog, the README's command-line block, the refusal cases of the CI
 console-script step, and ``estimate`` on LF, CRLF and price-only copies of
 one price file.  For each call the manifest records the exit code and the
 SHA-256 of stdout, of stderr and of every file the call created or
-changed, by its path relative to the working directory.
+changed, by its path relative to the working directory.  It then makes the
+benchmark's ensemble workload's library calls at fixed seeds, which no
+command line covers: ``simulate_stationary_ensemble``, ``ensemble_acf`` and
+``fit_theta``, read from ``glemarket.volterra`` and ``glemarket.estimate``
+as the workload reads them.  Each is recorded with the SHA-256 of the
+paths, of the ACF values, of their standard errors and of the fit
+report's repr.
 
 ``compare`` prints every call whose record differs between two manifests
 and exits 1 if any does.  Run both trees on one host: numpy's SIMD ufuncs
@@ -29,6 +35,8 @@ import shlex
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,6 +57,10 @@ ACF_CALLS = {
     "stock2-closed": ["--model", "stock", "--theta", "2", "--route", "closed", *FAST],
 }
 MODELS = ("white", "selfsim", "stock", "scaling", "fractional", "boltzmann", "differential")
+# the ensemble workload's library calls: paths x steps, h, max_lag, lag window
+ENSEMBLE = dict(n_paths=500, n_steps=2048, h=0.125)
+ENSEMBLE_FIT = dict(max_lag=320, lag_window=40.0)
+ENSEMBLE_THETAS = (0.5, 1.0, 1.5, 3.0)
 THETA_MODELS = ("stock", "scaling", "fractional")
 # the CI step's refused calls (exit 2), each writing into its own directory
 REFUSED = [
@@ -127,6 +139,30 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _library_records():
+    """One record per ensemble-workload draw and fit, at seeds 701, 702, ..."""
+    from glemarket import estimate, volterra
+    from glemarket.models import ModelSpec
+
+    records = []
+    for seed, theta in enumerate(ENSEMBLE_THETAS, start=701):
+        call = ["library", "ensemble", f"theta={theta!r}", f"seed={seed}"]
+        try:
+            model = ModelSpec.stock_theta(tau_r=1.0, theta=theta)
+            ens = volterra.simulate_stationary_ensemble(model, seed=seed, **ENSEMBLE)
+            acf, se = estimate.ensemble_acf(ens, max_lag=ENSEMBLE_FIT["max_lag"])
+            report = estimate.fit_theta(acf, lag_window=ENSEMBLE_FIT["lag_window"])
+        except Exception as exc:  # recorded, and the battery goes on
+            records.append({"argv": call, "exit": f"{type(exc).__name__}: {exc}", "files": {}})
+            continue
+        outputs = {"paths": ens.paths, "acf": acf.values, "acf_se": se}
+        files = {name: _sha(np.ascontiguousarray(value).tobytes()) for name, value in outputs.items()}
+        files["fit_report"] = _sha(repr(report).encode("utf-8"))
+        records.append({"argv": call, "exit": 0, "files": files})
+        print(f"  0  {shlex.join(call)}", file=sys.__stderr__)
+    return records
+
+
 def _snapshot():
     return {path.as_posix(): _sha(path.read_bytes()) for path in sorted(Path(".").rglob("*"))
             if path.is_file()}
@@ -166,6 +202,7 @@ def run(src, manifest):
                 print(f"{code!s:>3}  {shlex.join(call)}", file=sys.__stderr__)
         finally:
             os.chdir(home)
+    records += _library_records()
     Path(manifest).write_text(json.dumps({"calls": records}, indent=1) + "\n", encoding="utf-8")
 
 
@@ -182,15 +219,15 @@ def compare(a_path, b_path):
             differences += 1
             continue
         for key in ("exit", "stdout", "stderr"):
-            if left[key] != right[key]:
-                print(f"{name}: {key} differs ({left[key]} | {right[key]})")
+            if left.get(key) != right.get(key):
+                print(f"{name}: {key} differs ({left.get(key)} | {right.get(key)})")
                 differences += 1
         for path in sorted(left["files"].keys() | right["files"].keys()):
             if left["files"].get(path) != right["files"].get(path):
-                print(f"{name}: file {path} differs")
+                print(f"{name}: output {path} differs")
                 differences += 1
     files = sum(len(call["files"]) for call in a)
-    print(f"{len(a)} calls, {files} files: {differences} differences")
+    print(f"{len(a)} calls, {files} outputs: {differences} differences")
     return 1 if differences else 0
 
 

@@ -34,7 +34,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from glemarket import cli, estimate, laplace, models, noise, volterra
+from glemarket import cli, estimate, laplace, models, noise, series, volterra
 from glemarket.errors import AccuracyError, DomainError, InputError
 from glemarket.series import SpectralDensity
 from glemarket.specfun import (_HANKEL_TERMS, _NEUMANN_COEF_FLOOR, _NEUMANN_ORDER_COST, _NEUMANN_TAYLOR_BELOW,
@@ -480,15 +480,15 @@ def white_returns_loop(tau_R, variance_R, n_steps, h, n_paths, seed):
 
 def ensemble_acf_unbuffered(ensemble, max_lag):
     """estimate.ensemble_acf's (values, variance, se) with fresh arrays for
-    every block of estimate._ACF_BLOCK paths: rfft pads the block to the
+    every block of series._ACF_BLOCK paths: rfft pads the block to the
     FFT length itself and irfft allocates its output."""
     n = ensemble.n_steps
     size = volterra._five_smooth(n + max_lag)
     rows = np.empty((ensemble.n_paths, max_lag + 1))
-    for lo in range(0, ensemble.n_paths, estimate._ACF_BLOCK):
-        spec = np.fft.rfft(ensemble.paths[lo : lo + estimate._ACF_BLOCK], size, axis=1)
+    for lo in range(0, ensemble.n_paths, series._ACF_BLOCK):
+        spec = np.fft.rfft(ensemble.paths[lo : lo + series._ACF_BLOCK], size, axis=1)
         acov = np.fft.irfft(spec * np.conj(spec), size, axis=1)
-        rows[lo : lo + estimate._ACF_BLOCK] = acov[:, : max_lag + 1] / n
+        rows[lo : lo + series._ACF_BLOCK] = acov[:, : max_lag + 1] / n
     mean = rows.mean(axis=0)
     if ensemble.n_paths > 1:
         se = rows.std(axis=0, ddof=1) / np.sqrt(ensemble.n_paths)

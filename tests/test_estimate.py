@@ -16,7 +16,7 @@ from oracles import (
 )
 from scipy.linalg import toeplitz
 
-from glemarket import estimate, laplace
+from glemarket import estimate, laplace, series
 from glemarket.errors import DegenerateSeriesError, InputError
 from glemarket.estimate import (
     ensemble_acf,
@@ -148,9 +148,9 @@ class TestEnsembleAcf:
             (1621, 405, 2),
             # around the FFT block of paths
             (64, 16, 1),
-            (64, 16, estimate._ACF_BLOCK - 1),
-            (64, 16, estimate._ACF_BLOCK),
-            (64, 16, estimate._ACF_BLOCK + 1),
+            (64, 16, series._ACF_BLOCK - 1),
+            (64, 16, series._ACF_BLOCK),
+            (64, 16, series._ACF_BLOCK + 1),
         ],
     )
     def test_fft_length_and_blocks_match_per_path_average(self, n_steps, max_lag, n_paths):
@@ -174,7 +174,7 @@ class TestEnsembleAcf:
                 tracemalloc.stop()
 
         # transforming every path at once would grow the peak eightfold
-        block = estimate._ACF_BLOCK
+        block = series._ACF_BLOCK
         assert peak(16 * block) <= 1.1 * peak(2 * block)
 
     def test_validation(self):

@@ -64,15 +64,33 @@ COMMAND_MODULES = [
     (["audit", "--model", "stock", "--theta", "1.5", "--n-real", "10"], []),
     # the fit reads returns_from_prices from market, and no march or inversion
     (["estimate", "--input", "prices.csv"], ["estimate", "market"]),
+    # each acf route loads what it runs: the closed forms are in models, the
+    # linear march in volterra (which draws white returns through market), and
+    # a Lambert march in lambert, with its inverted startup window
+    (["acf", "--model", "stock", "--theta", "2", "--route", "closed", "--h", "0.05",
+      "--n-points", "50"], []),
+    (["acf", "--model", "selfsim", "--route", "laplace", "--h", "0.05", "--n-points", "50"], ["laplace"]),
+    (["acf", "--model", "stock", "--theta", "1.5", "--route", "volterra", "--h", "0.05",
+      "--n-points", "50"], ["market", "volterra"]),
+    (["acf", "--model", "boltzmann", "--route", "volterra", "--h", "0.05", "--n-points", "50"],
+     ["lambert", "laplace"]),
+    # the sampler and its summary need neither the inverter, a march nor the fitter
+    (["simulate", "--model", "stock", "--theta", "1.5", "--n-paths", "1", "--n-steps", "256",
+      "--h", "0.125", "--seed", "7", "--emit-prices"], ["market", "volterra"]),
+    (["simulate", "--model", "gbm", "--n-paths", "1", "--n-steps", "256", "--h", "0.125",
+      "--seed", "7"], ["market"]),
 ]
+COMMAND_IDS = ["help", "fig1", "audit", "estimate", "acf-closed", "acf-laplace", "acf-volterra",
+               "acf-boltzmann", "simulate-stock", "simulate-gbm"]
 
 
-@pytest.mark.parametrize("argv,extra", COMMAND_MODULES, ids=["help", "fig1", "audit", "estimate"])
+@pytest.mark.parametrize("argv,extra", COMMAND_MODULES, ids=COMMAND_IDS)
 def test_a_command_loads_only_its_modules(tmp_path, argv, extra):
     write_prices(tmp_path / "prices.csv")
     code = ("import contextlib, io\nfrom glemarket.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    try:\n        main({argv!r})\n    except SystemExit:\n        pass")
+            f"    try:\n        code = main({argv!r})\n    except SystemExit as exc:\n        code = exc.code\n"
+            "assert code == 0, code")
     assert loaded_after(code, cwd=tmp_path) == sorted(EAGER + extra)
 
 
@@ -84,6 +102,8 @@ CALLS = {
     "acf-laplace": ["acf", "--model", "selfsim", "--route", "laplace", "--h", "0.05", "--n-points", "200"],
     "acf-volterra": ["acf", "--model", "stock", "--theta", "1.5", "--route", "volterra",
                      "--h", "0.05", "--n-points", "200"],
+    "acf-boltzmann": ["acf", "--model", "boltzmann", "--route", "volterra", "--h", "0.05",
+                      "--n-points", "200"],
     "simulate-stock": ["simulate", "--model", "stock", "--theta", "1.5", "--n-paths", "2",
                        "--n-steps", "256", "--h", "0.125", "--seed", "7", "--emit-prices"],
     "simulate-gbm": ["simulate", "--model", "gbm", "--n-paths", "2", "--n-steps", "256",

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from glemarket import volterra
+from glemarket import lambert, volterra
 from glemarket.errors import CapabilityError, InputError
 from glemarket.laplace import invert, invert_at
 from glemarket.market import simulate_white_returns
@@ -15,9 +15,8 @@ from glemarket.models import (ModelSpec, closed_form_acf, observable_evaluator, 
 from glemarket.noise import NoiseRequest, circulant_spectrum
 from glemarket.series import KernelSeries, PathEnsemble
 from glemarket.specfun import bessel_j0, lambda1
+from glemarket.lambert import boltzmann_acf, differential_acf
 from glemarket.volterra import (
-    boltzmann_acf,
-    differential_acf,
     _circulant_length,
     _folded_spectrum,
     _series_inverse,
@@ -426,7 +425,7 @@ def test_relaxed_marches_match_quadratic_oracle(monkeypatch, n, h, tau_R):
         m = make(tau_R=tau_R)
         fast = acf(m, h, n).values
         with monkeypatch.context() as patch:
-            patch.setattr(volterra, name, oracle)
+            patch.setattr(lambert, name, oracle)
             slow = acf(m, h, n).values
         assert fast.shape == slow.shape == (n,)
         assert np.max(np.abs(fast - slow)) <= 1e-13
@@ -439,7 +438,7 @@ def test_relaxed_lags_forms_every_causal_sum(start, coupled):
     # leaf's outside sums plus its pairs with the first leaf, the Toeplitz
     # products a leaf solve uses, give every s1 and s2 once
     n = 1000
-    leaf = volterra.RELAXED_LEAF
+    leaf = lambert.RELAXED_LEAF
     rng = np.random.default_rng(7)
     c = np.zeros(n)
     q = np.zeros(n) if coupled else None
@@ -458,10 +457,10 @@ def test_relaxed_lags_forms_every_causal_sum(start, coupled):
     for j in range(first, leaf):  # the first leaf is the march's own
         step(j, np.dot(c[1:j], c[j - 1 : 0 : -1]),
              np.dot(c[1:j], q[j - 1 : 0 : -1]) if coupled else 0.0)
-    m0 = volterra._leaf_toeplitz(c)
-    mq = volterra._leaf_toeplitz(q) if coupled else None
+    m0 = lambert._leaf_toeplitz(c)
+    mq = lambert._leaf_toeplitz(q) if coupled else None
     seen = []
-    for lo, sums in volterra._relaxed_lags(c, q, start):
+    for lo, sums in lambert._relaxed_lags(c, q, start):
         m = sums.shape[1]
         assert sums.shape[0] == (2 if coupled else 1)
         x = c[lo : lo + m]
@@ -496,11 +495,11 @@ def test_no_march_step_reaches_over_the_history(monkeypatch, make, acf):
     # lies in the first leaf or in the current leaf and the lag before it,
     # and the block products sum to one pass over the lags per tree level
     n = 4096
-    leaf = volterra.RELAXED_LEAF
+    leaf = lambert.RELAXED_LEAF
     name = next(m[2] for m in LAMBERT_MARCHES if m[1] is acf)
     reads, spill_widths, leaves = [], [], []
-    real_march = getattr(volterra, name)
-    real_lags, real_spill = volterra._relaxed_lags, volterra._spill
+    real_march = getattr(lambert, name)
+    real_lags, real_spill = lambert._relaxed_lags, lambert._spill
 
     def logged_spill(c, q, acc, spectra, lo, mid, hi):
         spill_widths.append(hi - lo)
@@ -521,9 +520,9 @@ def test_no_march_step_reaches_over_the_history(monkeypatch, make, acf):
         finally:
             _ReadLog.log = None
 
-    monkeypatch.setattr(volterra, name, logged_march)
-    monkeypatch.setattr(volterra, "_relaxed_lags", logged_lags)
-    monkeypatch.setattr(volterra, "_spill", logged_spill)
+    monkeypatch.setattr(lambert, name, logged_march)
+    monkeypatch.setattr(lambert, "_relaxed_lags", logged_lags)
+    monkeypatch.setattr(lambert, "_spill", logged_spill)
     values = acf(make(tau_R=1.0), 0.01, n).values
     assert np.all(np.isfinite(values))
     assert leaves == [(lo, lo + leaf) for lo in range(leaf, n, leaf)]
@@ -544,7 +543,7 @@ def test_no_march_step_reaches_over_the_history(monkeypatch, make, acf):
 def test_spill_reuses_early_factor_spectra_exactly(monkeypatch, make, acf):
     # the early factors c[:w] (and q[:w]) are final, so reusing their FFTs
     # across segments of one width must give the march bit for bit
-    real_fft, real_spill = np.fft.rfft, volterra._spill
+    real_fft, real_spill = np.fft.rfft, lambert._spill
     calls = []
 
     def counted(*args, **kwargs):
@@ -558,7 +557,7 @@ def test_spill_reuses_early_factor_spectra_exactly(monkeypatch, make, acf):
 
     monkeypatch.setattr(np.fft, "rfft", counted)
     reused, reused_calls = march()
-    monkeypatch.setattr(volterra, "_spill", lambda c, q, acc, spectra, *seg:
+    monkeypatch.setattr(lambert, "_spill", lambda c, q, acc, spectra, *seg:
                         real_spill(c, q, acc, {}, *seg))
     fresh, fresh_calls = march()
     assert np.array_equal(reused, fresh)
