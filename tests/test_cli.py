@@ -423,6 +423,20 @@ class TestSimulate:
         assert header == ["t", "price"]
         assert data.shape == (65, 2) and data[0, 1] == 1.0
 
+    def test_emit_prices_leaves_the_paths_csv_as_it_is(self, tmp_path):
+        # the two files share one formatting of the time column: the paths
+        # CSV keeps its bytes whether or not prices are emitted, and the
+        # prices' times are the grid's n + 1 points
+        argv = ["simulate", "--model", "stock", "--theta", "1.5", "--n-paths", "2",
+                "--n-steps", "300", "--h", "0.1", "--seed", "5"]
+        assert run_cli(*argv, "--out-dir", str(tmp_path / "alone"))[0] == 0
+        assert run_cli(*argv, "--emit-prices", "--out-dir", str(tmp_path / "both"))[0] == 0
+        paths = (tmp_path / "both" / "simulate_paths.csv").read_bytes()
+        assert paths == (tmp_path / "alone" / "simulate_paths.csv").read_bytes()
+        with open(tmp_path / "both" / "simulate_prices.csv", newline="", encoding="utf-8") as fh:
+            times = [row[0] for row in csv.reader(fh)][1:]
+        assert times == [repr(t) for t in (0.1 * np.arange(301)).tolist()]
+
     def test_market_models_refuse_stock_flags_in_every_subcommand(self, tmp_path):
         tails = {
             "acf": ["--route", "closed", "--h", "0.1"],
